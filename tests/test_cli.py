@@ -130,10 +130,19 @@ def test_bench_a3_csv(capsys):
         "bench", "a3", "--rows", "1000", "--payload", "64", "--mem-blocks", "4", "--seed", "2",
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("segment_rows,algo,run_blocks_written")
-    # sweep 1,10,100,1000 with two algorithms each
-    assert len(lines) == 1 + 4 * 2
+    # sweep 1,10,100,1000 with two algorithms each; counters pinned exactly
+    assert out == (
+        "segment_rows,algo,run_blocks_written,run_blocks_read,comparisons,"
+        "tuples_in_before_first_out,runs_generated\n"
+        "1,srs,16,16,9659,1000,1\n"
+        "1,mrs,0,0,0,1,1000\n"
+        "10,srs,16,16,9661,1000,1\n"
+        "10,mrs,0,0,2291,10,100\n"
+        "100,srs,16,16,9673,1000,1\n"
+        "100,mrs,0,0,5329,100,10\n"
+        "1000,srs,18,18,10593,1000,3\n"
+        "1000,mrs,13,13,10714,1000,2\n"
+    )
 
 
 def test_bench_b3_csv(capsys):

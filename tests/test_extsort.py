@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -193,3 +195,94 @@ def test_empty_input():
     out, met = sort_mrs([], _spec())
     assert list(out) == []
     assert met.tuples_in_before_first_out == 0
+
+
+# --- golden counters ----------------------------------------------------------
+#
+# Exact SortMetrics, as (run_blocks_written, run_blocks_read, comparisons,
+# positions_inspected, tuples_in_before_first_out, runs_generated), and a
+# digest of the output for every algorithm on fixed inputs.  "mrs0" is
+# sort_mrs with known_prefix_len=0.  Any change to run formation or merging
+# that moves a counter shows up here.
+
+
+def _mixed_widths(rows, segment_rows, seed):
+    widths = (10, 40, 100, 250, 600)
+    base = gen_segmented_input(rows, segment_rows, 2, 1, seed)
+    return [Record(r.keys, widths[i * 7 % 5]) for i, r in enumerate(base)]
+
+
+def _three_key_unsorted():
+    # three spilling segments on (1, x), one on (2, 0), then (1, 9) again
+    recs = [Record((1, i // 40, (i * 37) % 101), 100) for i in range(120)]
+    return recs + [Record((2, 0, 5), 100), Record((1, 9, 9), 100)]
+
+
+GOLDEN = [
+    # (name, input, keys, mrs prefix, memory_blocks, block_bytes, file_backed, expected)
+    ("empty", lambda: [], 2, 1, 64, 4096, False, {
+        "srs": ("e3b0c44298fc1c14", (0, 0, 0, 0, 0, 0)),
+        "mrs": ("e3b0c44298fc1c14", (0, 0, 0, 0, 0, 0)),
+        "mrs0": ("e3b0c44298fc1c14", (0, 0, 0, 0, 0, 0)),
+    }),
+    ("single", lambda: [Record((3, 1), 100)], 2, 1, 64, 4096, False, {
+        "srs": ("c3a9f2c692fb081f", (0, 0, 0, 0, 1, 1)),
+        "mrs": ("c3a9f2c692fb081f", (0, 0, 0, 0, 1, 1)),
+        "mrs0": ("c3a9f2c692fb081f", (0, 0, 0, 0, 1, 1)),
+    }),
+    ("segments_fit", lambda: gen_segmented_input(2000, 100, 2, 100, 5), 2, 1, 4, 4096, False, {
+        "srs": ("3d0bbe9b6a256ca9", (49, 49, 18770, 30647, 2000, 1)),
+        "mrs": ("3d0bbe9b6a256ca9", (0, 0, 10677, 10677, 100, 20)),
+        "mrs0": ("3d0bbe9b6a256ca9", (45, 45, 20530, 32374, 2000, 1)),
+    }),
+    ("one_spill_one_merge", lambda: gen_segmented_input(3000, 3000, 2, 100, 9), 2, 1, 64, 1024, False, {
+        "srs": ("3bb3154bb0ef66d5", (295, 295, 37584, 75168, 3000, 3)),
+        "mrs": ("3bb3154bb0ef66d5", (230, 230, 37300, 37300, 3000, 2)),
+        "mrs0": ("3bb3154bb0ef66d5", (230, 230, 37300, 74600, 3000, 2)),
+    }),
+    ("fan_in_2", lambda: gen_segmented_input(3000, 3000, 2, 100, 10), 2, 1, 3, 512, False, {
+        "srs": ("8b350a7e7f8f4b89", (4023, 4023, 35793, 71586, 3000, 101)),
+        "mrs": ("8b350a7e7f8f4b89", (4586, 4586, 38301, 38301, 3000, 101)),
+        "mrs0": ("8b350a7e7f8f4b89", (4586, 4586, 38301, 76602, 3000, 101)),
+    }),
+    ("mixed_widths", lambda: _mixed_widths(3000, 500, 15), 2, 1, 4, 1024, False, {
+        "srs": ("db9029ce4f734b23", (2563, 2563, 37258, 68688, 3000, 70)),
+        "mrs": ("db9029ce4f734b23", (1673, 1673, 33359, 33359, 500, 72)),
+        "mrs0": ("db9029ce4f734b23", (2885, 2885, 40583, 73319, 3000, 69)),
+    }),
+    ("file_backed", lambda: gen_segmented_input(3000, 1000, 2, 100, 14), 2, 1, 8, 1024, True, {
+        "srs": ("608b82beac881128", (499, 499, 43561, 82223, 3000, 19)),
+        "mrs": ("608b82beac881128", (280, 280, 36567, 36567, 1000, 18)),
+        "mrs0": ("608b82beac881128", (499, 499, 45132, 83823, 3000, 18)),
+    }),
+    ("unsorted_prefix", _three_key_unsorted, 3, 2, 3, 512, False, {
+        "srs": ("b56f555c5443407a", (39, 39, 821, 2273, 122, 3)),
+        "mrs": ("UnsortedPrefix", (15, 15, 708, 708, 40, 4)),
+        "mrs0": ("b56f555c5443407a", (54, 54, 908, 2468, 122, 3)),
+    }),
+]
+
+
+def _digest(out) -> str:
+    h = hashlib.sha256()
+    try:
+        for r in out:
+            h.update(repr((r.keys, r.payload_bytes)).encode())
+    except UnsortedPrefix:
+        return "UnsortedPrefix"
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("algo", ["srs", "mrs", "mrs0"])
+@pytest.mark.parametrize("case", GOLDEN, ids=[c[0] for c in GOLDEN])
+def test_golden_counters(case, algo):
+    _, make, keys, prefix, mem, block, file_backed, expected = case
+    fn = sort_srs if algo == "srs" else sort_mrs
+    spec = SortSpec(
+        keys,
+        prefix if algo == "mrs" else 0,
+        BlockConfig(block_bytes=block, memory_blocks=mem),
+        file_backed=file_backed,
+    )
+    out, met = fn(make(), spec)
+    assert (_digest(out), dataclasses.astuple(met)) == expected[algo]
