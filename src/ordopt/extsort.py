@@ -1,18 +1,21 @@
 """Simulated-I/O external sort engine.
 
-Two run-formation strategies over the same replacement-selection core:
+One replacement-selection core runs over each segment of tuples that share
+their first k key positions.  Segments that fit in memory are sorted and
+emitted with no simulated I/O; larger ones form runs (roughly twice memory on
+random input, one run on sorted input) that are merged.  The heap is emptied
+at every segment boundary, so output starts after the first segment.
 
-* ``sort_srs``: standard replacement selection.  Runs roughly twice memory
-  on random input, a single run on sorted input; every tuple is written to a
-  simulated run and read back through the merge.
-* ``sort_mrs``: segment-aware variant for input already sorted on a key
-  prefix.  Tuples sharing a prefix value form a segment; the heap is emptied
-  at every segment boundary, so segments that fit in memory are sorted and
-  emitted with no simulated I/O at all, and output starts after the first
-  segment instead of after the whole input.
+* ``sort_mrs``: k is the known prefix length of input already sorted on it.
+  The heap left at the end of a segment stays in memory as one unwritten run
+  that joins the final merge.
+* ``sort_srs``: standard replacement selection, the same core with k = 0.
+  The only difference is the end-of-input policy: the heap is drained into
+  written runs, so every tuple of a spilled input is written and read back.
 
-I/O is counted in blocks against in-memory "runs"; nothing touches the file
-system.  Comparison counts are logical key comparisons; the number of key
+I/O is counted in blocks against "runs", held in lists or, with
+``SortSpec.file_backed``, in real temporary files; the counters are the same
+either way.  Comparison counts are logical key comparisons; the number of key
 positions actually inspected is tracked separately.
 """
 
@@ -62,7 +65,8 @@ class SortMetrics:
 
 
 class _Source:
-    """One-slot lookahead over the input; only take() counts as consumed."""
+    """One-slot lookahead over the input; only take() counts as consumed, and
+    it consumes the tuple the last peek() returned."""
 
     __slots__ = ("_it", "_head", "_has_head", "taken")
 
@@ -72,19 +76,18 @@ class _Source:
         self._has_head = False
         self.taken = 0
 
-    def peek(self):
+    def peek(self, k: int = 0, prefix: tuple = ()):
+        """The next tuple if its first k keys equal prefix, else None."""
         if not self._has_head:
             self._head = next(self._it, None)
             self._has_head = True
-        return self._head
+        r = self._head
+        return r if r is not None and r.keys[:k] == prefix else None
 
     def take(self):
-        r = self.peek()
-        if r is None:
-            raise StopIteration
         self._has_head = False
         self.taken += 1
-        return r
+        return self._head
 
 
 class _Cmp:
@@ -186,6 +189,19 @@ def _merge_streams(streams, cmp: _Cmp):
             heapq.heappush(heap, (_Item(0, nxt, cmp), idx))
 
 
+def _write_run(records: list[Record], spec: SortSpec, met: SortMetrics) -> _Run:
+    """Spill one sorted run, counting the blocks it writes."""
+    run = _Run(records, spec.cfg.block_bytes, spec.file_backed)
+    met.run_blocks_written += run.blocks
+    return run
+
+
+def _read_runs(runs: list[_Run], met: SortMetrics) -> list:
+    """Open every run for merging, counting the blocks it reads."""
+    met.run_blocks_read += sum(r.blocks for r in runs)
+    return [r.stream() for r in runs]
+
+
 def _reduce_runs(runs: list[_Run], keep_slots: int, met: SortMetrics, cmp: _Cmp, spec: SortSpec) -> None:
     """Merge the smallest runs together until at most keep_slots remain.
 
@@ -197,87 +213,19 @@ def _reduce_runs(runs: list[_Run], keep_slots: int, met: SortMetrics, cmp: _Cmp,
         runs.sort(key=lambda r: (r.blocks, r.count))
         chosen = runs[: min(fanin, len(runs))]
         del runs[: len(chosen)]
-        for r in chosen:
-            met.run_blocks_read += r.blocks
-        merged = _Run(
-            list(_merge_streams([r.stream() for r in chosen], cmp)),
-            spec.cfg.block_bytes,
-            spec.file_backed,
-        )
-        met.run_blocks_written += merged.blocks
-        runs.append(merged)
+        merged = list(_merge_streams(_read_runs(chosen, met), cmp))
+        runs.append(_write_run(merged, spec, met))
 
 
 def sort_srs(records, spec: SortSpec):
     """Standard replacement selection; returns (output stream, metrics).
 
-    Metrics are complete once the stream is exhausted.
+    This is the sort_mrs core with no known prefix, so the whole input is one
+    segment; unlike sort_mrs, it drains the heap into written runs at end of
+    input.  Metrics are complete once the stream is exhausted.
     """
     met = SortMetrics()
-    return _srs_stream(records, spec, met), met
-
-
-def _srs_stream(records, spec: SortSpec, met: SortMetrics):
-    cfg = spec.cfg
-    cmp = _Cmp(met, 0, spec.target_order_len)
-    src = _Source(records)
-    capacity = cfg.memory_bytes
-
-    buf: list[Record] = []
-    used = 0
-    while (r := src.peek()) is not None:
-        if buf and used + r.payload_bytes > capacity:
-            break
-        src.take()
-        buf.append(r)
-        used += r.payload_bytes
-
-    if src.peek() is None:
-        # Whole input fit: one in-memory run, no simulated I/O.
-        if buf:
-            met.runs_generated = 1
-            out = sorted(_Item(0, r, cmp) for r in buf)
-            met.tuples_in_before_first_out = src.taken
-            for item in out:
-                yield item.rec
-        return
-
-    heap = [_Item(0, r, cmp) for r in buf]
-    heapq.heapify(heap)
-    runs: list[_Run] = []
-    current: list[Record] = []
-    current_run = 0
-
-    def close_run() -> None:
-        run = _Run(current, cfg.block_bytes, spec.file_backed)
-        met.run_blocks_written += run.blocks
-        runs.append(run)
-
-    while heap:
-        item = heapq.heappop(heap)
-        if item.run != current_run:
-            close_run()
-            current = []
-            current_run = item.run
-        current.append(item.rec)
-        nxt = src.peek()
-        if nxt is not None:
-            src.take()
-            run = current_run if not cmp.less(nxt.keys, item.rec.keys) else current_run + 1
-            heapq.heappush(heap, _Item(run, nxt, cmp))
-    close_run()
-
-    met.runs_generated = len(runs)
-    _reduce_runs(runs, _fanin(cfg), met, cmp, spec)
-    assert len(runs) <= _fanin(cfg)
-    for r in runs:
-        met.run_blocks_read += r.blocks
-    first = True
-    for rec in _merge_streams([r.stream() for r in runs], cmp):
-        if first:
-            met.tuples_in_before_first_out = src.taken
-            first = False
-        yield rec
+    return _replacement_selection(records, spec, met, 0, drain=True), met
 
 
 def sort_mrs(records, spec: SortSpec):
@@ -285,20 +233,28 @@ def sort_mrs(records, spec: SortSpec):
 
     The input must already be sorted on its first known_prefix_len key
     positions; each maximal group of tuples sharing a prefix value is sorted
-    independently and emitted as soon as the next segment starts.
+    independently and emitted as soon as the next segment starts.  The heap
+    left at the end of a spilled segment stays in memory as one unwritten run
+    that joins the segment's final merge.
     """
     met = SortMetrics()
-    return _mrs_stream(records, spec, met), met
+    return _replacement_selection(records, spec, met, spec.known_prefix_len, drain=False), met
 
 
-def _mrs_stream(records, spec: SortSpec, met: SortMetrics):
+def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, drain: bool):
+    """Replacement selection over each segment of equal first-k keys.
+
+    A segment that fits in memory is sorted there, with no simulated I/O.  A
+    larger one is spilled as runs; at its end the heap is either drained into
+    more written runs (``drain``) or kept as an in-memory run, and everything
+    is merged.  The heap is popped only when an input tuple of the segment is
+    waiting, or while draining.
+    """
     cfg = spec.cfg
-    k = spec.known_prefix_len
     cmp = _Cmp(met, k, spec.target_order_len)
     src = _Source(records)
     capacity = cfg.memory_bytes
     prev_prefix = None
-    emitted_any = False
 
     while (head := src.peek()) is not None:
         prefix = head.keys[:k]
@@ -309,63 +265,46 @@ def _mrs_stream(records, spec: SortSpec, met: SortMetrics):
             )
         prev_prefix = prefix
 
-        buf: list[Record] = []
+        memory: list[Record] = []
         used = 0
-        heap: list[_Item] = []
+        while (r := src.peek(k, prefix)) is not None and (not memory or used + r.payload_bytes <= capacity):
+            memory.append(src.take())
+            used += r.payload_bytes
+
         runs: list[_Run] = []
-        current: list[Record] = []
-        current_run = 0
-        spilling = False
-        while (r := src.peek()) is not None and r.keys[:k] == prefix:
-            src.take()
-            if not spilling:
-                if not buf or used + r.payload_bytes <= capacity:
-                    buf.append(r)
-                    used += r.payload_bytes
-                    continue
-                heap = [_Item(0, b, cmp) for b in buf]
-                heapq.heapify(heap)
-                buf = []
-                spilling = True
-            item = heapq.heappop(heap)
-            if item.run != current_run:
-                run = _Run(current, cfg.block_bytes, spec.file_backed)
-                met.run_blocks_written += run.blocks
-                runs.append(run)
-                current = []
-                current_run = item.run
-            current.append(item.rec)
-            run = current_run if not cmp.less(r.keys, item.rec.keys) else current_run + 1
-            heapq.heappush(heap, _Item(run, r, cmp))
+        if r is not None:
+            # The segment overflows memory: form runs tagged by run number.
+            heap = [_Item(0, m, cmp) for m in memory]
+            heapq.heapify(heap)
+            current: list[Record] = []
+            current_run = 0
+            while (r := src.peek(k, prefix)) is not None or (drain and heap):
+                item = heapq.heappop(heap)
+                if item.run != current_run:
+                    runs.append(_write_run(current, spec, met))
+                    current = []
+                    current_run = item.run
+                current.append(item.rec)
+                if r is not None:
+                    src.take()
+                    run = current_run if not cmp.less(r.keys, item.rec.keys) else current_run + 1
+                    heapq.heappush(heap, _Item(run, r, cmp))
+            runs.append(_write_run(current, spec, met))
+            memory = [h.rec for h in heap]
+        met.runs_generated += len(runs) or 1
 
-        if not spilling:
-            # Segment fit in memory: sort and stream, no simulated I/O.
-            met.runs_generated += 1 if buf else 0
-            out = sorted(_Item(0, b, cmp) for b in buf)
-            for item in out:
-                if not emitted_any:
-                    met.tuples_in_before_first_out = src.taken
-                    emitted_any = True
-                yield item.rec
-            continue
-
-        if current:
-            last = _Run(current, cfg.block_bytes, spec.file_backed)
-            met.run_blocks_written += last.blocks
-            runs.append(last)
-        met.runs_generated += len(runs)
-        # Residual heap becomes a live in-memory run: one rebuild, no write.
-        residual = [x.rec for x in sorted(_Item(0, h.rec, cmp) for h in heap)]
-        _reduce_runs(runs, _fanin(cfg) - (1 if residual else 0), met, cmp, spec)
-        for r_ in runs:
-            met.run_blocks_read += r_.blocks
-        streams = [r_.stream() for r_ in runs] + ([iter(residual)] if residual else [])
-        assert len(streams) <= _fanin(cfg)
-        for rec in _merge_streams(streams, cmp):
-            if not emitted_any:
-                met.tuples_in_before_first_out = src.taken
-                emitted_any = True
-            yield rec
+        # Whatever stays in memory (a segment that fit, or the residual heap)
+        # is sorted once and, next to any written runs, merged without a write.
+        in_memory = [x.rec for x in sorted(_Item(0, m, cmp) for m in memory)]
+        out = in_memory
+        if runs:
+            _reduce_runs(runs, _fanin(cfg) - (1 if in_memory else 0), met, cmp, spec)
+            streams = _read_runs(runs, met) + ([iter(in_memory)] if in_memory else [])
+            assert len(streams) <= _fanin(cfg)
+            out = _merge_streams(streams, cmp)
+        if not met.tuples_in_before_first_out:  # every segment emits a tuple
+            met.tuples_in_before_first_out = src.taken
+        yield from out
 
 
 def gen_segmented_input(rows: int, segment_rows: int, key_positions: int, payload_bytes: int, seed: int):

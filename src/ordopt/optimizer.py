@@ -102,7 +102,42 @@ def _heuristic_orders(attrs, required: SortOrder, heuristic: str) -> set[SortOrd
     raise ValidationError(f"unknown heuristic {heuristic!r}")
 
 
-class Optimizer:
+class _PlanBuilder:
+    """Builds and costs plan nodes over one catalog and set of cost
+    parameters; the optimizer and plan refinement both build through it."""
+
+    def __init__(self, catalog: cs.Catalog, params: cm.CostParams):
+        self.catalog = catalog
+        self.params = params
+
+    def _node(self, op, e, expr_id, produced, op_cost, children, **extra) -> PhysicalPlan:
+        stats = cs.expr_stats(e, self.catalog)
+        return PhysicalPlan(
+            op=op,
+            expr_id=expr_id,
+            produced_order=produced,
+            op_cost=op_cost,
+            total_cost=op_cost + sum(c.total_cost for c in children),
+            est_rows=stats.rows,
+            est_blocks=cs.expr_blocks(e, self.catalog, self.params.cfg),
+            children=tuple(children),
+            **extra,
+        )
+
+    def _enforced(self, plan: PhysicalPlan, e, want: SortOrder, have: SortOrder | None = None) -> PhysicalPlan:
+        """`plan` itself if it delivers `want`; otherwise a (partial) sort on
+        top of it that relies on what `have` (by default the plan's own
+        order) shares with `want`."""
+        have = plan.produced_order if have is None else have
+        if is_prefix(want, have):
+            return plan
+        known = lcp(want, have)
+        cost = cm.enforce_cost(e, have, want, self.params, self.catalog)
+        op = "partial_sort" if known else "full_sort"
+        return self._node(op, e, plan.expr_id, want, cost, (plan,), input_order=known, target_order=want)
+
+
+class Optimizer(_PlanBuilder):
     """One optimization session: a fresh memo over one catalog and query.
 
     `order_source` maps a subexpression to the favorable orders assumed for
@@ -113,8 +148,7 @@ class Optimizer:
     def __init__(self, catalog: cs.Catalog, params: cm.CostParams, heuristic: str = "favorable", order_source=None):
         if heuristic not in HEURISTICS:
             raise ValidationError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
-        self.catalog = catalog
-        self.params = params
+        super().__init__(catalog, params)
         self.heuristic = heuristic
         self._source = order_source
         self.memo: dict[tuple[lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
@@ -154,11 +188,11 @@ class Optimizer:
             cands.extend(self._scan_candidates(e, want))
         elif isinstance(e, lx.Select):
             child = self._goal(e.input, want)
-            cands.append(self._node("select", e, child.produced_order, 0.0, (child,)))
+            cands.append(self._node("select", e, self._id(e), child.produced_order, 0.0, (child,)))
         elif isinstance(e, lx.Project):
             child = self._goal(e.input, want)
             produced = lcp_with_set(child.produced_order, e.cols)
-            cands.append(self._node("project", e, produced, 0.0, (child,)))
+            cands.append(self._node("project", e, self._id(e), produced, 0.0, (child,)))
         elif isinstance(e, lx.Join):
             cands.extend(self._join_candidates(e, want))
         elif isinstance(e, lx.GroupBy):
@@ -167,9 +201,7 @@ class Optimizer:
             raise TypeError(f"not a logical expression: {e!r}")
 
         if want:
-            base = self._goal(e, EMPTY)
-            cost = cm.enforce_cost(e, EMPTY, want, self.params, self.catalog)
-            cands.append(self._sort_node(e, base, want, EMPTY, cost))
+            cands.append(self._enforced(self._goal(e, EMPTY), e, want, have=EMPTY))
 
         best = min(cands, key=lambda p: (p.total_cost, p.produced_order.attrs, p.node_count))
         self._open.discard(key)
@@ -181,6 +213,7 @@ class Optimizer:
             node = self._node(
                 kind,
                 e,
+                self._id(e),
                 produced,
                 cost,
                 (),
@@ -200,7 +233,7 @@ class Optimizer:
             left = self._goal(e.left, io)
             right = self._goal(e.right, io)
             cost = cm.merge_join_cost(lstat.rows, rstat.rows, self.params)
-            node = self._node("merge_join", e, io, cost, (left, right))
+            node = self._node("merge_join", e, self._id(e), io, cost, (left, right))
             yield self._enforced(node, e, want)
         if self.params.hashjoin_enabled:
             left = self._goal(e.left, EMPTY)
@@ -210,7 +243,7 @@ class Optimizer:
                 cs.expr_blocks(e.right, self.catalog, self.params.cfg),
                 self.params,
             )
-            node = self._node("hash_join", e, EMPTY, cost, (left, right))
+            node = self._node("hash_join", e, self._id(e), EMPTY, cost, (left, right))
             yield self._enforced(node, e, want)
 
     def _group_orders(self, e: lx.GroupBy, want: SortOrder) -> set[SortOrder]:
@@ -224,12 +257,12 @@ class Optimizer:
     def _group_candidates(self, e: lx.GroupBy, want: SortOrder):
         for io in sorted(self._group_orders(e, want), key=lambda o: o.attrs):
             child = self._goal(e.input, io)
-            node = self._node("sort_group_by", e, io, 0.0, (child,))
+            node = self._node("sort_group_by", e, self._id(e), io, 0.0, (child,))
             yield self._enforced(node, e, want)
         if self.params.hashjoin_enabled:
             child = self._goal(e.input, EMPTY)
             cost = cm.hash_group_cost(cs.expr_blocks(e.input, self.catalog, self.params.cfg), self.params)
-            node = self._node("hash_group_by", e, EMPTY, cost, (child,))
+            node = self._node("hash_group_by", e, self._id(e), EMPTY, cost, (child,))
             yield self._enforced(node, e, want)
 
     # -- node construction ----------------------------------------------------
@@ -237,31 +270,8 @@ class Optimizer:
     def _access_paths(self, e: lx.Scan):
         return cm.access_paths(e, self.catalog, self._query_attrs, self.params)
 
-    def _node(self, op, e, produced, op_cost, children, **extra) -> PhysicalPlan:
-        stats = cs.expr_stats(e, self.catalog)
-        return PhysicalPlan(
-            op=op,
-            expr_id=self._expr_ids.get(e, -1),
-            produced_order=produced,
-            op_cost=op_cost,
-            total_cost=op_cost + sum(c.total_cost for c in children),
-            est_rows=stats.rows,
-            est_blocks=cs.expr_blocks(e, self.catalog, self.params.cfg),
-            children=tuple(children),
-            **extra,
-        )
-
-    def _sort_node(self, e, child: PhysicalPlan, target: SortOrder, known: SortOrder, cost: float) -> PhysicalPlan:
-        op = "partial_sort" if known else "full_sort"
-        node = self._node(op, e, target, cost, (child,), input_order=known, target_order=target)
-        return node
-
-    def _enforced(self, plan: PhysicalPlan, e: lx.LogicalExpr, want: SortOrder) -> PhysicalPlan:
-        if is_prefix(want, plan.produced_order):
-            return plan
-        known = lcp(want, plan.produced_order)
-        cost = cm.enforce_cost(e, plan.produced_order, want, self.params, self.catalog)
-        return self._sort_node(e, plan, want, known, cost)
+    def _id(self, e: lx.LogicalExpr) -> int:
+        return self._expr_ids.get(e, -1)
 
 
 def optimize_query(

@@ -18,14 +18,13 @@ from . import catalog_stats as cs
 from . import cost_model as cm
 from . import logical_expr as lx
 from .errors import ValidationError
-from .optimizer import PhysicalPlan
+from .optimizer import PhysicalPlan, _PlanBuilder
 from .order_algebra import (
     EMPTY,
     AttrSet,
     SortOrder,
     canonical_permutation,
     concat,
-    is_prefix,
     lcp,
     lcp_with_set,
     subtract,
@@ -228,64 +227,39 @@ def join_prefix_benefit(plan: PhysicalPlan) -> int:
     return sum(len(lcp(joins[p].produced_order, joins[c].produced_order)) for p, c in edges)
 
 
-class _Rebuilder:
+class _Rebuilder(_PlanBuilder):
     def __init__(self, catalog, params, exprs, new_orders):
-        self.catalog = catalog
-        self.params = params
+        super().__init__(catalog, params)
         self.exprs = exprs  # preorder list of logical nodes
         self.new_orders = new_orders  # id(plan node) -> SortOrder
-
-    def node(self, op, expr_id, produced, op_cost, children, **extra) -> PhysicalPlan:
-        e = self.exprs[expr_id]
-        stats = cs.expr_stats(e, self.catalog)
-        return PhysicalPlan(
-            op=op,
-            expr_id=expr_id,
-            produced_order=produced,
-            op_cost=op_cost,
-            total_cost=op_cost + sum(c.total_cost for c in children),
-            est_rows=stats.rows,
-            est_blocks=cs.expr_blocks(e, self.catalog, self.params.cfg),
-            children=tuple(children),
-            **extra,
-        )
-
-    def enforced(self, plan: PhysicalPlan, want: SortOrder) -> PhysicalPlan:
-        if is_prefix(want, plan.produced_order):
-            return plan
-        e = self.exprs[plan.expr_id]
-        cost = cm.enforce_cost(e, plan.produced_order, want, self.params, self.catalog)
-        known = lcp(want, plan.produced_order)
-        op = "partial_sort" if known else "full_sort"
-        return self.node(op, plan.expr_id, want, cost, (plan,), input_order=known, target_order=want)
 
     def rebuild(self, p: PhysicalPlan, want: SortOrder) -> PhysicalPlan:
         if p.op in ("full_sort", "partial_sort"):
             return self.rebuild(p.children[0], want)
+        e = self.exprs[p.expr_id]
         if p.op == "merge_join":
             io = self.new_orders.get(id(p), p.produced_order)
             left = self.rebuild(p.children[0], io)
             right = self.rebuild(p.children[1], io)
-            node = self.node("merge_join", p.expr_id, io, p.op_cost, (left, right))
-            return self.enforced(node, want)
+            node = self._node("merge_join", e, p.expr_id, io, p.op_cost, (left, right))
+            return self._enforced(node, e, want)
         if p.op == "select":
             child = self.rebuild(p.children[0], want)
-            return self.node("select", p.expr_id, child.produced_order, 0.0, (child,))
+            return self._node("select", e, p.expr_id, child.produced_order, 0.0, (child,))
         if p.op == "project":
             child = self.rebuild(p.children[0], want)
-            e = self.exprs[p.expr_id]
             produced = lcp_with_set(child.produced_order, e.cols)
-            return self.node("project", p.expr_id, produced, 0.0, (child,))
+            return self._node("project", e, p.expr_id, produced, 0.0, (child,))
         if p.op == "sort_group_by":
             child = self.rebuild(p.children[0], p.produced_order)
-            node = self.node("sort_group_by", p.expr_id, p.produced_order, 0.0, (child,))
-            return self.enforced(node, want)
+            node = self._node("sort_group_by", e, p.expr_id, p.produced_order, 0.0, (child,))
+            return self._enforced(node, e, want)
         if p.op in ("hash_join", "hash_group_by"):
             kids = tuple(self.rebuild(c, EMPTY) for c in p.children)
-            node = self.node(p.op, p.expr_id, EMPTY, p.op_cost, kids)
-            return self.enforced(node, want)
+            node = self._node(p.op, e, p.expr_id, EMPTY, p.op_cost, kids)
+            return self._enforced(node, e, want)
         # access paths: reuse verbatim, re-enforce on top
-        return self.enforced(p, want)
+        return self._enforced(p, e, want)
 
 
 def refine_plan(
