@@ -8,12 +8,12 @@ count; the join-result estimate is the usual System-R style formula.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
+from . import _doc
 from . import logical_expr as lx
-from .errors import ConfigError, ParseError, UnknownAttribute, UnknownRelation, ValidationError
+from .errors import ConfigError, TooLarge, UnknownAttribute, UnknownRelation
 from .order_algebra import EMPTY, AttrSet, SortOrder
 
 
@@ -41,14 +41,6 @@ class CatalogRelation:
     columns: AttrSet
     clustering_order: SortOrder = EMPTY
     distincts: tuple[tuple[str, int], ...] = ()
-
-    def distinct_of(self, attr: str) -> int:
-        """Distinct-value count of one column; unknown columns default to
-        row_count (every value unique)."""
-        for name, count in self.distincts:
-            if name == attr:
-                return min(count, self.row_count)
-        return self.row_count
 
     def attr_width(self, attr: str = "") -> float:
         """Average per-column width, tuple_bytes spread over the columns."""
@@ -89,7 +81,10 @@ def blocks(rows, tuple_bytes, cfg: BlockConfig) -> int:
     """Number of blocks occupied by `rows` tuples of the given width."""
     if rows <= 0:
         return 0
-    return math.ceil(rows * tuple_bytes / cfg.block_bytes)
+    size = rows * tuple_bytes / cfg.block_bytes
+    if not math.isfinite(size):
+        raise TooLarge(f"size estimate of {rows:g} rows of {tuple_bytes:g} bytes overflows")
+    return math.ceil(size)
 
 
 def covering_indices(rel: CatalogRelation, needed: AttrSet, catalog: Catalog) -> list[IndexDef]:
@@ -107,88 +102,44 @@ _REL_FIELDS = {"name", "row_count", "tuple_bytes", "columns", "clustering_order"
 _IDX_FIELDS = {"relation", "key_order", "included_columns", "kind"}
 
 
-def _fail(path: str, msg: str) -> ValidationError:
-    return ValidationError(f"{path}: {msg}")
-
-
-def _positive_int(doc, key, path):
-    v = doc.get(key)
-    if not isinstance(v, int) or v < 1:
-        raise _fail(f"{path}.{key}", f"expected a positive integer, got {v!r}")
-    return v
-
-
 def load_catalog(source) -> Catalog:
     """Load and validate a catalog document (dict, JSON text, or bytes)."""
-    if isinstance(source, (bytes, str)):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed catalog JSON: {exc}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise _fail("catalog", "expected a JSON object")
-    extra = set(doc) - {"relations", "indices"}
-    if extra:
-        raise _fail("catalog", f"unknown fields {sorted(extra)}")
+    doc = _doc.fields(_doc.read_json(source, "catalog"), "catalog", {"relations", "indices"})
 
     relations: dict[str, CatalogRelation] = {}
-    for i, rdoc in enumerate(doc.get("relations", [])):
+    for i, rdoc in enumerate(_doc.array(doc.get("relations", []), "relations")):
         path = f"relations[{i}]"
-        if not isinstance(rdoc, dict):
-            raise _fail(path, "expected an object")
-        extra = set(rdoc) - _REL_FIELDS
-        if extra:
-            raise _fail(path, f"unknown fields {sorted(extra)}")
-        name = rdoc.get("name")
-        if not isinstance(name, str) or not name:
-            raise _fail(path, "relation needs a name")
+        _doc.fields(rdoc, path, _REL_FIELDS)
+        name = _doc.name(rdoc.get("name"), path + ".name")
         if name in relations:
-            raise _fail(path, f"duplicate relation {name!r}")
-        rows = _positive_int(rdoc, "row_count", path)
-        width = _positive_int(rdoc, "tuple_bytes", path)
-        cols_raw = rdoc.get("columns", [])
-        if not isinstance(cols_raw, list) or not cols_raw:
-            raise _fail(f"{path}.columns", "expected a non-empty list")
-        columns = frozenset(cols_raw)
-        clustering = SortOrder(tuple(rdoc.get("clustering_order", [])))
+            raise _doc.fail(path, f"duplicate relation {name!r}")
+        rows = _doc.integer(rdoc.get("row_count"), path + ".row_count")
+        width = _doc.integer(rdoc.get("tuple_bytes"), path + ".tuple_bytes")
+        columns = frozenset(_doc.attr_list(rdoc.get("columns", []), path + ".columns", nonempty=True))
+        clustering = SortOrder(_doc.attr_list(rdoc.get("clustering_order", []), path + ".clustering_order"))
         if not clustering.attr_set() <= columns:
-            raise _fail(f"{path}.clustering_order", "attributes outside the relation's columns")
-        distincts_doc = rdoc.get("distincts", {})
-        if not isinstance(distincts_doc, dict):
-            raise _fail(f"{path}.distincts", "expected an object")
+            raise _doc.fail(f"{path}.clustering_order", "attributes outside the relation's columns")
+        distincts_doc = _doc.fields(rdoc.get("distincts", {}), f"{path}.distincts", columns)
         for attr, count in distincts_doc.items():
-            if attr not in columns:
-                raise _fail(f"{path}.distincts", f"unknown column {attr!r}")
-            if not isinstance(count, int) or count < 1:
-                raise _fail(f"{path}.distincts.{attr}", "expected a positive integer")
-            if count > rows:
-                raise _fail(f"{path}.distincts.{attr}", f"distinct count {count} exceeds row_count {rows}")
+            _doc.integer(count, f"{path}.distincts.{attr}", 1, rows)
         distincts = tuple(sorted(distincts_doc.items()))
         relations[name] = CatalogRelation(name, rows, width, columns, clustering, distincts)
 
     indices = []
-    for i, idoc in enumerate(doc.get("indices", [])):
+    for i, idoc in enumerate(_doc.array(doc.get("indices", []), "indices")):
         path = f"indices[{i}]"
-        if not isinstance(idoc, dict):
-            raise _fail(path, "expected an object")
-        extra = set(idoc) - _IDX_FIELDS
-        if extra:
-            raise _fail(path, f"unknown fields {sorted(extra)}")
-        rel_name = idoc.get("relation")
+        _doc.fields(idoc, path, _IDX_FIELDS)
+        rel_name = _doc.name(idoc.get("relation"), path + ".relation")
         if rel_name not in relations:
             raise UnknownRelation(f"{path}: unknown relation {rel_name!r}")
         rel = relations[rel_name]
-        key = SortOrder(tuple(idoc.get("key_order", [])))
-        if not key:
-            raise _fail(f"{path}.key_order", "index key must be non-empty")
-        included = frozenset(idoc.get("included_columns", []))
+        key = SortOrder(_doc.attr_list(idoc.get("key_order", []), path + ".key_order", nonempty=True))
+        included = frozenset(_doc.attr_list(idoc.get("included_columns", []), path + ".included_columns"))
         if not (key.attr_set() | included) <= rel.columns:
-            raise _fail(path, "index attributes outside the relation's columns")
+            raise _doc.fail(path, "index attributes outside the relation's columns")
         kind = idoc.get("kind", "secondary")
         if kind not in ("clustering", "secondary"):
-            raise _fail(f"{path}.kind", f"expected clustering|secondary, got {kind!r}")
+            raise _doc.fail(f"{path}.kind", f"expected clustering|secondary, got {kind!r}")
         indices.append(IndexDef(rel_name, key, included, kind))
 
     return Catalog(relations, tuple(indices))
@@ -252,7 +203,8 @@ def _compute_stats(e: lx.LogicalExpr, catalog: Catalog) -> ExprStats:
     if isinstance(e, lx.Scan):
         rel = catalog.relation(e.relation)
         w = rel.attr_width()
-        distinct = tuple((a, float(rel.distinct_of(a))) for a in sorted(rel.columns))
+        counts = dict(rel.distincts)  # a column without a count has all values distinct
+        distinct = tuple((a, float(min(counts.get(a, rel.row_count), rel.row_count))) for a in sorted(rel.columns))
         widths = tuple((a, w) for a in sorted(rel.columns))
         return ExprStats(float(rel.row_count), float(rel.tuple_bytes), distinct, widths)
 

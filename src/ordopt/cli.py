@@ -19,7 +19,7 @@ from . import favorable_orders as fo
 from . import logical_expr as lx
 from . import optimizer as opt
 from . import order_refinement as refine
-from .errors import OrdoptError, TooLarge
+from .errors import OrdoptError, ParseError, TooLarge
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,8 +29,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _load_common(args):
@@ -59,8 +62,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    doc = json.loads(_read(args.plan))
-    catalog, params, query, plan = opt.load_plan_document(doc)
+    catalog, params, query, plan = opt.load_plan_document(_read(args.plan))
     index = fo.index_for_query(query, catalog)
     refined = refine.refine_plan(plan, query, catalog, params, index)
     _emit_plan(refined, catalog, params, query, args.json)

@@ -9,13 +9,13 @@ merge join, group-by) is deliberately simple.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
+from . import _doc
 from . import catalog_stats as cs
 from . import logical_expr as lx
-from .errors import ConfigError, ParseError, UnknownStatistic, ValidationError
+from .errors import ConfigError, UnknownStatistic
 from .order_algebra import SortOrder, lcp, subtract
 
 #: Costs are plain floats in I/O-block-equivalent units.
@@ -36,60 +36,30 @@ class CostParams:
                 raise ConfigError(f"{name} must be >= 0")
 
 
-_PARAM_FIELDS = {
-    "block_bytes",
-    "memory_blocks",
-    "cpu_per_comparison_io_equiv",
-    "mergejoin_per_tuple_io_equiv",
-    "hashjoin_enabled",
-    "hash_per_block_io_equiv",
-}
+def params_to_dict(params: CostParams) -> dict:
+    body = {"block_bytes": params.cfg.block_bytes, "memory_blocks": params.cfg.memory_blocks}
+    body.update((key, value) for key, value in vars(params).items() if key != "cfg")
+    return {"cost_params": body}
+
+
+_PARAM_DEFAULTS = params_to_dict(CostParams())["cost_params"]
 
 
 def load_params(source) -> CostParams:
-    """Read cost parameters from a JSON document with a `cost_params` object."""
-    if isinstance(source, (bytes, str)):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed params JSON: {exc}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise ValidationError("params: expected a JSON object")
-    extra = set(doc) - {"cost_params"}
-    if extra:
-        raise ValidationError(f"params: unknown fields {sorted(extra)}")
-    body = doc.get("cost_params", {})
-    if not isinstance(body, dict):
-        raise ValidationError("cost_params: expected an object")
-    extra = set(body) - _PARAM_FIELDS
-    if extra:
-        raise ValidationError(f"cost_params: unknown fields {sorted(extra)}")
+    """Read cost parameters from a JSON document with a `cost_params` object;
+    absent fields keep their `CostParams` defaults."""
+    doc = _doc.fields(_doc.read_json(source, "params"), "params", {"cost_params"})
+    body = {**_PARAM_DEFAULTS, **_doc.fields(doc.get("cost_params", {}), "cost_params", _PARAM_DEFAULTS)}
     cfg = cs.BlockConfig(
-        block_bytes=body.get("block_bytes", 4096),
-        memory_blocks=body.get("memory_blocks", 10000),
+        block_bytes=_doc.integer(body["block_bytes"], "cost_params.block_bytes"),
+        memory_blocks=_doc.integer(body["memory_blocks"], "cost_params.memory_blocks"),
     )
-    return CostParams(
-        cfg=cfg,
-        cpu_per_comparison_io_equiv=body.get("cpu_per_comparison_io_equiv", 1e-6),
-        mergejoin_per_tuple_io_equiv=body.get("mergejoin_per_tuple_io_equiv", 1e-7),
-        hashjoin_enabled=body.get("hashjoin_enabled", False),
-        hash_per_block_io_equiv=body.get("hash_per_block_io_equiv", 3.0),
-    )
-
-
-def params_to_dict(params: CostParams) -> dict:
-    return {
-        "cost_params": {
-            "block_bytes": params.cfg.block_bytes,
-            "memory_blocks": params.cfg.memory_blocks,
-            "cpu_per_comparison_io_equiv": params.cpu_per_comparison_io_equiv,
-            "mergejoin_per_tuple_io_equiv": params.mergejoin_per_tuple_io_equiv,
-            "hashjoin_enabled": params.hashjoin_enabled,
-            "hash_per_block_io_equiv": params.hash_per_block_io_equiv,
-        }
+    rates = {
+        key: _doc.number(body[key], f"cost_params.{key}", 0.0)
+        for key in ("cpu_per_comparison_io_equiv", "mergejoin_per_tuple_io_equiv", "hash_per_block_io_equiv")
     }
+    enabled = _doc.boolean(body["hashjoin_enabled"], "cost_params.hashjoin_enabled")
+    return CostParams(cfg=cfg, hashjoin_enabled=enabled, **rates)
 
 
 def sort_cpu_cost(rows: float, key_len: int, params: CostParams) -> CostEstimate:
@@ -155,10 +125,10 @@ def enforce_cost(
     rest = subtract(want, known)
     if not rest:
         return 0.0
-    rows = cs.expr_stats(e, catalog).rows
-    data_blocks = cs.expr_blocks(e, catalog, params.cfg)
+    stats = cs.expr_stats(e, catalog)
+    data_blocks = cs.blocks(stats.rows, stats.width, params.cfg)
     segments = cs.distinct_count(e, known.attr_set(), catalog)
-    return partial_sort_cost(rows, data_blocks, segments, len(rest), params)
+    return partial_sort_cost(stats.rows, data_blocks, segments, len(rest), params)
 
 
 def merge_join_cost(left_rows: float, right_rows: float, params: CostParams) -> CostEstimate:

@@ -157,19 +157,23 @@ class _Run:
             self._file = None
 
     def stream(self):
+        """The run's records, once: a file-backed run's file closes after."""
         if self._records is not None:
             yield from self._records
             return
-        self._file.seek(0)
-        head = struct.Struct("<H")
-        while True:
-            raw = self._file.read(head.size)
-            if not raw:
-                return
-            (n,) = head.unpack(raw)
-            body = struct.Struct(f"<{n}qq")
-            vals = body.unpack(self._file.read(body.size))
-            yield Record(tuple(vals[:n]), vals[n])
+        try:
+            self._file.seek(0)
+            head = struct.Struct("<H")
+            while True:
+                raw = self._file.read(head.size)
+                if not raw:
+                    return
+                (n,) = head.unpack(raw)
+                body = struct.Struct(f"<{n}qq")
+                vals = body.unpack(self._file.read(body.size))
+                yield Record(tuple(vals[:n]), vals[n])
+        finally:
+            self._file.close()
 
 
 def _merge_streams(streams, cmp: _Cmp):

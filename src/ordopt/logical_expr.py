@@ -8,11 +8,12 @@ order is taken as given by the query file.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 from dataclasses import dataclass
 
-from .errors import ParseError, UnknownRelation, ValidationError
-from .order_algebra import EMPTY, AttrSet, SortOrder
+from . import _doc
+from .errors import TooLarge, UnknownRelation
+from .order_algebra import AttrSet, SortOrder
 
 #: Name of the synthetic column holding aggregate results below a group-by.
 AGG_ATTR = "__agg__"
@@ -118,145 +119,86 @@ def query_attrs(q: QuerySpec, catalog) -> AttrSet:
 
 # --- parsing ---------------------------------------------------------------
 
-_NODE_FIELDS = {
-    "scan": {"op", "relation"},
-    "select": {"op", "input", "selectivity", "touched"},
-    "project": {"op", "input", "cols"},
-    "join": {"op", "left", "right", "join_attrs", "full_outer"},
-    "group_by": {"op", "input", "keys", "agg_width_bytes"},
-}
+#: Nesting guard for query expressions.  A plan can be twice as deep as its
+#: query (a sort over every operator), and search, refinement and JSON plan
+#: output recurse about twice per plan level; this keeps all of them inside
+#: the interpreter's default recursion limit of 1000.
+MAX_QUERY_DEPTH = 128
+
+#: Document name of each expression type; a node document's other fields are
+#: the fields of its dataclass.
+_OP_NAMES = {Scan: "scan", Select: "select", Project: "project", Join: "join", GroupBy: "group_by"}
+_NODE_FIELDS = {op: {"op", *(f.name for f in dataclasses.fields(t))} for t, op in _OP_NAMES.items()}
 
 
-def _fail(path: str, msg: str) -> ValidationError:
-    return ValidationError(f"{path}: {msg}")
-
-
-def _attr_list(value, path: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(a, str) and a for a in value):
-        raise _fail(path, "expected a list of non-empty attribute names")
-    return value
-
-
-def _parse_node(doc, catalog, path: str) -> LogicalExpr:
+def _parse_node(doc, catalog, path: str, depth: int = 1) -> LogicalExpr:
+    if depth > MAX_QUERY_DEPTH:
+        raise TooLarge(f"query expression nests deeper than {MAX_QUERY_DEPTH} levels")
     if not isinstance(doc, dict):
-        raise _fail(path, "expected an object")
+        raise _doc.fail(path, "expected an object")
     op = doc.get("op")
-    if op not in _NODE_FIELDS:
-        raise _fail(path, f"unknown op {op!r}")
-    extra = set(doc) - _NODE_FIELDS[op]
-    if extra:
-        raise _fail(path, f"unknown fields {sorted(extra)}")
+    if not isinstance(op, str) or op not in _NODE_FIELDS:
+        raise _doc.fail(path, f"unknown op {op!r}")
+    _doc.fields(doc, path, _NODE_FIELDS[op])
 
     if op == "scan":
-        rel = doc.get("relation")
-        if not isinstance(rel, str) or not rel:
-            raise _fail(path, "scan needs a relation name")
+        rel = _doc.name(doc.get("relation"), path + ".relation")
         if not catalog.has_relation(rel):
             raise UnknownRelation(f"{path}: unknown relation {rel!r}")
         return Scan(rel)
 
+    if op == "join":
+        left = _parse_node(doc.get("left"), catalog, path + ".left", depth + 1)
+        right = _parse_node(doc.get("right"), catalog, path + ".right", depth + 1)
+        attrs = frozenset(_doc.attr_list(doc.get("join_attrs"), path + ".join_attrs", nonempty=True))
+        _require_within(attrs, left, catalog, path + ".join_attrs", "left schema")
+        _require_within(attrs, right, catalog, path + ".join_attrs", "right schema")
+        full_outer = _doc.boolean(doc.get("full_outer", False), path + ".full_outer")
+        return Join(left, right, attrs, full_outer)
+
+    node = _parse_node(doc.get("input"), catalog, path + ".input", depth + 1)
     if op == "select":
-        node = _parse_node(doc.get("input"), catalog, path + ".input")
-        sel = doc.get("selectivity", 1.0)
-        if not isinstance(sel, (int, float)) or not (0.0 < sel <= 1.0):
-            raise _fail(path, f"selectivity must be in (0, 1], got {sel!r}")
-        touched = frozenset(_attr_list(doc.get("touched", []), path + ".touched"))
-        missing = touched - schema(node, catalog)
-        if missing:
-            raise _fail(path + ".touched", f"attributes {sorted(missing)} not in input schema")
+        sel = _doc.number(doc.get("selectivity", 1.0), path + ".selectivity", 0.0, 1.0, lo_open=True)
+        touched = frozenset(_doc.attr_list(doc.get("touched", []), path + ".touched"))
+        _require_within(touched, node, catalog, path + ".touched")
         return Select(node, float(sel), touched)
 
     if op == "project":
-        node = _parse_node(doc.get("input"), catalog, path + ".input")
-        cols = frozenset(_attr_list(doc.get("cols"), path + ".cols"))
-        if not cols:
-            raise _fail(path + ".cols", "projection list is empty")
-        missing = cols - schema(node, catalog)
-        if missing:
-            raise _fail(path + ".cols", f"attributes {sorted(missing)} not in input schema")
+        cols = frozenset(_doc.attr_list(doc.get("cols"), path + ".cols", nonempty=True))
+        _require_within(cols, node, catalog, path + ".cols")
         return Project(node, cols)
 
-    if op == "join":
-        left = _parse_node(doc.get("left"), catalog, path + ".left")
-        right = _parse_node(doc.get("right"), catalog, path + ".right")
-        attrs = frozenset(_attr_list(doc.get("join_attrs"), path + ".join_attrs"))
-        if not attrs:
-            raise _fail(path + ".join_attrs", "join needs at least one equated attribute pair")
-        for side, sub in (("left", left), ("right", right)):
-            missing = attrs - schema(sub, catalog)
-            if missing:
-                raise _fail(
-                    path + ".join_attrs",
-                    f"attributes {sorted(missing)} not in {side} schema",
-                )
-        full_outer = doc.get("full_outer", False)
-        if not isinstance(full_outer, bool):
-            raise _fail(path + ".full_outer", "expected a boolean")
-        return Join(left, right, attrs, full_outer)
-
     # group_by
-    node = _parse_node(doc.get("input"), catalog, path + ".input")
-    keys = frozenset(_attr_list(doc.get("keys", []), path + ".keys"))
-    missing = keys - schema(node, catalog)
-    if missing:
-        raise _fail(path + ".keys", f"attributes {sorted(missing)} not in input schema")
-    width = doc.get("agg_width_bytes", 8)
-    if not isinstance(width, int) or width < 1:
-        raise _fail(path + ".agg_width_bytes", "expected a positive integer")
+    keys = frozenset(_doc.attr_list(doc.get("keys", []), path + ".keys"))
+    _require_within(keys, node, catalog, path + ".keys")
+    width = _doc.integer(doc.get("agg_width_bytes", 8), path + ".agg_width_bytes")
     return GroupBy(node, keys, width)
+
+
+def _require_within(attrs: AttrSet, e: LogicalExpr, catalog, path: str, where: str = "input schema") -> None:
+    missing = attrs - schema(e, catalog)
+    if missing:
+        raise _doc.fail(path, f"attributes {sorted(missing)} not in {where}")
 
 
 def parse_query(source, catalog) -> QuerySpec:
     """Parse and validate a query document (dict, JSON text, or bytes)."""
-    if isinstance(source, (bytes, str)):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed query JSON: {exc}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise _fail("query", "expected a JSON object")
-    extra = set(doc) - {"expr", "order_by"}
-    if extra:
-        raise _fail("query", f"unknown fields {sorted(extra)}")
+    doc = _doc.fields(_doc.read_json(source, "query"), "query", {"expr", "order_by"})
     root = _parse_node(doc.get("expr"), catalog, "expr")
-    order_by = _attr_list(doc.get("order_by", []), "order_by")
-    if len(set(order_by)) != len(order_by):
-        raise _fail("order_by", "duplicate attribute")
-    out_order = SortOrder(tuple(order_by)) if order_by else EMPTY
-    missing = out_order.attr_set() - schema(root, catalog)
-    if missing:
-        raise _fail("order_by", f"attributes {sorted(missing)} not in output schema")
+    out_order = SortOrder(_doc.attr_list(doc.get("order_by", []), "order_by"))
+    _require_within(out_order.attr_set(), root, catalog, "order_by", "output schema")
     return QuerySpec(root, out_order)
 
 
 def _node_to_dict(e: LogicalExpr) -> dict:
-    if isinstance(e, Scan):
-        return {"op": "scan", "relation": e.relation}
-    if isinstance(e, Select):
-        return {
-            "op": "select",
-            "input": _node_to_dict(e.input),
-            "selectivity": e.selectivity,
-            "touched": sorted(e.touched),
-        }
-    if isinstance(e, Project):
-        return {"op": "project", "input": _node_to_dict(e.input), "cols": sorted(e.cols)}
-    if isinstance(e, Join):
-        return {
-            "op": "join",
-            "left": _node_to_dict(e.left),
-            "right": _node_to_dict(e.right),
-            "join_attrs": sorted(e.join_attrs),
-            "full_outer": e.full_outer,
-        }
-    return {
-        "op": "group_by",
-        "input": _node_to_dict(e.input),
-        "keys": sorted(e.keys),
-        "agg_width_bytes": e.agg_width_bytes,
-    }
+    d = {"op": _OP_NAMES[type(e)]}
+    for name, value in vars(e).items():
+        if type(value) in _OP_NAMES:
+            value = _node_to_dict(value)
+        elif isinstance(value, frozenset):
+            value = sorted(value)
+        d[name] = value
+    return d
 
 
 def query_to_dict(q: QuerySpec) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import _doc
 from . import catalog_stats as cs
 from . import cost_model as cm
 from . import favorable_orders as fo
@@ -104,7 +105,7 @@ def _heuristic_orders(attrs, required: SortOrder, heuristic: str) -> set[SortOrd
 
 class _PlanBuilder:
     """Builds and costs plan nodes over one catalog and set of cost
-    parameters; the optimizer and plan refinement both build through it."""
+    parameters; the optimizer, refinement and the plan loader build with it."""
 
     def __init__(self, catalog: cs.Catalog, params: cm.CostParams):
         self.catalog = catalog
@@ -119,7 +120,7 @@ class _PlanBuilder:
             op_cost=op_cost,
             total_cost=op_cost + sum(c.total_cost for c in children),
             est_rows=stats.rows,
-            est_blocks=cs.expr_blocks(e, self.catalog, self.params.cfg),
+            est_blocks=cs.blocks(stats.rows, stats.width, self.params.cfg),
             children=tuple(children),
             **extra,
         )
@@ -135,6 +136,30 @@ class _PlanBuilder:
         cost = cm.enforce_cost(e, have, want, self.params, self.catalog)
         op = "partial_sort" if known else "full_sort"
         return self._node(op, e, plan.expr_id, want, cost, (plan,), input_order=known, target_order=want)
+
+    def _access(self, e: lx.Scan, expr_id: int, path) -> PhysicalPlan:
+        """The scan node of one of `cm.access_paths(e, ...)`."""
+        kind, produced, cost, idx = path
+        index_key = idx.key_order if idx is not None else None
+        return self._node(kind, e, expr_id, produced, cost, (), relation=e.relation, index_key=index_key)
+
+    def _operator(self, op, e, expr_id, kids, order: SortOrder = EMPTY) -> PhysicalPlan:
+        """Operator `op` computing e over `kids`, the plans of e's inputs.  A
+        merge join or sort-based group-by produces `order`, which its inputs
+        must deliver; select and project pass their input's order on (up to
+        a project's first dropped column); hash operators produce none."""
+        first, last = kids[0], kids[-1]
+        if op == "select":
+            order = first.produced_order
+        elif op == "project":
+            order = lcp_with_set(first.produced_order, e.cols)
+        elif op in ("hash_join", "hash_group_by"):
+            order = EMPTY
+        cost = cm.operator_cost(
+            op, self.params, left_rows=first.est_rows, right_rows=last.est_rows,
+            left_blocks=first.est_blocks, right_blocks=last.est_blocks, input_blocks=first.est_blocks,
+        )
+        return self._node(op, e, expr_id, order, cost, kids)
 
 
 class Optimizer(_PlanBuilder):
@@ -185,14 +210,12 @@ class Optimizer(_PlanBuilder):
 
         cands: list[PhysicalPlan] = []
         if isinstance(e, lx.Scan):
-            cands.extend(self._scan_candidates(e, want))
+            for path in cm.access_paths(e, self.catalog, self._query_attrs, self.params):
+                cands.append(self._enforced(self._access(e, self._id(e), path), e, want))
         elif isinstance(e, lx.Select):
-            child = self._goal(e.input, want)
-            cands.append(self._node("select", e, self._id(e), child.produced_order, 0.0, (child,)))
+            cands.append(self._operator("select", e, self._id(e), (self._goal(e.input, want),)))
         elif isinstance(e, lx.Project):
-            child = self._goal(e.input, want)
-            produced = lcp_with_set(child.produced_order, e.cols)
-            cands.append(self._node("project", e, self._id(e), produced, 0.0, (child,)))
+            cands.append(self._operator("project", e, self._id(e), (self._goal(e.input, want),)))
         elif isinstance(e, lx.Join):
             cands.extend(self._join_candidates(e, want))
         elif isinstance(e, lx.GroupBy):
@@ -208,43 +231,17 @@ class Optimizer(_PlanBuilder):
         self.memo[key] = best
         return best
 
-    def _scan_candidates(self, e: lx.Scan, want: SortOrder):
-        for kind, produced, cost, idx in self._access_paths(e):
-            node = self._node(
-                kind,
-                e,
-                self._id(e),
-                produced,
-                cost,
-                (),
-                relation=e.relation,
-                index_key=idx.key_order if idx is not None else None,
-            )
-            yield self._enforced(node, e, want)
-
     def _join_candidates(self, e: lx.Join, want: SortOrder):
         if self.heuristic == "favorable":
             orders = interesting_orders(e, want, self._source)
         else:
             orders = _heuristic_orders(e.join_attrs, want, self.heuristic)
-        lstat = cs.expr_stats(e.left, self.catalog)
-        rstat = cs.expr_stats(e.right, self.catalog)
         for io in sorted(orders, key=lambda o: o.attrs):
-            left = self._goal(e.left, io)
-            right = self._goal(e.right, io)
-            cost = cm.merge_join_cost(lstat.rows, rstat.rows, self.params)
-            node = self._node("merge_join", e, self._id(e), io, cost, (left, right))
-            yield self._enforced(node, e, want)
+            kids = (self._goal(e.left, io), self._goal(e.right, io))
+            yield self._enforced(self._operator("merge_join", e, self._id(e), kids, io), e, want)
         if self.params.hashjoin_enabled:
-            left = self._goal(e.left, EMPTY)
-            right = self._goal(e.right, EMPTY)
-            cost = cm.hash_join_cost(
-                cs.expr_blocks(e.left, self.catalog, self.params.cfg),
-                cs.expr_blocks(e.right, self.catalog, self.params.cfg),
-                self.params,
-            )
-            node = self._node("hash_join", e, self._id(e), EMPTY, cost, (left, right))
-            yield self._enforced(node, e, want)
+            kids = (self._goal(e.left, EMPTY), self._goal(e.right, EMPTY))
+            yield self._enforced(self._operator("hash_join", e, self._id(e), kids), e, want)
 
     def _group_orders(self, e: lx.GroupBy, want: SortOrder) -> set[SortOrder]:
         if self.heuristic != "favorable":
@@ -256,19 +253,11 @@ class Optimizer(_PlanBuilder):
 
     def _group_candidates(self, e: lx.GroupBy, want: SortOrder):
         for io in sorted(self._group_orders(e, want), key=lambda o: o.attrs):
-            child = self._goal(e.input, io)
-            node = self._node("sort_group_by", e, self._id(e), io, 0.0, (child,))
+            node = self._operator("sort_group_by", e, self._id(e), (self._goal(e.input, io),), io)
             yield self._enforced(node, e, want)
         if self.params.hashjoin_enabled:
-            child = self._goal(e.input, EMPTY)
-            cost = cm.hash_group_cost(cs.expr_blocks(e.input, self.catalog, self.params.cfg), self.params)
-            node = self._node("hash_group_by", e, self._id(e), EMPTY, cost, (child,))
+            node = self._operator("hash_group_by", e, self._id(e), (self._goal(e.input, EMPTY),))
             yield self._enforced(node, e, want)
-
-    # -- node construction ----------------------------------------------------
-
-    def _access_paths(self, e: lx.Scan):
-        return cm.access_paths(e, self.catalog, self._query_attrs, self.params)
 
     def _id(self, e: lx.LogicalExpr) -> int:
         return self._expr_ids.get(e, -1)
@@ -288,7 +277,8 @@ def optimize_query(
 # --- plan (de)serialization ---------------------------------------------------
 
 
-def _plan_node_to_dict(p: PhysicalPlan) -> dict:
+def _node_fields(p: PhysicalPlan) -> dict:
+    """The document fields of one plan node, children left out."""
     d = {
         "op": p.op,
         "expr_id": p.expr_id,
@@ -297,7 +287,6 @@ def _plan_node_to_dict(p: PhysicalPlan) -> dict:
         "total_cost": p.total_cost,
         "rows": p.est_rows,
         "blocks": p.est_blocks,
-        "children": [_plan_node_to_dict(c) for c in p.children],
     }
     if p.relation is not None:
         d["relation"] = p.relation
@@ -308,6 +297,10 @@ def _plan_node_to_dict(p: PhysicalPlan) -> dict:
     if p.target_order is not None:
         d["target_order"] = list(p.target_order.attrs)
     return d
+
+
+def _plan_node_to_dict(p: PhysicalPlan) -> dict:
+    return {**_node_fields(p), "children": [_plan_node_to_dict(c) for c in p.children]}
 
 
 def plan_document(plan: PhysicalPlan, catalog: cs.Catalog, params: cm.CostParams, query: lx.QuerySpec) -> dict:
@@ -321,37 +314,105 @@ def plan_document(plan: PhysicalPlan, catalog: cs.Catalog, params: cm.CostParams
     }
 
 
-def _plan_node_from_dict(d: dict, nodes: list[lx.LogicalExpr]) -> PhysicalPlan:
-    if not isinstance(d, dict) or "op" not in d:
-        raise ValidationError("plan: expected an operator object")
-    expr_id = d.get("expr_id", -1)
-    if not isinstance(expr_id, int) or not (0 <= expr_id < len(nodes)):
-        raise ValidationError(f"plan: bad expr_id {expr_id!r}")
-    return PhysicalPlan(
-        op=d["op"],
-        expr_id=expr_id,
-        produced_order=SortOrder(tuple(d.get("order", []))),
-        op_cost=float(d.get("op_cost", 0.0)),
-        total_cost=float(d.get("total_cost", 0.0)),
-        est_rows=float(d.get("rows", 0.0)),
-        est_blocks=int(d.get("blocks", 0)),
-        children=tuple(_plan_node_from_dict(c, nodes) for c in d.get("children", [])),
-        relation=d.get("relation"),
-        index_key=SortOrder(tuple(d["index_key"])) if "index_key" in d else None,
-        input_order=SortOrder(tuple(d["input_order"])) if "input_order" in d else None,
-        target_order=SortOrder(tuple(d["target_order"])) if "target_order" in d else None,
-    )
+_SORTS = ("full_sort", "partial_sort")
+#: The operators that may compute each kind of expression.
+_OPS = {
+    lx.Scan: ("table_scan", "covering_index_scan"),
+    lx.Select: ("select",),
+    lx.Project: ("project",),
+    lx.Join: ("merge_join", "hash_join"),
+    lx.GroupBy: ("sort_group_by", "hash_group_by"),
+}
+#: Plan-node fields that loading recomputes; a document's values are only type-checked.
+_OUTPUT_ONLY = ("op_cost", "total_cost", "rows", "blocks")
+_NODE_KEYS = {
+    "op", "expr_id", "order", "children", "relation", "index_key", "input_order", "target_order", *_OUTPUT_ONLY
+}
 
 
-def load_plan_document(doc: dict):
-    """Parse a plan document back into (catalog, params, query, plan)."""
-    if not isinstance(doc, dict) or doc.get("format") != "ordopt-plan/1":
+def _order(d: dict, key: str, path: str) -> SortOrder:
+    return SortOrder(_doc.attr_list(d.get(key, []), f"{path}.{key}"))
+
+
+class _PlanLoader(_PlanBuilder):
+    """Rebuilds the operator tree of a plan document through the builder, so
+    every node is checked against the expression it computes and re-costed."""
+
+    def __init__(self, catalog: cs.Catalog, params: cm.CostParams, query: lx.QuerySpec):
+        super().__init__(catalog, params)
+        self.exprs = lx.preorder(query.root)
+        self.query_attrs = lx.query_attrs(query, catalog)
+
+    def load(self, d, path: str, e: lx.LogicalExpr, sort_ok: bool = True) -> PhysicalPlan:
+        """Rebuild plan node `d`, which computes e; no sort sits on a sort."""
+        _doc.fields(d, path, _NODE_KEYS)
+        for key in _OUTPUT_ONLY:  # a bool would pass for 0 or 1 in the comparison below
+            if type(d.get(key)) is bool:
+                _doc.number(d[key], f"{path}.{key}", 0.0)
+        expr_id = _doc.integer(d.get("expr_id"), path + ".expr_id", 0, len(self.exprs) - 1)
+        if self.exprs[expr_id] != e:
+            raise _doc.fail(path + ".expr_id", f"node {expr_id} is not the expression computed here")
+        op = d.get("op")
+        is_sort = op in _SORTS and sort_ok
+        if not is_sort and op not in _OPS[type(e)]:
+            raise _doc.fail(path + ".op", f"expected one of {', '.join(_OPS[type(e)])}, got {op!r}")
+        docs = _doc.array(d.get("children", []), path + ".children")
+        inputs = (e,) if is_sort else lx.children(e)
+        if len(docs) != len(inputs):
+            raise _doc.fail(path + ".children", f"expected {len(inputs)} input plans, got {len(docs)}")
+        paths = [f"{path}.children[{i}]" for i in range(len(docs))]
+        # map adds no interpreter frame per level, unlike a comprehension
+        kids = tuple(map(self.load, docs, paths, inputs, [not is_sort] * len(docs)))
+
+        if is_sort:
+            have = _order(d, "input_order", path)
+            if not is_prefix(have, kids[0].produced_order):
+                raise _doc.fail(path + ".input_order", f"the input delivers {kids[0].produced_order}")
+            node = self._enforced(kids[0], e, _order(d, "order", path), have)
+        elif isinstance(e, lx.Scan):
+            key = d.get("index_key")
+            found = [
+                p
+                for p in cm.access_paths(e, self.catalog, self.query_attrs, self.params)
+                if p[0] == op and (p[3] is None or list(p[3].key_order.attrs) == key)
+            ]
+            if not found:
+                raise _doc.fail(path + ".index_key", f"no covering index of {e.relation!r} has key {key!r}")
+            # Of several indices with this key the optimizer picks the cheapest.
+            node = self._access(e, expr_id, min(found, key=lambda p: p[2]))
+        elif op in ("merge_join", "sort_group_by"):
+            order = _order(d, "order", path)
+            attrs = e.join_attrs if op == "merge_join" else e.keys
+            if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
+                raise _doc.fail(path + ".order", f"expected an order of {sorted(attrs)} every input delivers")
+            node = self._operator(op, e, expr_id, kids, order)
+        else:  # the order of any other operator is derived, and checked below
+            node = self._operator(op, e, expr_id, kids)
+
+        rebuilt = _node_fields(node)
+        rebuilt["children"] = docs
+        if d != rebuilt:  # not exactly as ordopt writes this node: check field by field
+            for key, value in d.items():
+                if key in _OUTPUT_ONLY:
+                    _doc.number(value, f"{path}.{key}", 0.0)
+                elif value != rebuilt.get(key):
+                    raise _doc.fail(f"{path}.{key}", f"expected {rebuilt.get(key)!r}, got {value!r}")
+        return node
+
+
+def load_plan_document(source):
+    """Parse a plan document (dict, JSON text, or bytes) into (catalog, params,
+    query, plan); the plan is rebuilt, and its costs, rows and blocks recomputed."""
+    doc = _doc.read_json(source, "plan")
+    _doc.fields(doc, "plan file", {"format", "catalog", "query", "cost_params", "plan"})
+    if doc.get("format") != "ordopt-plan/1":
         raise ValidationError("plan file: expected an ordopt-plan/1 document")
     catalog = cs.load_catalog(doc.get("catalog", {}))
     params = cm.load_params({"cost_params": doc.get("cost_params", {})})
     query = lx.parse_query(doc.get("query", {}), catalog)
-    nodes = lx.preorder(query.root)
-    plan = _plan_node_from_dict(doc.get("plan", {}), nodes)
+    plan = _PlanLoader(catalog, params, query).load(doc.get("plan"), "plan", query.root)
+    if not is_prefix(query.required_output_order, plan.produced_order):
+        raise _doc.fail("plan", f"delivers {plan.produced_order}, not the query's order_by")
     return catalog, params, query, plan
 
 

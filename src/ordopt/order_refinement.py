@@ -26,7 +26,6 @@ from .order_algebra import (
     canonical_permutation,
     concat,
     lcp,
-    lcp_with_set,
     subtract,
 )
 
@@ -237,29 +236,13 @@ class _Rebuilder(_PlanBuilder):
         if p.op in ("full_sort", "partial_sort"):
             return self.rebuild(p.children[0], want)
         e = self.exprs[p.expr_id]
-        if p.op == "merge_join":
-            io = self.new_orders.get(id(p), p.produced_order)
-            left = self.rebuild(p.children[0], io)
-            right = self.rebuild(p.children[1], io)
-            node = self._node("merge_join", e, p.expr_id, io, p.op_cost, (left, right))
-            return self._enforced(node, e, want)
-        if p.op == "select":
-            child = self.rebuild(p.children[0], want)
-            return self._node("select", e, p.expr_id, child.produced_order, 0.0, (child,))
-        if p.op == "project":
-            child = self.rebuild(p.children[0], want)
-            produced = lcp_with_set(child.produced_order, e.cols)
-            return self._node("project", e, p.expr_id, produced, 0.0, (child,))
-        if p.op == "sort_group_by":
-            child = self.rebuild(p.children[0], p.produced_order)
-            node = self._node("sort_group_by", e, p.expr_id, p.produced_order, 0.0, (child,))
-            return self._enforced(node, e, want)
-        if p.op in ("hash_join", "hash_group_by"):
-            kids = tuple(self.rebuild(c, EMPTY) for c in p.children)
-            node = self._node(p.op, e, p.expr_id, EMPTY, p.op_cost, kids)
-            return self._enforced(node, e, want)
-        # access paths: reuse verbatim, re-enforce on top
-        return self._enforced(p, e, want)
+        if not p.children:  # access paths: reuse verbatim, re-enforce on top
+            return self._enforced(p, e, want)
+        order = self.new_orders.get(id(p), p.produced_order)
+        inner = {"merge_join": order, "sort_group_by": order, "select": want, "project": want}.get(p.op, EMPTY)
+        # map adds no interpreter frame per level, unlike a comprehension
+        kids = tuple(map(self.rebuild, p.children, [inner] * len(p.children)))
+        return self._enforced(self._operator(p.op, e, p.expr_id, kids, order), e, want)
 
 
 def refine_plan(
