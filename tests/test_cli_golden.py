@@ -61,6 +61,24 @@ FIXTURE_DIGESTS = {
     ),
 }
 
+#: (catalog1 join catalog2) join (catalog1 join catalog2) over the example1
+#: catalog: equal subtrees share one expr_id and one memo entry per goal.
+SELF_JOIN_HALF = {
+    "op": "join",
+    "left": {"op": "scan", "relation": "catalog1"},
+    "right": {"op": "scan", "relation": "catalog2"},
+    "join_attrs": ["make", "year"],
+}
+SELF_JOIN_QUERY = {
+    "expr": {"op": "join", "left": SELF_JOIN_HALF, "right": SELF_JOIN_HALF, "join_attrs": ["make", "year", "city"]},
+    "order_by": ["year"],
+}
+SELF_JOIN_DIGESTS = (
+    "4b0263dbc21101fb2341c40300319afe19ff5dbe9d7b9132cd46d5bf8af40778",
+    "37f44d3434e3fb1d988b201a03181f8c91e484e96b59f209887018ed0f9a61e7",
+    "4b0263dbc21101fb2341c40300319afe19ff5dbe9d7b9132cd46d5bf8af40778",
+)
+
 # random_chain_query seed (seed 5 draws no chain) -> sha256 of optimize --refine --json (with --params)
 CHAIN_DIGESTS = {
     1: "959034b09d9b85c4b96712421751a6db7a1d60995e08bbd4cfb1270da5b5f418",
@@ -78,15 +96,30 @@ def _digest(capsys, *argv) -> tuple[str, str]:
     return out, hashlib.sha256(out.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURE_PAIRS))
-def test_fixture_cli_bytes(name, capsys, tmp_path):
-    cat, qry = (str(fixture_path(f)) for f in FIXTURE_PAIRS[name])
+def _plan_digests(capsys, tmp_path, cat, qry) -> tuple[str, tuple[str, str, str]]:
+    """The plan JSON of `optimize --refine --json`, and the digests of it, of
+    plain `optimize` and of `refine --plan --json` on it."""
     plan_json, refined = _digest(capsys, "optimize", "--catalog", cat, "--query", qry, "--refine", "--json")
     _, plain = _digest(capsys, "optimize", "--catalog", cat, "--query", qry)
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(plan_json)
     _, again = _digest(capsys, "refine", "--plan", str(plan_file), "--json")
-    assert (refined, plain, again) == FIXTURE_DIGESTS[name]
+    return plan_json, (refined, plain, again)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_PAIRS))
+def test_fixture_cli_bytes(name, capsys, tmp_path):
+    cat, qry = (str(fixture_path(f)) for f in FIXTURE_PAIRS[name])
+    assert _plan_digests(capsys, tmp_path, cat, qry)[1] == FIXTURE_DIGESTS[name]
+
+
+def test_self_join_cli_bytes(capsys, tmp_path):
+    qry = tmp_path / "query.json"
+    qry.write_text(json.dumps(SELF_JOIN_QUERY))
+    plan_json, digests = _plan_digests(capsys, tmp_path, str(fixture_path("example1_catalog.json")), str(qry))
+    left, right = json.loads(plan_json)["plan"]["children"]
+    assert left == right and left["expr_id"] == 1
+    assert digests == SELF_JOIN_DIGESTS
 
 
 @pytest.mark.parametrize("seed", sorted(CHAIN_DIGESTS))
