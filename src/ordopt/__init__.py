@@ -40,7 +40,6 @@ from .errors import (
 from .extsort import Record, SortMetrics, SortSpec, gen_segmented_input, sort_mrs, sort_srs
 from .favorable_orders import (
     FavorableOrderIndex,
-    exact_minimal_favorable_orders,
     index_for_query,
     restrict_orders,
 )
@@ -68,7 +67,13 @@ from .optimizer import (
     optimize_query,
     plan_document,
 )
-from .oracle import OracleGuard, brute_best_plan, brute_tree_benefit, reference_sort
+from .oracle import (
+    OracleGuard,
+    brute_best_plan,
+    brute_tree_benefit,
+    exact_minimal_favorable_orders,
+    reference_sort,
+)
 from .order_algebra import (
     EMPTY,
     AttrSet,

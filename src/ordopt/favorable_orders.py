@@ -1,29 +1,24 @@
 """Favorable orders: sort orders an expression can produce more cheaply than
 by fully sorting an unordered result.
 
-The approximate sets are computed bottom-up in one pass over the expression
-tree; the exact minimal sets are an oracle-grade computation for small
-schemas only, defined through best-plan costs.
+The sets are approximate, computed bottom-up in one pass over the expression
+tree; `oracle.exact_minimal_favorable_orders` computes the exact minimal sets
+of small schemas to judge them.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 
 from . import catalog_stats as cs
-from . import cost_model as cm
 from . import logical_expr as lx
-from . import oracle
-from .errors import TooLarge
 from .order_algebra import (
     EMPTY,
     AttrSet,
     SortOrder,
     canonical_permutation,
     concat,
-    is_prefix,
     lcp_with_set,
 )
 
@@ -112,96 +107,3 @@ class FavorableOrderIndex:
 
 def index_for_query(q: lx.QuerySpec, catalog: cs.Catalog) -> FavorableOrderIndex:
     return FavorableOrderIndex(catalog, lx.query_attrs(q, catalog))
-
-
-# --- exact minimal favorable orders (oracle-grade, small schemas only) ------
-
-
-def _orders_over(attrs: AttrSet) -> list[SortOrder]:
-    out = []
-    for k in range(1, len(attrs) + 1):
-        for combo in itertools.permutations(sorted(attrs), k):
-            out.append(SortOrder(combo))
-    return out
-
-
-def exact_minimal_favorable_orders(
-    e: lx.LogicalExpr,
-    catalog: cs.Catalog,
-    params: cm.CostParams,
-    guard: "oracle.OracleGuard | None" = None,
-    query_attrs: AttrSet | None = None,
-) -> FavorableOrderSet:
-    """The smallest set of positive-benefit orders that accounts for every
-    positive-benefit order, either directly, as an extendable prefix of it at
-    equal cost, or as an equal-cost extension of it.
-
-    Exhaustively enumerates orders over the schema; guarded by schema width.
-    Exact set-cover minimization for small favorable sets, greedy beyond
-    (coverage, which downstream consumers rely on, always holds).
-    `query_attrs` fixes the index-coverage requirement of the enclosing
-    query; by default the expression is treated as the whole query.
-    """
-    guard = guard or oracle.OracleGuard()
-    attrs = lx.schema(e, catalog)
-    if len(attrs) > guard.max_attrs and not oracle.guards_lifted():
-        raise TooLarge(f"schema of {len(attrs)} attributes exceeds guard {guard.max_attrs}")
-    if query_attrs is None:
-        query_attrs = lx.query_attrs(lx.QuerySpec(e, EMPTY), catalog)
-
-    candidates = _orders_over(attrs)
-    planner = oracle.BrutePlanner(catalog, params, query_attrs, guard)
-    cbp: dict[SortOrder, float] = {o: planner.cost(e, o) for o in [EMPTY] + candidates}
-
-    def coster(have: SortOrder, want: SortOrder) -> float:
-        return cm.enforce_cost(e, have, want, params, catalog)
-
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) <= max(1e-9 * max(abs(a), abs(b)), 1e-12)
-
-    ford = sorted(
-        (o for o in candidates if cbp[EMPTY] + coster(EMPTY, o) - cbp[o] > 1e-9),
-        key=lambda o: o.attrs,
-    )
-    if not ford:
-        return frozenset()
-
-    n = len(ford)
-    # covers[i] = bitmask of ford members that member i accounts for.
-    covers = []
-    for i, m in enumerate(ford):
-        mask = 1 << i
-        for j, o in enumerate(ford):
-            if i == j:
-                continue
-            if is_prefix(m, o) and close(cbp[m] + coster(m, o), cbp[o]):
-                mask |= 1 << j
-            elif is_prefix(o, m) and close(cbp[m], cbp[o]):
-                mask |= 1 << j
-        covers.append(mask)
-    full = (1 << n) - 1
-
-    if n <= 14:
-        for size in range(1, n + 1):
-            for combo in itertools.combinations(range(n), size):
-                mask = 0
-                for i in combo:
-                    mask |= covers[i]
-                if mask == full:
-                    return frozenset(ford[i] for i in combo)
-
-    chosen: list[int] = []
-    covered = 0
-    while covered != full:
-        best_i = max(range(n), key=lambda i: bin(covers[i] | covered).count("1"))
-        chosen.append(best_i)
-        covered |= covers[best_i]
-    kept = list(chosen)
-    for i in list(kept):
-        mask = 0
-        for j in kept:
-            if j != i:
-                mask |= covers[j]
-        if mask == full:
-            kept.remove(i)
-    return frozenset(ford[i] for i in kept)

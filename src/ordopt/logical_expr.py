@@ -19,34 +19,60 @@ from .order_algebra import AttrSet, SortOrder
 AGG_ATTR = "__agg__"
 
 
-@dataclass(frozen=True)
-class Scan:
+class _Expr:
+    """Base of the expression nodes.  A node hashes the tuple of its fields,
+    as a frozen dataclass does, but once, at construction: nodes are built
+    bottom-up, so each hash is O(1) and hashing a deep tree does not recurse.
+    The value sits in a slot, outside the fields, vars(), eq and repr."""
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self) -> None:
+        # vars() holds exactly the fields, in field order
+        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(vars(self).values())
+
+
+def _expr_class(cls):
+    """`cls` as a frozen dataclass with the stored hash of `_Expr`."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = _Expr.__hash__
+    return cls
+
+
+@_expr_class
+class Scan(_Expr):
     relation: str
 
 
-@dataclass(frozen=True)
-class Select:
+@_expr_class
+class Select(_Expr):
     input: "LogicalExpr"
     selectivity: float
     touched: AttrSet
 
 
-@dataclass(frozen=True)
-class Project:
+@_expr_class
+class Project(_Expr):
     input: "LogicalExpr"
     cols: AttrSet
 
 
-@dataclass(frozen=True)
-class Join:
+@_expr_class
+class Join(_Expr):
     left: "LogicalExpr"
     right: "LogicalExpr"
     join_attrs: AttrSet
     full_outer: bool = False
 
 
-@dataclass(frozen=True)
-class GroupBy:
+@_expr_class
+class GroupBy(_Expr):
     input: "LogicalExpr"
     keys: AttrSet
     agg_width_bytes: int

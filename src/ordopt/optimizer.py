@@ -12,7 +12,8 @@ same machinery over their grouping keys.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from . import _doc
 from . import catalog_stats as cs
@@ -38,7 +39,8 @@ EXHAUSTIVE_MAX_ATTRS = 6
 
 @dataclass(frozen=True)
 class PhysicalPlan:
-    """One operator of a physical plan; costs are subtree totals in io units."""
+    """One operator of a physical plan; costs are subtree totals in io units,
+    and `node_count` is the number of operators in the subtree."""
 
     op: str
     expr_id: int
@@ -52,15 +54,12 @@ class PhysicalPlan:
     index_key: SortOrder | None = None
     input_order: SortOrder | None = None
     target_order: SortOrder | None = None
+    node_count: int = field(kw_only=True, compare=False, repr=False)
 
     def walk(self):
         yield self
         for c in self.children:
             yield from c.walk()
-
-    @property
-    def node_count(self) -> int:
-        return 1 + sum(c.node_count for c in self.children)
 
 
 def prune_prefixes(orders) -> set[SortOrder]:
@@ -113,15 +112,19 @@ class _PlanBuilder:
 
     def _node(self, op, e, expr_id, produced, op_cost, children, **extra) -> PhysicalPlan:
         stats = cs.expr_stats(e, self.catalog)
+        total_cost = op_cost + sum(c.total_cost for c in children)
+        if not math.isfinite(total_cost):
+            raise TooLarge(f"cost estimate of a {op} plan overflows")
         return PhysicalPlan(
             op=op,
             expr_id=expr_id,
             produced_order=produced,
             op_cost=op_cost,
-            total_cost=op_cost + sum(c.total_cost for c in children),
+            total_cost=total_cost,
             est_rows=stats.rows,
             est_blocks=cs.blocks(stats.rows, stats.width, self.params.cfg),
             children=tuple(children),
+            node_count=1 + sum(c.node_count for c in children),
             **extra,
         )
 

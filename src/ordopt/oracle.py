@@ -1,6 +1,6 @@
 """Brute-force reference computations used to adjudicate the heuristics:
-exhaustive plan costing, exhaustive tree-labeling benefit, and a trusted
-in-memory sort.
+exhaustive plan costing, exact minimal favorable orders, exhaustive
+tree-labeling benefit, and a trusted in-memory sort.
 
 This module deliberately depends only on the value types, the catalog, and
 the cost model, never on the heuristic modules it judges.  Guards fail
@@ -18,7 +18,7 @@ from . import catalog_stats as cs
 from . import cost_model as cm
 from . import logical_expr as lx
 from .errors import TooLarge
-from .order_algebra import EMPTY, SortOrder
+from .order_algebra import EMPTY, AttrSet, SortOrder, is_prefix
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,96 @@ def brute_best_plan(
     if query_attrs is None:
         query_attrs = lx.query_attrs(lx.QuerySpec(e, required), catalog)
     return BrutePlanner(catalog, params, query_attrs, guard).cost(e, required)
+
+
+def _orders_over(attrs: AttrSet) -> list[SortOrder]:
+    out = []
+    for k in range(1, len(attrs) + 1):
+        for combo in itertools.permutations(sorted(attrs), k):
+            out.append(SortOrder(combo))
+    return out
+
+
+def exact_minimal_favorable_orders(
+    e: lx.LogicalExpr,
+    catalog: cs.Catalog,
+    params: cm.CostParams,
+    guard: OracleGuard | None = None,
+    query_attrs: AttrSet | None = None,
+) -> frozenset[SortOrder]:
+    """The smallest set of positive-benefit orders that accounts for every
+    positive-benefit order, either directly, as an extendable prefix of it at
+    equal cost, or as an equal-cost extension of it.
+
+    Exhaustively enumerates orders over the schema; guarded by schema width.
+    Exact set-cover minimization for small favorable sets, greedy beyond
+    (coverage, which downstream consumers rely on, always holds).
+    `query_attrs` fixes the index-coverage requirement of the enclosing
+    query; by default the expression is treated as the whole query.
+    """
+    guard = guard or OracleGuard()
+    attrs = lx.schema(e, catalog)
+    if len(attrs) > guard.max_attrs and not guards_lifted():
+        raise TooLarge(f"schema of {len(attrs)} attributes exceeds guard {guard.max_attrs}")
+    if query_attrs is None:
+        query_attrs = lx.query_attrs(lx.QuerySpec(e, EMPTY), catalog)
+
+    candidates = _orders_over(attrs)
+    planner = BrutePlanner(catalog, params, query_attrs, guard)
+    cbp: dict[SortOrder, float] = {o: planner.cost(e, o) for o in [EMPTY] + candidates}
+
+    def coster(have: SortOrder, want: SortOrder) -> float:
+        return cm.enforce_cost(e, have, want, params, catalog)
+
+    def close(a: float, b: float) -> bool:
+        return abs(a - b) <= max(1e-9 * max(abs(a), abs(b)), 1e-12)
+
+    ford = sorted(
+        (o for o in candidates if cbp[EMPTY] + coster(EMPTY, o) - cbp[o] > 1e-9),
+        key=lambda o: o.attrs,
+    )
+    if not ford:
+        return frozenset()
+
+    n = len(ford)
+    # covers[i] = bitmask of ford members that member i accounts for.
+    covers = []
+    for i, m in enumerate(ford):
+        mask = 1 << i
+        for j, o in enumerate(ford):
+            if i == j:
+                continue
+            if is_prefix(m, o) and close(cbp[m] + coster(m, o), cbp[o]):
+                mask |= 1 << j
+            elif is_prefix(o, m) and close(cbp[m], cbp[o]):
+                mask |= 1 << j
+        covers.append(mask)
+    full = (1 << n) - 1
+
+    if n <= 14:
+        for size in range(1, n + 1):
+            for combo in itertools.combinations(range(n), size):
+                mask = 0
+                for i in combo:
+                    mask |= covers[i]
+                if mask == full:
+                    return frozenset(ford[i] for i in combo)
+
+    chosen: list[int] = []
+    covered = 0
+    while covered != full:
+        best_i = max(range(n), key=lambda i: bin(covers[i] | covered).count("1"))
+        chosen.append(best_i)
+        covered |= covers[best_i]
+    kept = list(chosen)
+    for i in list(kept):
+        mask = 0
+        for j in kept:
+            if j != i:
+                mask |= covers[j]
+        if mask == full:
+            kept.remove(i)
+    return frozenset(ford[i] for i in kept)
 
 
 def _prefix_len(a: tuple, b: tuple) -> int:

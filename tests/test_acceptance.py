@@ -7,7 +7,6 @@ failure) and asserts the criterion at its stated tolerance.
 import random
 import time
 
-import ordopt.favorable_orders as fo
 from ordopt import (
     BlockConfig,
     CostParams,
@@ -16,6 +15,7 @@ from ordopt import (
     assignment_benefit,
     brute_best_plan,
     brute_tree_benefit,
+    exact_minimal_favorable_orders,
     gen_segmented_input,
     index_for_query,
     is_prefix,
@@ -194,7 +194,7 @@ def test_criterion_8_exact_favorable_orders_optimal():
 
         def source(e):
             if e not in cache:
-                cache[e] = fo.exact_minimal_favorable_orders(
+                cache[e] = exact_minimal_favorable_orders(
                     e, catalog, params, guard, query_attrs=attrs
                 )
             return cache[e]

@@ -127,6 +127,11 @@ CASES = {
         "params", _set("cost_params", "cpu_per_comparison_io_equiv", float("nan")),
         1, "cost_params.cpu_per_comparison_io_equiv:",
     ),
+    "params-cost-overflow": (
+        "params",
+        _set("cost_params", {"block_bytes": 1, "memory_blocks": 3, "mergejoin_per_tuple_io_equiv": 1.7976931348623157e308}),
+        2, "cost estimate",
+    ),
     "query-selectivity-bool": ("query", _nested_selects(1, selectivity=True), 1, "expr.selectivity:"),
     "query-nested-900": ("query", _nested_selects(900), 2, "query"),
     "query-nested-2000": ("query", _nested_selects(2000), 2, "query"),

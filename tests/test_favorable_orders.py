@@ -8,16 +8,14 @@ from ordopt import (
     CostParams,
     EMPTY,
     FavorableOrderIndex,
-    OracleGuard,
     TooLarge,
-    brute_best_plan,
     enforce_cost,
-    exact_minimal_favorable_orders,
     index_for_query,
     load_catalog,
     order,
     restrict_orders,
 )
+from ordopt.oracle import OracleGuard, brute_best_plan, exact_minimal_favorable_orders
 
 from conftest import load_pair, random_catalog_and_join
 

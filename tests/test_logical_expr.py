@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 
 import pytest
@@ -128,3 +130,23 @@ def test_full_outer_join_parses():
     catalog, query = load_pair("q4_catalog.json", "q4_query.json")
     assert query.root.full_outer
     assert query.required_output_order == EMPTY
+
+
+def test_hash_is_the_field_tuple_hash_and_stays_out_of_the_fields():
+    j = lx.Join(lx.Scan("a"), lx.Scan("b"), frozenset(["x"]))
+    assert hash(j) == hash((j.left, j.right, j.join_attrs, False))
+    assert copy.deepcopy(j) == j and hash(copy.deepcopy(j)) == hash(j)
+    assert list(vars(j)) == [f.name for f in dataclasses.fields(j)] == ["left", "right", "join_attrs", "full_outer"]
+    assert repr(j) == "Join(left=Scan(relation='a'), right=Scan(relation='b'), join_attrs=frozenset({'x'}), full_outer=False)"
+
+
+def test_hash_of_a_deep_expression_does_not_recurse():
+    def chain():
+        e = lx.Scan("r")
+        for _ in range(5000):
+            e = lx.Select(e, 0.5, frozenset())
+        return e
+
+    a, b = chain(), chain()
+    assert a is not b
+    assert hash(a) == hash(b)

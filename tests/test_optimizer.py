@@ -8,6 +8,7 @@ from ordopt import (
     EMPTY,
     Optimizer,
     TooLarge,
+    access_paths,
     enforce_cost,
     index_for_query,
     interesting_orders,
@@ -20,6 +21,7 @@ from ordopt import (
     parse_query,
     plan_document,
 )
+from ordopt.optimizer import _PlanBuilder
 
 from conftest import load_pair, random_catalog_and_join
 
@@ -243,3 +245,15 @@ def test_deterministic_across_sessions():
     assert [(p.op, p.produced_order.attrs, p.total_cost) for p in a.walk()] == [
         (p.op, p.produced_order.attrs, p.total_cost) for p in b.walk()
     ]
+
+
+def test_node_count_of_a_deep_plan_is_stored():
+    catalog, _ = load_pair("example1_catalog.json", "example1_query.json")
+    params = CostParams()
+    builder = _PlanBuilder(catalog, params)
+    e = lx.Scan("rating")
+    plan = builder._access(e, 0, access_paths(e, catalog, frozenset(), params)[0])
+    for i in range(1, 5000):
+        e = lx.Select(e, 1.0, frozenset())
+        plan = builder._operator("select", e, i, (plan,))
+    assert plan.node_count == 5000
