@@ -3,11 +3,15 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ordopt import extsort
 from ordopt import (
     BlockConfig,
     ConfigError,
     Record,
+    SortMetrics,
     SortSpec,
     UnsortedPrefix,
     ValidationError,
@@ -218,6 +222,13 @@ def _three_key_unsorted():
     return recs + [Record((2, 0, 5), 100), Record((1, 9, 9), 100)]
 
 
+def _tiny_domain(rows, seed):
+    # keys in 0-3, sorted on the first position: most comparisons tie on the
+    # first sorted position; payloads vary so the order of ties shows
+    rng = random.Random(seed)
+    return [Record((i * 4 // rows, rng.randrange(4), rng.randrange(4)), 40 + 30 * (i % 3)) for i in range(rows)]
+
+
 GOLDEN = [
     # (name, input, keys, mrs prefix, memory_blocks, block_bytes, file_backed, expected)
     ("empty", lambda: [], 2, 1, 64, 4096, False, {
@@ -260,6 +271,11 @@ GOLDEN = [
         "mrs": ("UnsortedPrefix", (15, 15, 708, 708, 40, 4)),
         "mrs0": ("b56f555c5443407a", (54, 54, 908, 2468, 122, 3)),
     }),
+    ("tiny_domain_ties", lambda: _tiny_domain(3000, 16), 3, 1, 4, 1024, False, {
+        "srs": ("beab337d1aa8973c", (689, 689, 35784, 89252, 3000, 24)),
+        "mrs": ("771f49d9773fc59f", (395, 395, 32540, 55744, 750, 24)),
+        "mrs0": ("810bd76d3f08c5dd", (790, 790, 39451, 95273, 3000, 23)),
+    }),
 ]
 
 
@@ -286,3 +302,32 @@ def test_golden_counters(case, algo):
     )
     out, met = fn(make(), spec)
     assert (_digest(out), dataclasses.astuple(met)) == expected[algo]
+
+
+# --- the counted comparator ---------------------------------------------------
+
+
+def _less(met, lo, hi, a, b):
+    return extsort._Cmp(met, lo, hi).less(a, b)
+
+
+@st.composite
+def _key_pairs(draw):
+    # values 0-2 on up to six positions, so most pairs share a long prefix
+    n = draw(st.integers(1, 6))
+    a = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    b = tuple(x if draw(st.booleans()) else draw(st.integers(0, 2)) for x in a)
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    return a, b, lo, hi
+
+
+@settings(derandomize=True, max_examples=500)
+@given(_key_pairs())
+def test_counted_comparison_is_exact(pair):
+    a, b, lo, hi = pair
+    lcp = next((i for i in range(lo, hi) if a[i] != b[i]), hi) - lo
+    met = SortMetrics(comparisons=7, positions_inspected=11)
+    assert _less(met, lo, hi, a, b) == (a[lo:hi] < b[lo:hi])
+    assert met.comparisons == 8
+    assert met.positions_inspected == 11 + min(lcp + 1, hi - lo)
