@@ -150,7 +150,7 @@ class _Run:
             self._file = tempfile.TemporaryFile()
             for r in records:
                 keys = r.keys
-                self._file.write(struct.pack(f"<H{len(keys)}qq", len(keys), *keys, r.payload_bytes))
+                self._file.write(struct.pack(f"<I{len(keys)}qq", len(keys), *keys, r.payload_bytes))
             self._file.flush()
         else:
             self._records = records
@@ -163,7 +163,7 @@ class _Run:
             return
         try:
             self._file.seek(0)
-            head = struct.Struct("<H")
+            head = struct.Struct("<I")
             while True:
                 raw = self._file.read(head.size)
                 if not raw:

@@ -165,6 +165,20 @@ def test_file_backed_mode_matches_simulated():
         assert fb_met.run_blocks_written > 0
 
 
+def test_file_backed_run_holds_65536_key_positions():
+    # more key positions than a 16-bit count holds; mostly-zero keys that
+    # differ at the first position keep every comparison to one position
+    zeros = (0,) * 65535
+    stream = [Record(((i * 7) % 12,) + zeros, 10) for i in range(12)]
+    cfg = BlockConfig(block_bytes=10, memory_blocks=3)
+    sim_out, sim_met = sort_srs(iter(stream), SortSpec(65536, 0, cfg))
+    sim = list(sim_out)
+    fb_out, fb_met = sort_srs(iter(stream), SortSpec(65536, 0, cfg, file_backed=True))
+    assert list(fb_out) == sim == sorted(stream, key=lambda r: r.keys)
+    assert fb_met == sim_met
+    assert fb_met.run_blocks_written > 0
+
+
 def test_every_written_block_is_read_back_once():
     for seed in (1, 2, 3):
         stream = list(gen_segmented_input(2500, 2500, 2, 100, seed))
