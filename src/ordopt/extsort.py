@@ -16,7 +16,10 @@ at every segment boundary, so output starts after the first segment.
 I/O is counted in blocks against "runs", held in lists or, with
 ``SortSpec.file_backed``, in real temporary files; the counters are the same
 either way.  Comparison counts are logical key comparisons; the number of key
-positions actually inspected is tracked separately.
+positions actually inspected is tracked separately.  Both are counted exactly,
+by one key class built per sort (``_counted_key``): every comparison that
+``sorted`` or ``heapq`` makes calls its ``__lt__``, which takes a short path
+when the keys differ at the first sorted position.
 """
 
 from __future__ import annotations
@@ -90,39 +93,49 @@ class _Source:
         return self._head
 
 
-class _Cmp:
-    """Counted key comparison over key positions [lo, hi)."""
+def _counted_key(met: SortMetrics, lo: int, hi: int):
+    """The key class of one sort.
 
-    __slots__ = ("met", "lo", "hi")
+    ``Key(a) < Key(b)`` orders records a and b by run tag, then by key
+    positions [lo, hi).  Only a comparison of keys with equal tags counts:
+    one in ``met.comparisons``, and each position it inspects in
+    ``met.positions_inspected``.  Heaps hold keys themselves, not tuples of
+    them: a tuple tests its items for equality first, and for a class with
+    ``__lt__`` that default identity test costs more than the ``__lt__``
+    call.  Key defines no ``__eq__``; nothing compares keys for equality.
+    ``src`` holds the stream of a merge's key.
+    """
 
-    def __init__(self, met: SortMetrics, lo: int, hi: int):
-        self.met = met
-        self.lo = lo
-        self.hi = hi
+    class Key:
+        __slots__ = ("rec", "run", "src")
 
-    def less(self, a: tuple, b: tuple) -> bool:
-        self.met.comparisons += 1
-        for i in range(self.lo, self.hi):
-            self.met.positions_inspected += 1
-            if a[i] != b[i]:
-                return a[i] < b[i]
-        return False
+        def __init__(self, rec: Record, run: int = 0):
+            self.rec = rec
+            self.run = run
 
+        def __lt__(self, other: "Key") -> bool:
+            if self.run != other.run:
+                return self.run < other.run
+            a = self.rec.keys
+            b = other.rec.keys
+            met.comparisons += 1
+            x = a[lo]
+            y = b[lo]
+            if x != y:
+                met.positions_inspected += 1
+                return x < y
+            i = lo + 1
+            while i < hi:
+                x = a[i]
+                y = b[i]
+                if x != y:
+                    met.positions_inspected += i - lo + 1
+                    return x < y
+                i += 1
+            met.positions_inspected += hi - lo
+            return False
 
-class _Item:
-    """Heap entry; the run tag orders entries across runs for free."""
-
-    __slots__ = ("run", "rec", "cmp")
-
-    def __init__(self, run: int, rec: Record, cmp: _Cmp):
-        self.run = run
-        self.rec = rec
-        self.cmp = cmp
-
-    def __lt__(self, other: "_Item") -> bool:
-        if self.run != other.run:
-            return self.run < other.run
-        return self.cmp.less(self.rec.keys, other.rec.keys)
+    return Key
 
 
 def _run_blocks(records, block_bytes: int) -> int:
@@ -176,21 +189,25 @@ class _Run:
             self._file.close()
 
 
-def _merge_streams(streams, cmp: _Cmp):
-    """K-way merge of sorted record iterators with counted comparisons."""
-    iters = [iter(s) for s in streams]
+def _merge_streams(streams, key):
+    """K-way merge of sorted record iterators, compared through the counted
+    key class ``key``; each stream's key is reused for its next record."""
     heap = []
-    for idx, it in enumerate(iters):
+    for s in streams:
+        it = iter(s)
         first = next(it, None)
         if first is not None:
-            heap.append((_Item(0, first, cmp), idx))
+            k = key(first)
+            k.src = it
+            heap.append(k)
     heapq.heapify(heap)
     while heap:
-        item, idx = heapq.heappop(heap)
-        yield item.rec
-        nxt = next(iters[idx], None)
+        top = heapq.heappop(heap)
+        yield top.rec
+        nxt = next(top.src, None)
         if nxt is not None:
-            heapq.heappush(heap, (_Item(0, nxt, cmp), idx))
+            top.rec = nxt
+            heapq.heappush(heap, top)
 
 
 def _write_run(records: list[Record], spec: SortSpec, met: SortMetrics) -> _Run:
@@ -206,7 +223,7 @@ def _read_runs(runs: list[_Run], met: SortMetrics) -> list:
     return [r.stream() for r in runs]
 
 
-def _reduce_runs(runs: list[_Run], keep_slots: int, met: SortMetrics, cmp: _Cmp, spec: SortSpec) -> None:
+def _reduce_runs(runs: list[_Run], keep_slots: int, met: SortMetrics, key, spec: SortSpec) -> None:
     """Merge the smallest runs together until at most keep_slots remain.
 
     Intermediate merges read their inputs and write the merged run; only the
@@ -217,7 +234,7 @@ def _reduce_runs(runs: list[_Run], keep_slots: int, met: SortMetrics, cmp: _Cmp,
         runs.sort(key=lambda r: (r.blocks, r.count))
         chosen = runs[: min(fanin, len(runs))]
         del runs[: len(chosen)]
-        merged = list(_merge_streams(_read_runs(chosen, met), cmp))
+        merged = list(_merge_streams(_read_runs(chosen, met), key))
         runs.append(_write_run(merged, spec, met))
 
 
@@ -255,7 +272,7 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
     waiting, or while draining.
     """
     cfg = spec.cfg
-    cmp = _Cmp(met, k, spec.target_order_len)
+    key = _counted_key(met, k, spec.target_order_len)
     src = _Source(records)
     capacity = cfg.memory_bytes
     prev_prefix = None
@@ -278,34 +295,37 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
         runs: list[_Run] = []
         if r is not None:
             # The segment overflows memory: form runs tagged by run number.
-            heap = [_Item(0, m, cmp) for m in memory]
+            heap = [key(m) for m in memory]
             heapq.heapify(heap)
             current: list[Record] = []
             current_run = 0
             while (r := src.peek(k, prefix)) is not None or (drain and heap):
-                item = heapq.heappop(heap)
-                if item.run != current_run:
+                top = heapq.heappop(heap)
+                run = top.run
+                if run != current_run:
                     runs.append(_write_run(current, spec, met))
                     current = []
-                    current_run = item.run
-                current.append(item.rec)
+                    current_run = run
+                current.append(top.rec)
                 if r is not None:
                     src.take()
-                    run = current_run if not cmp.less(r.keys, item.rec.keys) else current_run + 1
-                    heapq.heappush(heap, _Item(run, r, cmp))
+                    new = key(r, current_run)
+                    if new < top:
+                        new.run = current_run + 1
+                    heapq.heappush(heap, new)
             runs.append(_write_run(current, spec, met))
             memory = [h.rec for h in heap]
         met.runs_generated += len(runs) or 1
 
         # Whatever stays in memory (a segment that fit, or the residual heap)
         # is sorted once and, next to any written runs, merged without a write.
-        in_memory = [x.rec for x in sorted(_Item(0, m, cmp) for m in memory)]
+        in_memory = sorted(memory, key=key)
         out = in_memory
         if runs:
-            _reduce_runs(runs, _fanin(cfg) - (1 if in_memory else 0), met, cmp, spec)
+            _reduce_runs(runs, _fanin(cfg) - (1 if in_memory else 0), met, key, spec)
             streams = _read_runs(runs, met) + ([iter(in_memory)] if in_memory else [])
             assert len(streams) <= _fanin(cfg)
-            out = _merge_streams(streams, cmp)
+            out = _merge_streams(streams, key)
         if not met.tuples_in_before_first_out:  # every segment emits a tuple
             met.tuples_in_before_first_out = src.taken
         yield from out

@@ -322,7 +322,8 @@ def test_golden_counters(case, algo):
 
 
 def _less(met, lo, hi, a, b):
-    return extsort._Cmp(met, lo, hi).less(a, b)
+    key = extsort._counted_key(met, lo, hi)
+    return key(Record(a, 1)) < key(Record(b, 1))
 
 
 @st.composite
