@@ -19,7 +19,7 @@ from . import favorable_orders as fo
 from . import logical_expr as lx
 from . import optimizer as opt
 from . import order_refinement as refine
-from .errors import OrdoptError, ParseError, TooLarge
+from .errors import OrdoptError, ParseError, TooLarge, ValidationError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,24 +133,30 @@ def _cmd_sort(args) -> int:
 
 
 def _cmd_bench_a3(args) -> int:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        ["segment_rows", "algo", "run_blocks_written", "run_blocks_read",
-         "comparisons", "tuples_in_before_first_out", "runs_generated"]
-    )
+    if args.rows < 1:
+        raise ValidationError("--rows must be >= 1")
     size = 1
     sizes = []
     while size < args.rows:
         sizes.append(size)
         size *= 10
     sizes.append(args.rows)
+    rows = []
     for segment_rows in sizes:
         for algo in ("srs", "mrs"):
             met = _run_sort(args, algo, segment_rows)
-            writer.writerow(
+            rows.append(
                 [segment_rows, algo, met.run_blocks_written, met.run_blocks_read,
                  met.comparisons, met.tuples_in_before_first_out, met.runs_generated]
             )
+    # written only once every sort has run, so a sort that fails leaves no
+    # half-written CSV behind
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(
+        ["segment_rows", "algo", "run_blocks_written", "run_blocks_read",
+         "comparisons", "tuples_in_before_first_out", "runs_generated"]
+    )
+    writer.writerows(rows)
     return 0
 
 

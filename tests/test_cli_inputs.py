@@ -196,6 +196,21 @@ def test_unreadable_file_exits_1(flag, content, message, capsys, tmp_path):
     assert err.startswith("ordopt: error: " + message.format(file=bad)), err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bench", "a3", "--rows", "0"], "--rows must be >= 1"),
+        (["bench", "a3", "--rows", "-3"], "--rows must be >= 1"),
+        (["bench", "a3", "--rows", "200", "--payload", "100", "--mem-blocks", "2"],
+         "external merging needs memory_blocks >= 3"),
+    ],
+)
+def test_bad_bench_flags_write_no_csv(argv, message, capsys):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("ordopt: error: " + message), err
+
+
 def _chain(joins: int, alternate: bool, row_count: int = 10, distincts=None):
     """A left-deep chain of joins; with `alternate`, neighbouring joins use
     different attributes, so every join output is sorted again."""
