@@ -44,7 +44,15 @@ class SortOrder:
         return frozenset(self.attrs)
 
     def prefix(self, n: int) -> "SortOrder":
-        return SortOrder(self.attrs[:n])
+        return _derived(self.attrs[:n])
+
+
+def _derived(attrs: tuple[str, ...]) -> SortOrder:
+    """A SortOrder over a slice of an order that was already checked: a slice
+    of a duplicate-free sequence of names is one too, so the check is skipped."""
+    o = object.__new__(SortOrder)
+    o.__dict__["attrs"] = attrs  # the instance dict: a frozen class refuses setattr
+    return o
 
 
 EMPTY = SortOrder(())
@@ -70,7 +78,7 @@ def lcp(o1: SortOrder, o2: SortOrder) -> SortOrder:
         if a != b:
             break
         n += 1
-    return SortOrder(o1.attrs[:n])
+    return _derived(o1.attrs[:n])
 
 
 def concat(o1: SortOrder, o2: SortOrder) -> SortOrder:
@@ -82,7 +90,7 @@ def subtract(o1: SortOrder, o2: SortOrder) -> SortOrder:
     """The unique suffix s with concat(o2, s) == o1; o2 must be a prefix."""
     if not is_prefix(o2, o1):
         raise NotAPrefix(f"{o2} is not a prefix of {o1}")
-    return SortOrder(o1.attrs[len(o2.attrs):])
+    return _derived(o1.attrs[len(o2.attrs):])
 
 
 def lcp_with_set(o: SortOrder, s: AttrSet) -> SortOrder:
@@ -92,7 +100,7 @@ def lcp_with_set(o: SortOrder, s: AttrSet) -> SortOrder:
         if a not in s:
             break
         n += 1
-    return SortOrder(o.attrs[:n])
+    return _derived(o.attrs[:n])
 
 
 def canonical_permutation(s: AttrSet) -> SortOrder:

@@ -67,6 +67,18 @@ def test_duplicate_attribute_rejected():
         SortOrder(("",))
 
 
+@given(orders, orders, attr_sets, st.integers(0, 6))
+def test_derived_orders_equal_checked_ones(o1, o2, s, n):
+    # prefix, lcp, lcp_with_set and subtract skip the duplicate check
+    common = lcp(o1, o2)
+    for derived in (o1.prefix(n), common, lcp_with_set(o1, s), subtract(o1, common)):
+        checked = SortOrder(derived.attrs)
+        assert type(derived) is SortOrder
+        assert derived == checked and hash(derived) == hash(checked)
+        assert repr(derived) == repr(checked)
+        assert {checked: 1}[derived] == 1
+
+
 @given(orders, orders)
 def test_lcp_symmetric_and_bounded(o1, o2):
     p = lcp(o1, o2)
