@@ -141,11 +141,11 @@ def _cmd_bench_a3(args) -> int:
         sizes.append(size)
         size *= 10
     sizes.append(args.rows)
-    rows = []
+    table = []
     for segment_rows in sizes:
         for algo in ("srs", "mrs"):
             met = _run_sort(args, algo, segment_rows)
-            rows.append(
+            table.append(
                 [segment_rows, algo, met.run_blocks_written, met.run_blocks_read,
                  met.comparisons, met.tuples_in_before_first_out, met.runs_generated]
             )
@@ -156,7 +156,7 @@ def _cmd_bench_a3(args) -> int:
         ["segment_rows", "algo", "run_blocks_written", "run_blocks_read",
          "comparisons", "tuples_in_before_first_out", "runs_generated"]
     )
-    writer.writerows(rows)
+    writer.writerows(table)
     return 0
 
 
