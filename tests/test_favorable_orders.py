@@ -12,12 +12,15 @@ from ordopt import (
     enforce_cost,
     index_for_query,
     load_catalog,
+    QuerySpec,
+    SortOrder,
     order,
     restrict_orders,
 )
 from ordopt.oracle import OracleGuard, brute_best_plan, exact_minimal_favorable_orders
+from ordopt.order_algebra import lcp_with_set
 
-from conftest import load_pair, random_catalog_and_join
+from conftest import load_pair, random_catalog_and_join, random_chain_query
 
 
 def _example1_index():
@@ -243,3 +246,82 @@ def test_exact_minimal_orders_have_positive_benefit():
                 assert benefit > 0
                 checked += 1
     assert checked > 10
+
+
+_FIXTURE_PAIRS = (
+    ("example1_catalog.json", "example1_query.json"),
+    ("postopt_catalog.json", "postopt_query.json"),
+    ("tpch_catalog.json", "q2_query.json"),
+    ("tpch_catalog.json", "q3_query.json"),
+    ("q4_catalog.json", "q4_query.json"),
+    ("q5_catalog.json", "q5_query.json"),
+)
+
+
+def _property_queries(rng):
+    """Single joins, chains of up to five relations (half of them under a
+    group-by) and the fixture pairs, as (catalog, query)."""
+    out = [random_catalog_and_join(rng)[:2] for _ in range(20)]
+    while len(out) < 50:
+        got = random_chain_query(rng, rng.randint(2, 5))
+        if got is None:
+            continue
+        catalog, query, _ = got
+        if rng.random() < 0.5:
+            sch = sorted(lx.schema(query.root, catalog))
+            keys = frozenset(rng.sample(sch, rng.randint(1, len(sch))))
+            query = QuerySpec(lx.GroupBy(query.root, keys, 8), EMPTY)
+        out.append((catalog, query))
+    return out + [load_pair(cat, qry) for cat, qry in _FIXTURE_PAIRS]
+
+
+def _per_member_orders(index, e):
+    """A join's or group-by's favorable orders by the per-member formula:
+    every input order and the empty one, cut to its prefix within the
+    attribute set and extended in name order; a join also keeps its inputs'
+    orders."""
+    if isinstance(e, lx.Join):
+        s, inputs = e.join_attrs, index.orders_for(e.left) | index.orders_for(e.right)
+        out = set(inputs)
+    else:
+        s, inputs = e.keys, index.orders_for(e.input)
+        out = set()
+    for o in inputs | {EMPTY}:
+        head = lcp_with_set(o, s)
+        out.add(SortOrder(head.attrs + tuple(sorted(s - head.attr_set()))))
+    out.discard(EMPTY)
+    return frozenset(out)
+
+
+def _ancestor_sets(root):
+    """(node, attribute set) for every node and every join or group-by
+    attribute set strictly above it."""
+    pairs = []
+    stack = [(root, ())]
+    while stack:
+        e, above = stack.pop()
+        pairs += [(e, s) for s in above]
+        if isinstance(e, lx.Join):
+            above = above + (e.join_attrs,)
+        elif isinstance(e, lx.GroupBy):
+            above = above + (e.keys,)
+        stack += [(c, above) for c in lx.children(e)]
+    return pairs
+
+
+def test_restricted_sets_equal_restricting_the_full_sets():
+    rng = random.Random(31)
+    checked = 0
+    for catalog, query in _property_queries(rng):
+        index = index_for_query(query, catalog)
+        pairs = _ancestor_sets(query.root)
+        rng.shuffle(pairs)  # fill any cache in no particular order
+        for e, s in pairs:
+            got = index.restricted(e, s)
+            assert got == restrict_orders(index.orders_for(e), s)
+            assert index.restricted(e, s) == got
+            checked += 1
+        for e in lx.preorder(query.root):
+            if isinstance(e, (lx.Join, lx.GroupBy)):
+                assert index.orders_for(e) == _per_member_orders(index, e)
+    assert checked > 200

@@ -23,7 +23,7 @@ from ordopt import (
 )
 from ordopt.optimizer import _PlanBuilder
 
-from conftest import load_pair, random_catalog_and_join
+from conftest import load_pair, random_catalog_and_join, random_chain_query
 
 
 def _optimize(cat, qry, **kw):
@@ -114,6 +114,29 @@ def test_interesting_orders_fallback_to_canonical():
     lower = query.root.left
     got = interesting_orders(lower, EMPTY, index.orders_for)
     assert got == {order("c3", "c4", "c5")}
+
+
+def test_plain_callable_order_source_gives_the_default_plan():
+    rng = random.Random(37)
+    cases = [load_pair(cat, qry) + (CostParams(),) for cat, qry in (
+        ("example1_catalog.json", "example1_query.json"),
+        ("tpch_catalog.json", "q3_query.json"),
+        ("q4_catalog.json", "q4_query.json"),
+        ("q5_catalog.json", "q5_query.json"),
+    )]
+    cases += [random_catalog_and_join(rng) for _ in range(15)]
+    cases += [c for c in (random_chain_query(rng, rng.randint(3, 5)) for _ in range(15)) if c is not None]
+    for catalog, query, params in cases:
+        index = index_for_query(query, catalog)
+
+        def source(e):
+            return index.orders_for(e)
+
+        default = optimize_query(catalog, params, query)
+        assert optimize_query(catalog, params, query, order_source=source) == default
+        assert plan_document(default, catalog, params, query) == plan_document(
+            optimize_query(catalog, params, query, order_source=index.orders_for), catalog, params, query
+        )
 
 
 def test_memo_idempotence_and_enforcer_dominance():
