@@ -53,9 +53,9 @@ def _emit_plan(plan, catalog, params, query, as_json: bool) -> None:
 
 def _cmd_optimize(args) -> int:
     catalog, params, query = _load_common(args)
-    plan = opt.optimize_query(catalog, params, query, heuristic=args.heuristic)
+    index = fo.index_for_query(query, catalog)  # one pass, shared with refinement
+    plan = opt.optimize_query(catalog, params, query, heuristic=args.heuristic, order_source=index)
     if args.refine:
-        index = fo.index_for_query(query, catalog)
         plan = refine.refine_plan(plan, query, catalog, params, index)
     _emit_plan(plan, catalog, params, query, args.json)
     return 0
@@ -162,14 +162,10 @@ def _cmd_bench_a3(args) -> int:
 
 def _cmd_bench_b3(args) -> int:
     catalog, params, query = _load_common(args)
-    costs = {}
-    for heuristic in opt.HEURISTICS:
-        plan = opt.optimize_query(catalog, params, query, heuristic=heuristic)
-        costs[heuristic] = plan.total_cost
-    favorable_plan = opt.optimize_query(catalog, params, query, heuristic="favorable")
     index = fo.index_for_query(query, catalog)
-    refined = refine.refine_plan(favorable_plan, query, catalog, params, index)
-    costs["favorable+refine"] = refined.total_cost
+    plans = {h: opt.optimize_query(catalog, params, query, heuristic=h, order_source=index) for h in opt.HEURISTICS}
+    costs = {h: plan.total_cost for h, plan in plans.items()}
+    costs["favorable+refine"] = refine.refine_plan(plans["favorable"], query, catalog, params, index).total_cost
     base = costs["exhaustive"]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["heuristic", "plan_cost", "normalized_to_exhaustive_100"])

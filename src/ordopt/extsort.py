@@ -24,6 +24,7 @@ when the keys differ at the first sorted position.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -85,7 +86,15 @@ class _Source:
             self._head = next(self._it, None)
             self._has_head = True
         r = self._head
-        return r if r is not None and r.keys[:k] == prefix else None
+        if r is None:
+            return None
+        keys = r.keys
+        i = 0
+        while i < k:  # position by position: a slice would make a tuple per tuple
+            if keys[i] != prefix[i]:
+                return None
+            i += 1
+        return r
 
     def take(self):
         self._has_head = False
@@ -149,6 +158,17 @@ def _fanin(cfg: BlockConfig) -> int:
     return cfg.memory_blocks - 1
 
 
+@functools.lru_cache(maxsize=16)
+def _record_layouts(n: int) -> tuple[struct.Struct, struct.Struct]:
+    """The layout of a file-backed run record with n keys (a 32-bit key
+    count, the keys, the payload width) and of its part after the count.
+    Built once per key count, not once per record."""
+    return struct.Struct(f"<I{n}qq"), struct.Struct(f"<{n}qq")
+
+
+_KEY_COUNT = struct.Struct("<I")
+
+
 class _Run:
     """One sorted run: an in-memory list, or a real temp file when the sort
     is file-backed."""
@@ -161,9 +181,11 @@ class _Run:
         if file_backed:
             self._records = None
             self._file = tempfile.TemporaryFile()
+            write = self._file.write
             for r in records:
                 keys = r.keys
-                self._file.write(struct.pack(f"<I{len(keys)}qq", len(keys), *keys, r.payload_bytes))
+                n = len(keys)
+                write(_record_layouts(n)[0].pack(n, *keys, r.payload_bytes))
             self._file.flush()
         else:
             self._records = records
@@ -176,15 +198,15 @@ class _Run:
             return
         try:
             self._file.seek(0)
-            head = struct.Struct("<I")
+            read = self._file.read
             while True:
-                raw = self._file.read(head.size)
+                raw = read(_KEY_COUNT.size)
                 if not raw:
                     return
-                (n,) = head.unpack(raw)
-                body = struct.Struct(f"<{n}qq")
-                vals = body.unpack(self._file.read(body.size))
-                yield Record(tuple(vals[:n]), vals[n])
+                (n,) = _KEY_COUNT.unpack(raw)
+                body = _record_layouts(n)[1]
+                vals = body.unpack(read(body.size))
+                yield Record(vals[:n], vals[n])
         finally:
             self._file.close()
 

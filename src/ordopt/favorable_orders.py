@@ -4,6 +4,12 @@ by fully sorting an unordered result.
 The sets are approximate, computed bottom-up in one pass over the expression
 tree; `oracle.exact_minimal_favorable_orders` computes the exact minimal sets
 of small schemas to judge them.
+
+Every consumer of a set (the pass itself at the parent join or group-by,
+plan search, refinement) reads only the prefixes of its orders within one
+join's or group-by's attribute set.  Those restricted sets are cached per
+(expression, attribute set), so each is computed once per query and shared
+by whoever holds the index.
 """
 
 from __future__ import annotations
@@ -17,8 +23,7 @@ from .order_algebra import (
     EMPTY,
     AttrSet,
     SortOrder,
-    canonical_permutation,
-    concat,
+    extend_to,
     lcp_with_set,
 )
 
@@ -31,32 +36,60 @@ FavorableOrderSet = frozenset  # of SortOrder; the empty order is implicit
 
 
 def restrict_orders(orders, s: AttrSet) -> FavorableOrderSet:
-    """Restrict each order to its longest prefix within s, dropping empties."""
-    out = {lcp_with_set(o, s) for o in orders}
+    """Restrict each order to its longest prefix within s, dropping empties:
+    the orders that do not start with an attribute of s are skipped."""
+    return frozenset(lcp_with_set(o, s) for o in orders if o.attrs and o.attrs[0] in s)
+
+
+class OrderSource:
+    """Favorable-order sets of one query's subexpressions, given by any
+    callable `orders_for` (such as the oracle's exact sets), and their
+    restrictions to attribute sets, each computed once per (expression,
+    attribute set)."""
+
+    def __init__(self, orders_for):
+        self.orders_for = orders_for
+        self._restricted = {}
+
+    def restricted(self, e: lx.LogicalExpr, s: AttrSet) -> FavorableOrderSet:
+        """restrict_orders(self.orders_for(e), s), cached."""
+        key = (e, s)
+        got = self._restricted.get(key)
+        if got is None:
+            got = self._restricted[key] = restrict_orders(self.orders_for(e), s)
+        return got
+
+
+def as_order_source(source) -> OrderSource:
+    """`source` itself if it is an OrderSource (a FavorableOrderIndex, say),
+    else the callable `source` wrapped in one."""
+    return source if isinstance(source, OrderSource) else OrderSource(source)
+
+
+def _extensions(heads, s: AttrSet) -> set[SortOrder]:
+    """Each head, and the empty order, extended to a full permutation of s."""
+    out = {extend_to(h, s) for h in heads}
+    out.add(extend_to(EMPTY, s))
     out.discard(EMPTY)
-    return frozenset(out)
-
-
-def _extend_over(o: SortOrder, s: AttrSet) -> SortOrder:
-    """Prefix of o within s, extended to a full permutation of s."""
-    head = lcp_with_set(o, s)
-    return concat(head, canonical_permutation(s - head.attr_set()))
+    return out
 
 
 @dataclass
-class FavorableOrderIndex:
+class FavorableOrderIndex(OrderSource):
     """Per-node favorable orders for one query, computed bottom-up and cached.
 
     Scans contribute their clustering order and the keys of secondary indices
     that cover the query; selections pass orders through; projections cut
-    orders to surviving prefixes; joins and group-bys keep input orders and
-    extend their usable prefixes to full permutations of the join attributes
-    resp. grouping keys (leftover attributes in deterministic name order).
+    orders to surviving prefixes; joins keep their inputs' orders; joins and
+    group-bys extend their inputs' usable prefixes to full permutations of
+    the join attributes resp. grouping keys (leftover attributes in
+    deterministic name order).
     """
 
     catalog: cs.Catalog
     query_attrs: AttrSet
     _cache: dict = field(default_factory=dict)
+    _restricted: dict = field(default_factory=dict)
 
     def orders_for(self, e: lx.LogicalExpr) -> FavorableOrderSet:
         cached = self._cache.get(e)
@@ -67,9 +100,6 @@ class FavorableOrderIndex:
             log.warning("favorable-order set of %s has %d members", type(e).__name__, len(orders))
         self._cache[e] = orders
         return orders
-
-    def restricted(self, e: lx.LogicalExpr, s: AttrSet) -> FavorableOrderSet:
-        return restrict_orders(self.orders_for(e), s)
 
     def _compute(self, e: lx.LogicalExpr) -> FavorableOrderSet:
         if isinstance(e, lx.Scan):
@@ -85,22 +115,17 @@ class FavorableOrderIndex:
             return self.orders_for(e.input)
 
         if isinstance(e, lx.Project):
-            return restrict_orders(self.orders_for(e.input), e.cols)
+            return self.restricted(e.input, e.cols)
 
+        # An extension depends only on the prefix of an order within the
+        # attribute set, so each distinct prefix is extended once.
         if isinstance(e, lx.Join):
-            base = self.orders_for(e.left) | self.orders_for(e.right)
-            out = set(base)
-            for o in sorted(base | {EMPTY}, key=lambda o: o.attrs):
-                out.add(_extend_over(o, e.join_attrs))
-            out.discard(EMPTY)
-            return frozenset(out)
+            s = e.join_attrs
+            out = _extensions(self.restricted(e.left, s) | self.restricted(e.right, s), s)
+            return frozenset(out.union(self.orders_for(e.left), self.orders_for(e.right)))
 
         if isinstance(e, lx.GroupBy):
-            out = set()
-            for o in sorted(self.orders_for(e.input) | {EMPTY}, key=lambda o: o.attrs):
-                out.add(_extend_over(o, e.keys))
-            out.discard(EMPTY)
-            return frozenset(out)
+            return frozenset(_extensions(self.restricted(e.input, e.keys), e.keys))
 
         raise TypeError(f"not a logical expression: {e!r}")
 

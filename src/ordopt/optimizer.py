@@ -26,6 +26,7 @@ from .order_algebra import (
     SortOrder,
     canonical_permutation,
     concat,
+    extend_to,
     is_prefix,
     lcp,
     lcp_with_set,
@@ -63,25 +64,31 @@ class PhysicalPlan:
 
 
 def prune_prefixes(orders) -> set[SortOrder]:
-    """Drop every order that is a (possibly empty) prefix of another one."""
-    out = set(orders)
-    return {o for o in out if not any(o != other and is_prefix(o, other) for other in out)}
+    """Drop every order that is a (possibly empty) prefix of another one.
+
+    In name order, the orders that extend o directly follow it, so o is a
+    prefix of another order iff it is one of the next."""
+    ranked = sorted(set(orders), key=lambda o: o.attrs)
+    return {o for o, nxt in zip(ranked, ranked[1:]) if not is_prefix(o, nxt)} | set(ranked[-1:])
 
 
 def interesting_orders(
-    e: lx.Join,
+    e: lx.Join | lx.GroupBy,
     required: SortOrder,
     source,
 ) -> set[SortOrder]:
-    """Candidate input orders for a merge join: usable prefixes of both
-    inputs' favorable orders plus the downstream requirement, prefix-pruned,
-    then extended to full permutations of the join attributes."""
-    s = e.join_attrs
-    t = set(fo.restrict_orders(source(e.left), s))
-    t |= fo.restrict_orders(source(e.right), s)
-    t.add(lcp_with_set(required, s))
-    kept = prune_prefixes(t) or {EMPTY}
-    return {concat(o, canonical_permutation(s - o.attr_set())) for o in kept}
+    """Candidate input orders for a merge join or a sort-based group-by:
+    usable prefixes of the inputs' favorable orders plus the downstream
+    requirement, prefix-pruned, then extended to full permutations of the
+    join attributes resp. grouping keys.  `source` is a
+    `favorable_orders.OrderSource` or any callable from an expression to its
+    favorable orders."""
+    source = fo.as_order_source(source)
+    s = e.join_attrs if isinstance(e, lx.Join) else e.keys
+    t = {lcp_with_set(required, s)}
+    for c in lx.children(e):
+        t |= source.restricted(c, s)
+    return {extend_to(o, s) for o in prune_prefixes(t)}
 
 
 def _heuristic_orders(attrs, required: SortOrder, heuristic: str) -> set[SortOrder]:
@@ -170,7 +177,9 @@ class Optimizer(_PlanBuilder):
 
     `order_source` maps a subexpression to the favorable orders assumed for
     it; it defaults to the bottom-up approximate sets and can be replaced
-    (e.g. by exact favorable orders) without touching the search.
+    (e.g. by exact favorable orders) without touching the search.  It is a
+    `favorable_orders.OrderSource`, such as a `FavorableOrderIndex` whose
+    restricted sets refinement then reuses, or any callable.
     """
 
     def __init__(self, catalog: cs.Catalog, params: cm.CostParams, heuristic: str = "favorable", order_source=None):
@@ -196,8 +205,8 @@ class Optimizer(_PlanBuilder):
             self._expr_ids.setdefault(node, i)
         self._query_attrs = lx.query_attrs(query, self.catalog)
         if self._source is None:
-            index = fo.FavorableOrderIndex(self.catalog, self._query_attrs)
-            self._source = index.orders_for
+            self._source = fo.FavorableOrderIndex(self.catalog, self._query_attrs)
+        self._source = fo.as_order_source(self._source)
         return self._goal(query.root, query.required_output_order)
 
     # -- goal expansion -----------------------------------------------------
@@ -246,16 +255,12 @@ class Optimizer(_PlanBuilder):
             kids = (self._goal(e.left, EMPTY), self._goal(e.right, EMPTY))
             yield self._enforced(self._operator("hash_join", e, self._id(e), kids), e, want)
 
-    def _group_orders(self, e: lx.GroupBy, want: SortOrder) -> set[SortOrder]:
-        if self.heuristic != "favorable":
-            return _heuristic_orders(e.keys, want, self.heuristic)
-        t = set(fo.restrict_orders(self._source(e.input), e.keys))
-        t.add(lcp_with_set(want, e.keys))
-        kept = prune_prefixes(t) or {EMPTY}
-        return {concat(o, canonical_permutation(e.keys - o.attr_set())) for o in kept}
-
     def _group_candidates(self, e: lx.GroupBy, want: SortOrder):
-        for io in sorted(self._group_orders(e, want), key=lambda o: o.attrs):
+        if self.heuristic == "favorable":
+            orders = interesting_orders(e, want, self._source)
+        else:
+            orders = _heuristic_orders(e.keys, want, self.heuristic)
+        for io in sorted(orders, key=lambda o: o.attrs):
             node = self._operator("sort_group_by", e, self._id(e), (self._goal(e.input, io),), io)
             yield self._enforced(node, e, want)
         if self.params.hashjoin_enabled:

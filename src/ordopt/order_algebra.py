@@ -103,6 +103,13 @@ def lcp_with_set(o: SortOrder, s: AttrSet) -> SortOrder:
     return _derived(o.attrs[:n])
 
 
+def extend_to(o: SortOrder, s: AttrSet) -> SortOrder:
+    """o followed by the attributes of s it lacks, in ascending name order: a
+    permutation of s when o lies within s.  Duplicate-free by construction,
+    so the check is skipped."""
+    return _derived(o.attrs + tuple(sorted(s.difference(o.attrs))))
+
+
 def canonical_permutation(s: AttrSet) -> SortOrder:
     """Deterministic permutation of an attribute set: ascending name order."""
     return SortOrder(tuple(sorted(s)))

@@ -254,6 +254,9 @@ def refine_plan(
 ) -> PhysicalPlan:
     """Rework the free-attribute suffixes of a plan's merge-join orders.
 
+    `favorable_index` is a `favorable_orders.OrderSource`, such as the
+    `FavorableOrderIndex` the optimizer searched with.
+
     For each join: the longest prefix shared with some input favorable order
     stays; the remaining (free) attributes are reordered by the tree
     approximation so adjacent joins agree on longer prefixes.  Enforcers are
@@ -264,21 +267,16 @@ def refine_plan(
         return plan
     exprs = lx.preorder(query.root)
 
+    # A join's order is a permutation of its attributes, so its common prefix
+    # with an input favorable order is its common prefix with that order's
+    # restriction to the attributes.
     prefixes: list[SortOrder] = []
     free_sets: list[AttrSet] = []
     for j in joins:
         e = exprs[j.expr_id]
-        inputs = sorted(
-            favorable_index.orders_for(e.left) | favorable_index.orders_for(e.right),
-            key=lambda o: o.attrs,
-        )
-        best_q = EMPTY
-        best_len = 0
-        for q in inputs:
-            n = len(lcp(j.produced_order, q))
-            if n > best_len:
-                best_q, best_len = q, n
-        head = lcp(j.produced_order, best_q)
+        s = e.join_attrs
+        usable = favorable_index.restricted(e.left, s) | favorable_index.restricted(e.right, s)
+        head = j.produced_order.prefix(max((len(lcp(j.produced_order, q)) for q in usable), default=0))
         prefixes.append(head)
         free_sets.append(subtract(j.produced_order, head).attr_set())
 
