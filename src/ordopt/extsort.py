@@ -158,15 +158,16 @@ def _fanin(cfg: BlockConfig) -> int:
     return cfg.memory_blocks - 1
 
 
+#: The 32-bit key count that starts each record of a file-backed run.
+_KEY_COUNT = struct.Struct("<I")
+
+
 @functools.lru_cache(maxsize=16)
 def _record_layouts(n: int) -> tuple[struct.Struct, struct.Struct]:
     """The layout of a file-backed run record with n keys (a 32-bit key
     count, the keys, the payload width) and of its part after the count.
     Built once per key count, not once per record."""
     return struct.Struct(f"<I{n}qq"), struct.Struct(f"<{n}qq")
-
-
-_KEY_COUNT = struct.Struct("<I")
 
 
 class _Run:

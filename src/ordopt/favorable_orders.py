@@ -67,10 +67,9 @@ def as_order_source(source) -> OrderSource:
 
 
 def _extensions(heads, s: AttrSet) -> set[SortOrder]:
-    """Each head, and the empty order, extended to a full permutation of s."""
-    out = {extend_to(h, s) for h in heads}
-    out.add(extend_to(EMPTY, s))
-    out.discard(EMPTY)
+    """The empty order and each head, extended to a full permutation of s."""
+    out = {extend_to(h, s) for h in heads | {EMPTY}}
+    out.discard(EMPTY)  # the extension of anything over an empty s
     return out
 
 
