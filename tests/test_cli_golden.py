@@ -79,6 +79,113 @@ SELF_JOIN_DIGESTS = (
     "4b0263dbc21101fb2341c40300319afe19ff5dbe9d7b9132cd46d5bf8af40778",
 )
 
+HEURISTIC_ORDER = ("favorable", "arbitrary", "postgres", "exhaustive")
+#: Cost parameters under which hash operators win some goals.
+HASH_PARAMS = {"cost_params": {"hashjoin_enabled": True, "hash_per_block_io_equiv": 0.01}}
+
+# name -> sha256 of optimize --json per heuristic in HEURISTIC_ORDER, with default
+# params and then with HASH_PARAMS
+HEURISTIC_DIGESTS = {
+    "example1": (
+        (
+            "a9722e7be3f11a3075fdcdfc508dfc804c74a81166c6da812b7bc43c94893a95",
+            "5dc24256f0ee66df744aee5cb6704b8c323aeff65042294e1f1f772e15cf26da",
+            "fcb1275f136c94d1958656c3525730daa47ff866f11745bf54258799025d523c",
+            "a9722e7be3f11a3075fdcdfc508dfc804c74a81166c6da812b7bc43c94893a95",
+        ),
+        (
+            "71605a9399f8c291dd7e0e835f6f3fd5a244a5967b07a8b77d60801414709275",
+            "71605a9399f8c291dd7e0e835f6f3fd5a244a5967b07a8b77d60801414709275",
+            "71605a9399f8c291dd7e0e835f6f3fd5a244a5967b07a8b77d60801414709275",
+            "71605a9399f8c291dd7e0e835f6f3fd5a244a5967b07a8b77d60801414709275",
+        ),
+    ),
+    "postopt": (
+        (
+            "6cadddff864052bd767310756c3ae91ae4ddcc4105df50f7c1058aac3405659f",
+            "6cadddff864052bd767310756c3ae91ae4ddcc4105df50f7c1058aac3405659f",
+            "060ff940f2a14680475215c7427b5232b1ebb5ba1e80e98c31da1a08dfdd57e7",
+            "770a73f092b31acc15413270d3166bf74c76a5257bff145f8be134e80ba49511",
+        ),
+        (
+            "0f8f87a30b0a62a5750c6680b9c4a3288bbec14c27f47da4ef11176fad86c5e7",
+            "0f8f87a30b0a62a5750c6680b9c4a3288bbec14c27f47da4ef11176fad86c5e7",
+            "4f8b7da526241e7f6c470ca0c1c71a5201d32e05732c6233288c72eca8360e2f",
+            "b29aebc06c3b20feea612c1b52c989cb7c1c4429f3929831172cb4c822f2b406",
+        ),
+    ),
+    "q2": (
+        ("9af0044c38ea938eca7b1dfa2fbeca5c144082ca2440bf92dd478f3ac88e4a25",) * 4,
+        ("36fd98f7433783a8da8cba2e3e4271dc43bf67aae7a48dbe96333ecd23ddab27",) * 4,
+    ),
+    "q3": (
+        (
+            "03e6181880e5f772e039a4303543141cc34980c4083d7c1cc52ab36e58cba342",
+            "06d4011cb4d4845e377d0f25b55b656896e7fa4c1c373bdabea6ad0b90d63eb5",
+            "570e63c7b62beb5aea820b4dac50c2693364bc4432f0ea5c9afb840c01768855",
+            "03e6181880e5f772e039a4303543141cc34980c4083d7c1cc52ab36e58cba342",
+        ),
+        (
+            "45c73d71e1cb38407f89fbe9b6f9f7a0adc3d22c3812ba52bae333b384eb233c",
+            "b737d5337c4e9ccce6b62bc3d4fa2abfd8712e7a22355393a6e712963e20023f",
+            "701f66206c2224f16ec2883fa407c6754d22daa071cb9a51ddf1b2de8ddb37d7",
+            "45c73d71e1cb38407f89fbe9b6f9f7a0adc3d22c3812ba52bae333b384eb233c",
+        ),
+    ),
+    "q4": (
+        (
+            "bfef3e2407b35d733d62ad7be9d313f55de86f5b3d5bcf130fc8e111ef322a80",
+            "bfef3e2407b35d733d62ad7be9d313f55de86f5b3d5bcf130fc8e111ef322a80",
+            "7fd921f088b1460508f584b2ae591d0ac5176b714f3534ec2cbfb44e310fe489",
+            "08551513d814d78ca05a124b0039ab33251938c55e0158b1c684b04c2a6fadee",
+        ),
+        (
+            "1bc69a39f53eacf8be089e232de21409480949b14adebac555fe754a8eff74f8",
+            "1bc69a39f53eacf8be089e232de21409480949b14adebac555fe754a8eff74f8",
+            "2b86445e58273248fa60fdc2965a68c24f86397da66f3670ad21bcf19328da2a",
+            "c1161cab29935cca20fd064a26d0c93f16738cc878073f25ebad34fd5077dcea",
+        ),
+    ),
+    "q5": (
+        (
+            "941a7efd09ffd769db45249e52f2c7caf8c4b91d88af881c13e91753713fc820",
+            "7c89c9221ae3d4e3927b9a65641decceec9cdf9ada740272ca5f3ea5cdc3b4a7",
+            "ef9fc5f87f94054d5c1b879ceee9e283c2629d338adea2e673880df0a96af8e2",
+            "941a7efd09ffd769db45249e52f2c7caf8c4b91d88af881c13e91753713fc820",
+        ),
+        (
+            "5becdce77f17ede90817a285ca05292454ad023e263b6f9ccaae516506d9add6",
+            "5bf6aafaf4f51bd6c4efab33d0603619b44f606474504859a50ff5290e65d0b5",
+            "004452e439bb48d0324f2b3551c7c2789211f7150b670d8f7239616b66fdb133",
+            "5becdce77f17ede90817a285ca05292454ad023e263b6f9ccaae516506d9add6",
+        ),
+    ),
+}
+
+#: Two join trees over the postopt catalog, separated by a group-by: a lower
+#: 2-join chain whose joins refinement can align, and a lone top join.
+TWO_TREE_CHAIN = {
+    "op": "join",
+    "left": {
+        "op": "join",
+        "left": {"op": "scan", "relation": "t1"},
+        "right": {"op": "scan", "relation": "t2"},
+        "join_attrs": ["a", "b", "z"],
+    },
+    "right": {"op": "scan", "relation": "t3"},
+    "join_attrs": ["a", "d", "z"],
+}
+TWO_TREE_QUERY = {
+    "expr": {
+        "op": "join",
+        "left": {"op": "group_by", "input": TWO_TREE_CHAIN, "keys": ["a", "b"], "agg_width_bytes": 8},
+        "right": {"op": "scan", "relation": "t4"},
+        "join_attrs": ["a", "b"],
+    },
+    "order_by": [],
+}
+TWO_TREE_DIGEST = "f05dabb86eefe9410c02cb5e6082ad5c5e0716bb2282d84d3cf5d142f1f92787"
+
 # random_chain_query seed (seed 5 draws no chain) -> sha256 of optimize --refine --json (with --params)
 CHAIN_DIGESTS = {
     1: "959034b09d9b85c4b96712421751a6db7a1d60995e08bbd4cfb1270da5b5f418",
@@ -136,3 +243,50 @@ def test_random_chain_cli_bytes(seed, capsys, tmp_path):
     argv = [str(x) for pair in files.items() for x in pair]
     _, digest = _digest(capsys, "optimize", *argv, "--refine", "--json")
     assert digest == CHAIN_DIGESTS[seed]
+
+
+def _plan_nodes(plan_json: str) -> list[dict]:
+    """The plan nodes of a plan document, in preorder."""
+    out, stack = [], [json.loads(plan_json)["plan"]]
+    while stack:
+        out.append(stack.pop())
+        stack.extend(reversed(out[-1]["children"]))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_PAIRS))
+def test_fixture_heuristic_bytes(name, capsys, tmp_path):
+    cat, qry = (str(fixture_path(f)) for f in FIXTURE_PAIRS[name])
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(HASH_PARAMS))
+    got, outs = [], {}
+    for extra in ((), ("--params", str(params))):
+        row = []
+        for heuristic in HEURISTIC_ORDER:
+            out, digest = _digest(
+                capsys, "optimize", "--catalog", cat, "--query", qry, "--heuristic", heuristic, "--json", *extra
+            )
+            outs[heuristic, bool(extra)] = out
+            row.append(digest)
+        got.append(tuple(row))
+    assert tuple(got) == HEURISTIC_DIGESTS[name]
+    ops = {key: {node["op"] for node in _plan_nodes(out)} for key, out in outs.items()}
+    if name == "example1":
+        assert "hash_join" in ops["favorable", True]
+    if name == "q3":
+        assert "hash_group_by" in ops["arbitrary", True]
+
+
+def test_two_join_trees_refine_bytes(capsys, tmp_path):
+    qry = tmp_path / "query.json"
+    qry.write_text(json.dumps(TWO_TREE_QUERY))
+    argv = ("optimize", "--catalog", str(fixture_path("postopt_catalog.json")), "--query", str(qry), "--json")
+    plain, _ = _digest(capsys, *argv)
+    refined, digest = _digest(capsys, *argv, "--refine")
+    join_orders = [[n["order"] for n in _plan_nodes(out) if n["op"] == "merge_join"] for out in (plain, refined)]
+    # refinement aligns the lower chain and leaves the lone top join alone
+    assert join_orders == [
+        [["a", "b"], ["a", "d", "z"], ["a", "b", "z"]],
+        [["a", "b"], ["a", "z", "d"], ["a", "z", "b"]],
+    ]
+    assert digest == TWO_TREE_DIGEST
