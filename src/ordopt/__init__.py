@@ -33,7 +33,6 @@ from .errors import (
     UnknownAttribute,
     UnknownRelation,
     UnknownStatistic,
-    Unsatisfiable,
     UnsortedPrefix,
     ValidationError,
 )

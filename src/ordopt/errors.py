@@ -45,9 +45,5 @@ class TooLarge(OrdoptError):
     """An exhaustive computation was asked beyond its guard limits."""
 
 
-class Unsatisfiable(OrdoptError):
-    """No physical plan exists for an optimization goal."""
-
-
 class UnsortedPrefix(OrdoptError):
     """Sort input violated the declared known-prefix ordering."""

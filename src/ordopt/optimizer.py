@@ -2,11 +2,14 @@
 
 For every goal the candidates are: native access paths with a (partial) sort
 enforcer on top where their order falls short, a full sort over the cheapest
-unordered plan, and for joins and group-bys one merge/sort alternative per
-interesting order.  Interesting orders for a join are the usable prefixes of
-the inputs' favorable orders plus the downstream order requirement, each
-extended to a full permutation of the join attributes; group-bys reuse the
-same machinery over their grouping keys.
+unordered plan, and for joins and group-bys one merge join resp. sort-based
+group-by per candidate order, then the hash variant.  Both accept any order of
+their attributes (join attributes resp. grouping keys) that every input
+delivers, so one path makes both: the candidates are the usable prefixes of
+the inputs' favorable orders plus the downstream requirement, each extended to
+a full permutation of those attributes, or a heuristic's fixed orders.  `_OPS`
+names the operators that compute each kind of expression, for search and the
+plan loader alike.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from . import catalog_stats as cs
 from . import cost_model as cm
 from . import favorable_orders as fo
 from . import logical_expr as lx
-from .errors import TooLarge, Unsatisfiable, ValidationError
+from .errors import TooLarge, ValidationError
 from .order_algebra import (
     EMPTY,
+    AttrSet,
     SortOrder,
     canonical_permutation,
     concat,
@@ -36,6 +40,17 @@ HEURISTICS = ("favorable", "arbitrary", "postgres", "exhaustive")
 
 #: Permutation guard for the exhaustive heuristic.
 EXHAUSTIVE_MAX_ATTRS = 6
+
+_SORTS = ("full_sort", "partial_sort")
+#: The operators that may compute each kind of expression; for joins and
+#: group-bys the order-based operator comes first, then the hash one.
+_OPS = {
+    lx.Scan: ("table_scan", "covering_index_scan"),
+    lx.Select: ("select",),
+    lx.Project: ("project",),
+    lx.Join: ("merge_join", "hash_join"),
+    lx.GroupBy: ("sort_group_by", "hash_group_by"),
+}
 
 
 @dataclass(frozen=True)
@@ -72,6 +87,11 @@ def prune_prefixes(orders) -> set[SortOrder]:
     return {o for o, nxt in zip(ranked, ranked[1:]) if not is_prefix(o, nxt)} | set(ranked[-1:])
 
 
+def _sort_attrs(e: lx.Join | lx.GroupBy) -> AttrSet:
+    """The attributes a merge join or sort-based group-by sorts its inputs on."""
+    return e.join_attrs if isinstance(e, lx.Join) else e.keys
+
+
 def interesting_orders(
     e: lx.Join | lx.GroupBy,
     required: SortOrder,
@@ -84,14 +104,15 @@ def interesting_orders(
     `favorable_orders.OrderSource` or any callable from an expression to its
     favorable orders."""
     source = fo.as_order_source(source)
-    s = e.join_attrs if isinstance(e, lx.Join) else e.keys
+    s = _sort_attrs(e)
     t = {lcp_with_set(required, s)}
     for c in lx.children(e):
         t |= source.restricted(c, s)
     return {extend_to(o, s) for o in prune_prefixes(t)}
 
 
-def _heuristic_orders(attrs, required: SortOrder, heuristic: str) -> set[SortOrder]:
+def _heuristic_orders(e: lx.Join | lx.GroupBy, heuristic: str) -> set[SortOrder]:
+    attrs = _sort_attrs(e)
     if heuristic == "arbitrary":
         return {canonical_permutation(attrs)}
     if heuristic == "postgres":
@@ -189,7 +210,6 @@ class Optimizer(_PlanBuilder):
         self.heuristic = heuristic
         self._source = order_source
         self.memo: dict[tuple[lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
-        self._open: set[tuple[lx.LogicalExpr, SortOrder]] = set()
         self._expr_ids: dict[lx.LogicalExpr, int] = {}
         self._query_attrs = frozenset()
         self._query: lx.QuerySpec | None = None
@@ -212,60 +232,45 @@ class Optimizer(_PlanBuilder):
     # -- goal expansion -----------------------------------------------------
 
     def _goal(self, e: lx.LogicalExpr, want: SortOrder) -> PhysicalPlan:
+        # Goals recurse only into child expressions, or into (e, EMPTY) when
+        # want is non-empty, so no goal can reach itself.
         key = (e, want)
         done = self.memo.get(key)
         if done is not None:
             return done
-        if key in self._open:
-            raise Unsatisfiable(f"cyclic optimization goal for {type(e).__name__}")
-        self._open.add(key)
 
-        cands: list[PhysicalPlan] = []
         if isinstance(e, lx.Scan):
-            for path in cm.access_paths(e, self.catalog, self._query_attrs, self.params):
-                cands.append(self._enforced(self._access(e, self._id(e), path), e, want))
-        elif isinstance(e, lx.Select):
-            cands.append(self._operator("select", e, self._id(e), (self._goal(e.input, want),)))
-        elif isinstance(e, lx.Project):
-            cands.append(self._operator("project", e, self._id(e), (self._goal(e.input, want),)))
-        elif isinstance(e, lx.Join):
-            cands.extend(self._join_candidates(e, want))
-        elif isinstance(e, lx.GroupBy):
-            cands.extend(self._group_candidates(e, want))
+            paths = cm.access_paths(e, self.catalog, self._query_attrs, self.params)
+            cands = [self._enforced(self._access(e, self._id(e), path), e, want) for path in paths]
+        elif isinstance(e, (lx.Select, lx.Project)):
+            (op,) = _OPS[type(e)]
+            cands = [self._operator(op, e, self._id(e), (self._goal(e.input, want),))]
         else:
-            raise TypeError(f"not a logical expression: {e!r}")
+            cands = list(self._ordered_candidates(e, want))
 
         if want:
             cands.append(self._enforced(self._goal(e, EMPTY), e, want, have=EMPTY))
 
         best = min(cands, key=lambda p: (p.total_cost, p.produced_order.attrs, p.node_count))
-        self._open.discard(key)
         self.memo[key] = best
         return best
 
-    def _join_candidates(self, e: lx.Join, want: SortOrder):
+    def _ordered_candidates(self, e: lx.Join | lx.GroupBy, want: SortOrder):
+        """The merge join resp. sort-based group-by over each candidate order,
+        which every input delivers; then the hash variant over unordered inputs."""
+        sort_op, hash_op = _OPS[type(e)]
         if self.heuristic == "favorable":
             orders = interesting_orders(e, want, self._source)
         else:
-            orders = _heuristic_orders(e.join_attrs, want, self.heuristic)
+            orders = _heuristic_orders(e, self.heuristic)
+        inputs = lx.children(e)
         for io in sorted(orders, key=lambda o: o.attrs):
-            kids = (self._goal(e.left, io), self._goal(e.right, io))
-            yield self._enforced(self._operator("merge_join", e, self._id(e), kids, io), e, want)
+            # map adds no interpreter frame per level, unlike a comprehension
+            kids = tuple(map(self._goal, inputs, [io] * len(inputs)))
+            yield self._enforced(self._operator(sort_op, e, self._id(e), kids, io), e, want)
         if self.params.hashjoin_enabled:
-            kids = (self._goal(e.left, EMPTY), self._goal(e.right, EMPTY))
-            yield self._enforced(self._operator("hash_join", e, self._id(e), kids), e, want)
-
-    def _group_candidates(self, e: lx.GroupBy, want: SortOrder):
-        if self.heuristic == "favorable":
-            orders = interesting_orders(e, want, self._source)
-        else:
-            orders = _heuristic_orders(e.keys, want, self.heuristic)
-        for io in sorted(orders, key=lambda o: o.attrs):
-            node = self._operator("sort_group_by", e, self._id(e), (self._goal(e.input, io),), io)
-            yield self._enforced(node, e, want)
-        if self.params.hashjoin_enabled:
-            node = self._operator("hash_group_by", e, self._id(e), (self._goal(e.input, EMPTY),))
-            yield self._enforced(node, e, want)
+            kids = tuple(map(self._goal, inputs, [EMPTY] * len(inputs)))
+            yield self._enforced(self._operator(hash_op, e, self._id(e), kids), e, want)
 
     def _id(self, e: lx.LogicalExpr) -> int:
         return self._expr_ids.get(e, -1)
@@ -322,15 +327,6 @@ def plan_document(plan: PhysicalPlan, catalog: cs.Catalog, params: cm.CostParams
     }
 
 
-_SORTS = ("full_sort", "partial_sort")
-#: The operators that may compute each kind of expression.
-_OPS = {
-    lx.Scan: ("table_scan", "covering_index_scan"),
-    lx.Select: ("select",),
-    lx.Project: ("project",),
-    lx.Join: ("merge_join", "hash_join"),
-    lx.GroupBy: ("sort_group_by", "hash_group_by"),
-}
 #: Plan-node fields that loading recomputes; a document's values are only type-checked.
 _OUTPUT_ONLY = ("op_cost", "total_cost", "rows", "blocks")
 _NODE_KEYS = {
@@ -390,7 +386,7 @@ class _PlanLoader(_PlanBuilder):
             node = self._access(e, expr_id, min(found, key=lambda p: p[2]))
         elif op in ("merge_join", "sort_group_by"):
             order = _order(d, "order", path)
-            attrs = e.join_attrs if op == "merge_join" else e.keys
+            attrs = _sort_attrs(e)
             if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
                 raise _doc.fail(path + ".order", f"expected an order of {sorted(attrs)} every input delivers")
             node = self._operator(op, e, expr_id, kids, order)
@@ -431,7 +427,7 @@ def format_plan(p: PhysicalPlan, indent: int = 0) -> str:
         parts.append(p.relation)
     if p.index_key is not None:
         parts.append(f"key={p.index_key}")
-    if p.op in ("partial_sort", "full_sort"):
+    if p.op in _SORTS:
         parts.append(f"{p.input_order}->{p.target_order}")
     parts.append(f"order={p.produced_order}")
     parts.append(f"rows={p.est_rows:.6g}")
