@@ -18,7 +18,7 @@ from . import catalog_stats as cs
 from . import cost_model as cm
 from . import logical_expr as lx
 from .errors import ValidationError
-from .optimizer import PhysicalPlan, _PlanBuilder
+from .optimizer import _SORTS, PhysicalPlan, _PlanBuilder
 from .order_algebra import (
     EMPTY,
     AttrSet,
@@ -193,37 +193,40 @@ def tree_approx(tree: LabeledTree) -> list[SortOrder]:
 
 # --- plan refinement ----------------------------------------------------------
 
-_TRANSPARENT = ("full_sort", "partial_sort", "select", "project")
+_TRANSPARENT = (*_SORTS, "select", "project")
 
 
-def _join_edges(plan: PhysicalPlan):
-    """Merge-join nodes of a plan and the parent-child pairs among them whose
-    connecting path is order-transparent (enforcers, selects, projects)."""
-    joins: list[PhysicalPlan] = []
-    edges: list[tuple[int, int]] = []
-
-    def visit(p: PhysicalPlan, ancestor: int | None) -> None:
+def _join_trees(plan: PhysicalPlan) -> list[tuple[list[PhysicalPlan], list[tuple[int, int]]]]:
+    """The trees of merge joins in a plan, in preorder of their roots.  Two
+    joins are adjacent when the path between them is order-transparent
+    (enforcers, selects, projects).  Each tree is its joins in preorder and
+    its (parent, child) edges as indices into them."""
+    trees = []
+    stack = [(plan, None, None)]  # (plan node, tree of the join above it, that join's index)
+    while stack:
+        p, tree, above = stack.pop()
         if p.op == "merge_join":
-            me = len(joins)
+            if tree is None:
+                tree = ([], [])
+                trees.append(tree)
+            joins, edges = tree
+            if above is not None:
+                edges.append((above, len(joins)))
+            above = len(joins)
             joins.append(p)
-            if ancestor is not None:
-                edges.append((ancestor, me))
-            nxt = me
-        elif p.op in _TRANSPARENT:
-            nxt = ancestor
-        else:
-            nxt = None
-        for c in p.children:
-            visit(c, nxt)
-
-    visit(plan, None)
-    return joins, edges
+        elif p.op not in _TRANSPARENT:
+            tree = above = None
+        stack.extend((c, tree, above) for c in reversed(p.children))
+    return trees
 
 
 def join_prefix_benefit(plan: PhysicalPlan) -> int:
     """Sum of shared-prefix lengths between adjacent merge joins of a plan."""
-    joins, edges = _join_edges(plan)
-    return sum(len(lcp(joins[p].produced_order, joins[c].produced_order)) for p, c in edges)
+    return sum(
+        len(lcp(joins[p].produced_order, joins[c].produced_order))
+        for joins, edges in _join_trees(plan)
+        for p, c in edges
+    )
 
 
 class _Rebuilder(_PlanBuilder):
@@ -233,7 +236,7 @@ class _Rebuilder(_PlanBuilder):
         self.new_orders = new_orders  # id(plan node) -> SortOrder
 
     def rebuild(self, p: PhysicalPlan, want: SortOrder) -> PhysicalPlan:
-        if p.op in ("full_sort", "partial_sort"):
+        if p.op in _SORTS:
             return self.rebuild(p.children[0], want)
         e = self.exprs[p.expr_id]
         if not p.children:  # access paths: reuse verbatim, re-enforce on top
@@ -262,45 +265,29 @@ def refine_plan(
     approximation so adjacent joins agree on longer prefixes.  Enforcers are
     re-derived and the whole plan re-costed; the original plan wins ties.
     """
-    joins, edges = _join_edges(plan)
-    if not edges:
+    trees = _join_trees(plan)
+    if not any(edges for _, edges in trees):
         return plan
     exprs = lx.preorder(query.root)
 
     # A join's order is a permutation of its attributes, so its common prefix
     # with an input favorable order is its common prefix with that order's
     # restriction to the attributes.
-    prefixes: list[SortOrder] = []
-    free_sets: list[AttrSet] = []
-    for j in joins:
+    def head(j: PhysicalPlan) -> SortOrder:
         e = exprs[j.expr_id]
         s = e.join_attrs
         usable = favorable_index.restricted(e.left, s) | favorable_index.restricted(e.right, s)
-        head = j.produced_order.prefix(max((len(lcp(j.produced_order, q)) for q in usable), default=0))
-        prefixes.append(head)
-        free_sets.append(subtract(j.produced_order, head).attr_set())
+        return j.produced_order.prefix(max((len(lcp(j.produced_order, q)) for q in usable), default=0))
 
-    # Solve each connected component of the join adjacency separately.
+    # Each tree of adjacent joins is solved separately.
     new_orders: dict[int, SortOrder] = {}
-    parent = {c: p for p, c in edges}
-    comp_of: dict[int, int] = {}
-    for i in range(len(joins)):
-        r = i
-        while r in parent:
-            r = parent[r]
-        comp_of[i] = r
-    for root in sorted(set(comp_of.values())):
-        members = [i for i in range(len(joins)) if comp_of[i] == root]
-        local = {g: l for l, g in enumerate(members)}
-        tree = LabeledTree(
-            tuple(free_sets[g] for g in members),
-            tuple((local[p], local[c]) for p, c in edges if p in local and c in local),
-        )
-        assignment = tree_approx(tree)
-        for g in members:
-            refined = concat(prefixes[g], assignment[local[g]])
-            if refined != joins[g].produced_order:
-                new_orders[id(joins[g])] = refined
+    for joins, edges in trees:
+        heads = [head(j) for j in joins]
+        free_sets = tuple(subtract(j.produced_order, h).attr_set() for j, h in zip(joins, heads))
+        for j, h, free in zip(joins, heads, tree_approx(LabeledTree(free_sets, tuple(edges)))):
+            refined = concat(h, free)
+            if refined != j.produced_order:
+                new_orders[id(j)] = refined
 
     if not new_orders:
         return plan
