@@ -157,7 +157,9 @@ _OP_NAMES = {Scan: "scan", Select: "select", Project: "project", Join: "join", G
 _NODE_FIELDS = {op: {"op", *(f.name for f in dataclasses.fields(t))} for t, op in _OP_NAMES.items()}
 
 
-def _parse_node(doc, catalog, path: str, depth: int = 1) -> LogicalExpr:
+def _parse_node(doc, catalog, path: str, depth: int = 1) -> tuple[LogicalExpr, AttrSet]:
+    """The expression of `doc` and its output schema, which the checks of the
+    node above read, so parsing stays linear in the size of the query."""
     if depth > MAX_QUERY_DEPTH:
         raise TooLarge(f"query expression nests deeper than {MAX_QUERY_DEPTH} levels")
     if not isinstance(doc, dict):
@@ -171,38 +173,38 @@ def _parse_node(doc, catalog, path: str, depth: int = 1) -> LogicalExpr:
         rel = _doc.name(doc.get("relation"), path + ".relation")
         if not catalog.has_relation(rel):
             raise UnknownRelation(f"{path}: unknown relation {rel!r}")
-        return Scan(rel)
+        return Scan(rel), catalog.relation(rel).columns
 
     if op == "join":
-        left = _parse_node(doc.get("left"), catalog, path + ".left", depth + 1)
-        right = _parse_node(doc.get("right"), catalog, path + ".right", depth + 1)
+        left, left_schema = _parse_node(doc.get("left"), catalog, path + ".left", depth + 1)
+        right, right_schema = _parse_node(doc.get("right"), catalog, path + ".right", depth + 1)
         attrs = frozenset(_doc.attr_list(doc.get("join_attrs"), path + ".join_attrs", nonempty=True))
-        _require_within(attrs, left, catalog, path + ".join_attrs", "left schema")
-        _require_within(attrs, right, catalog, path + ".join_attrs", "right schema")
+        _require_within(attrs, left_schema, path + ".join_attrs", "left schema")
+        _require_within(attrs, right_schema, path + ".join_attrs", "right schema")
         full_outer = _doc.boolean(doc.get("full_outer", False), path + ".full_outer")
-        return Join(left, right, attrs, full_outer)
+        return Join(left, right, attrs, full_outer), left_schema | right_schema
 
-    node = _parse_node(doc.get("input"), catalog, path + ".input", depth + 1)
+    node, node_schema = _parse_node(doc.get("input"), catalog, path + ".input", depth + 1)
     if op == "select":
         sel = _doc.number(doc.get("selectivity", 1.0), path + ".selectivity", 0.0, 1.0, lo_open=True)
         touched = frozenset(_doc.attr_list(doc.get("touched", []), path + ".touched"))
-        _require_within(touched, node, catalog, path + ".touched")
-        return Select(node, float(sel), touched)
+        _require_within(touched, node_schema, path + ".touched")
+        return Select(node, float(sel), touched), node_schema
 
     if op == "project":
         cols = frozenset(_doc.attr_list(doc.get("cols"), path + ".cols", nonempty=True))
-        _require_within(cols, node, catalog, path + ".cols")
-        return Project(node, cols)
+        _require_within(cols, node_schema, path + ".cols")
+        return Project(node, cols), cols
 
     # group_by
     keys = frozenset(_doc.attr_list(doc.get("keys", []), path + ".keys"))
-    _require_within(keys, node, catalog, path + ".keys")
+    _require_within(keys, node_schema, path + ".keys")
     width = _doc.integer(doc.get("agg_width_bytes", 8), path + ".agg_width_bytes")
-    return GroupBy(node, keys, width)
+    return GroupBy(node, keys, width), keys | frozenset([AGG_ATTR])
 
 
-def _require_within(attrs: AttrSet, e: LogicalExpr, catalog, path: str, where: str = "input schema") -> None:
-    missing = attrs - schema(e, catalog)
+def _require_within(attrs: AttrSet, schema: AttrSet, path: str, where: str = "input schema") -> None:
+    missing = attrs - schema
     if missing:
         raise _doc.fail(path, f"attributes {sorted(missing)} not in {where}")
 
@@ -210,9 +212,9 @@ def _require_within(attrs: AttrSet, e: LogicalExpr, catalog, path: str, where: s
 def parse_query(source, catalog) -> QuerySpec:
     """Parse and validate a query document (dict, JSON text, or bytes)."""
     doc = _doc.fields(_doc.read_json(source, "query"), "query", {"expr", "order_by"})
-    root = _parse_node(doc.get("expr"), catalog, "expr")
+    root, root_schema = _parse_node(doc.get("expr"), catalog, "expr")
     out_order = SortOrder(_doc.attr_list(doc.get("order_by", []), "order_by"))
-    _require_within(out_order.attr_set(), root, catalog, "order_by", "output schema")
+    _require_within(out_order.attr_set(), root_schema, "order_by", "output schema")
     return QuerySpec(root, out_order)
 
 

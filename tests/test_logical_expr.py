@@ -150,3 +150,33 @@ def test_hash_of_a_deep_expression_does_not_recurse():
     a, b = chain(), chain()
     assert a is not b
     assert hash(a) == hash(b)
+
+
+def test_parsing_a_chain_walks_each_schema_once(monkeypatch):
+    # Each join checks its attributes against both input schemas; re-deriving
+    # them per join made parsing quadratic in the depth of the chain.
+    joins = 120
+    catalog = load_catalog(
+        {
+            "relations": [
+                {"name": f"r{i}", "row_count": 10, "tuple_bytes": 16, "columns": ["a", "b"], "distincts": {}}
+                for i in range(joins + 1)
+            ],
+            "indices": [],
+        }
+    )
+    expr = {"op": "scan", "relation": "r0"}
+    for i in range(1, joins + 1):
+        expr = {"op": "join", "left": expr, "right": {"op": "scan", "relation": f"r{i}"}, "join_attrs": ["a"]}
+    calls = 0
+    real_schema = lx.schema
+
+    def counted(e, cat):
+        nonlocal calls
+        calls += 1
+        return real_schema(e, cat)
+
+    monkeypatch.setattr(lx, "schema", counted)
+    query = parse_query({"expr": expr, "order_by": ["b"]}, catalog)
+    assert len(lx.preorder(query.root)) == 2 * joins + 1
+    assert calls <= 2 * (2 * joins + 1)
