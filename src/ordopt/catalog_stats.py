@@ -185,9 +185,6 @@ class ExprStats:
     def distinct_map(self) -> dict[str, float]:
         return dict(self.distinct)
 
-    def width_of(self, attr: str) -> float:
-        return dict(self.widths)[attr]
-
 
 def expr_stats(e: lx.LogicalExpr, catalog: Catalog) -> ExprStats:
     """Derived statistics, memoized per expression value on the catalog."""

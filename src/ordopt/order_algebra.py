@@ -67,10 +67,6 @@ def is_prefix(o1: SortOrder, o2: SortOrder) -> bool:
     return o2.attrs[: len(o1.attrs)] == o1.attrs
 
 
-def is_strict_prefix(o1: SortOrder, o2: SortOrder) -> bool:
-    return len(o1) < len(o2) and is_prefix(o1, o2)
-
-
 def lcp(o1: SortOrder, o2: SortOrder) -> SortOrder:
     """Longest common prefix of two orders."""
     n = 0
