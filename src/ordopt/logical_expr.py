@@ -203,8 +203,8 @@ def _parse_node(doc, catalog, path: str, depth: int = 1) -> tuple[LogicalExpr, A
     return GroupBy(node, keys, width), keys | frozenset([AGG_ATTR])
 
 
-def _require_within(attrs: AttrSet, schema: AttrSet, path: str, where: str = "input schema") -> None:
-    missing = attrs - schema
+def _require_within(attrs: AttrSet, available: AttrSet, path: str, where: str = "input schema") -> None:
+    missing = attrs - available
     if missing:
         raise _doc.fail(path, f"attributes {sorted(missing)} not in {where}")
 
