@@ -13,20 +13,23 @@ at every segment boundary, so output starts after the first segment.
   The only difference is the end-of-input policy: the heap is drained into
   written runs, so every tuple of a spilled input is written and read back.
 
-I/O is counted in blocks against "runs", held in lists or, with
-``SortSpec.file_backed``, in real temporary files; the counters are the same
-either way.  Comparison counts are logical key comparisons; the number of key
-positions actually inspected is tracked separately.  Both are counted exactly,
-by one key class built per sort (``_counted_key``): every comparison that
-``sorted`` or ``heapq`` makes calls its ``__lt__``, which takes a short path
-when the keys differ at the first sorted position.
+I/O is counted in blocks by ``_Run``, the one place that stores runs: in lists
+or, with ``SortSpec.file_backed``, streamed into one temporary file per
+spilled segment, so memory stays near the sort memory; the counters are the
+same either way.  Comparison counts are logical key comparisons; the number of
+key positions actually inspected is tracked separately.  Both are counted
+exactly, by one key class built per sort (``_counted_key``): every comparison
+that ``sorted`` or ``heapq`` makes calls its ``__lt__``, which takes a short
+path when the keys differ at the first sorted position.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 import math
+import os
 import random
 import struct
 import tempfile
@@ -49,7 +52,7 @@ class SortSpec:
     target_order_len: int
     known_prefix_len: int
     cfg: BlockConfig
-    file_backed: bool = False  # spill runs to real temp files instead of lists
+    file_backed: bool = False  # spill runs to a real temp file instead of lists
 
     def __post_init__(self) -> None:
         if self.target_order_len < 1:
@@ -147,77 +150,85 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
     return Key
 
 
-def _run_blocks(records, block_bytes: int) -> int:
-    total = sum(r.payload_bytes for r in records)
-    return math.ceil(total / block_bytes) if total else 0
-
-
 def _fanin(cfg: BlockConfig) -> int:
     if cfg.memory_blocks < 3:
         raise ConfigError("external merging needs memory_blocks >= 3")
     return cfg.memory_blocks - 1
 
 
-#: The 32-bit key count that starts each record of a file-backed run.
-_KEY_COUNT = struct.Struct("<I")
+_KEY_COUNT = struct.Struct("<I")  # starts each record of a file-backed run
 
 
 @functools.lru_cache(maxsize=16)
-def _record_layouts(n: int) -> tuple[struct.Struct, struct.Struct]:
-    """The layout of a file-backed run record with n keys (a 32-bit key
-    count, the keys, the payload width) and of its part after the count.
-    Built once per key count, not once per record."""
-    return struct.Struct(f"<I{n}qq"), struct.Struct(f"<{n}qq")
+def _record_layout(n: int) -> struct.Struct:
+    """A file-backed record with n keys: the key count, keys, payload width."""
+    return struct.Struct(f"<I{n}qq")
 
 
 class _Run:
-    """One sorted run: an in-memory list, or a real temp file when the sort
-    is file-backed."""
+    """One sorted run: written record by record as it forms (``add``), then
+    ``close``d, which counts its blocks written; read back once by ``stream``,
+    which counts them read.  In memory it is a list, ``add`` its append;
+    file-backed, a stretch of its segment's spill file, read back by offset."""
 
-    __slots__ = ("blocks", "count", "_records", "_file")
+    __slots__ = ("add", "blocks", "count", "_bytes", "_met", "_block_bytes", "_records", "_file", "_start", "_end")
 
-    def __init__(self, records: list[Record], block_bytes: int, file_backed: bool):
-        self.blocks = _run_blocks(records, block_bytes)
-        self.count = len(records)
-        if file_backed:
-            self._records = None
-            self._file = tempfile.TemporaryFile()
-            write = self._file.write
-            for r in records:
-                keys = r.keys
-                n = len(keys)
-                write(_record_layouts(n)[0].pack(n, *keys, r.payload_bytes))
-            self._file.flush()
+    def __init__(self, met: SortMetrics, block_bytes: int, spill=None):
+        self._met, self._block_bytes, self._file = met, block_bytes, spill
+        self.count = self._bytes = 0
+        if spill is None:
+            self._records = []
+            self.add = self._records.append
         else:
-            self._records = records
-            self._file = None
+            self._start, self.add = spill.tell(), self._write
+
+    def _write(self, r: Record) -> None:
+        n = len(r.keys)
+        self._file.write(_record_layout(n).pack(n, *r.keys, r.payload_bytes))
+        self.count += 1
+        self._bytes += r.payload_bytes
+
+    def close(self) -> "_Run":
+        if self._file is None:
+            self.count = len(self._records)
+            self._bytes = sum(r.payload_bytes for r in self._records)
+        else:
+            self._file.flush()
+            self._end = self._file.tell()
+        self.blocks = math.ceil(self._bytes / self._block_bytes)
+        self._met.run_blocks_written += self.blocks
+        return self
 
     def stream(self):
-        """The run's records, once: a file-backed run's file closes after."""
-        if self._records is not None:
-            yield from self._records
-            return
-        try:
-            self._file.seek(0)
-            read = self._file.read
-            while True:
-                raw = read(_KEY_COUNT.size)
-                if not raw:
-                    return
-                (n,) = _KEY_COUNT.unpack(raw)
-                body = _record_layouts(n)[1]
-                vals = body.unpack(read(body.size))
-                yield Record(vals[:n], vals[n])
-        finally:
-            self._file.close()
+        """The run's records, once."""
+        self._met.run_blocks_read += self.blocks
+        return iter(self._records) if self._file is None else self._read()
+
+    def _read(self):
+        """Unpack the run's stretch of the spill file, about a block at a time."""
+        fd, pos, end = self._file.fileno(), self._start, self._end
+        buf, want = b"", self._block_bytes
+        while pos < end:
+            more = os.pread(fd, min(want, end - pos), pos)
+            pos += len(more)
+            buf, at, want = buf + more, 0, self._block_bytes
+            while len(buf) - at >= _KEY_COUNT.size:
+                (n,) = _KEY_COUNT.unpack_from(buf, at)
+                layout = _record_layout(n)
+                if len(buf) - at < layout.size:  # read the rest of it next
+                    want = max(want, layout.size - (len(buf) - at))
+                    break
+                vals = layout.unpack_from(buf, at)
+                at += layout.size
+                yield Record(vals[1 : n + 1], vals[n + 1])
+            buf = buf[at:]
 
 
 def _merge_streams(streams, key):
     """K-way merge of sorted record iterators, compared through the counted
     key class ``key``; each stream's key is reused for its next record."""
     heap = []
-    for s in streams:
-        it = iter(s)
+    for it in streams:
         first = next(it, None)
         if first is not None:
             k = key(first)
@@ -233,32 +244,18 @@ def _merge_streams(streams, key):
             heapq.heappush(heap, top)
 
 
-def _write_run(records: list[Record], spec: SortSpec, met: SortMetrics) -> _Run:
-    """Spill one sorted run, counting the blocks it writes."""
-    run = _Run(records, spec.cfg.block_bytes, spec.file_backed)
-    met.run_blocks_written += run.blocks
-    return run
-
-
-def _read_runs(runs: list[_Run], met: SortMetrics) -> list:
-    """Open every run for merging, counting the blocks it reads."""
-    met.run_blocks_read += sum(r.blocks for r in runs)
-    return [r.stream() for r in runs]
-
-
-def _reduce_runs(runs: list[_Run], keep_slots: int, met: SortMetrics, key, spec: SortSpec) -> None:
-    """Merge the smallest runs together until at most keep_slots remain.
-
-    Intermediate merges read their inputs and write the merged run; only the
-    final merge (done by the caller) streams without writing.
-    """
-    fanin = _fanin(spec.cfg)
+def _reduce_runs(runs: list[_Run], fanin: int, keep_slots: int, key, new_run) -> None:
+    """Merge the smallest runs into new ones until at most keep_slots remain.
+    These intermediate merges read and write; only the caller's final merge
+    streams without writing."""
     while len(runs) > keep_slots:
         runs.sort(key=lambda r: (r.blocks, r.count))
-        chosen = runs[: min(fanin, len(runs))]
+        chosen = runs[:fanin]
         del runs[: len(chosen)]
-        merged = list(_merge_streams(_read_runs(chosen, met), key))
-        runs.append(_write_run(merged, spec, met))
+        merged = new_run()
+        for r in _merge_streams([c.stream() for c in chosen], key):
+            merged.add(r)
+        runs.append(merged.close())
 
 
 def sort_srs(records, spec: SortSpec):
@@ -309,49 +306,52 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
             )
         prev_prefix = prefix
 
-        memory: list[Record] = []
-        used = 0
+        memory, used = [], 0
         while (r := src.peek(k, prefix)) is not None and (not memory or used + r.payload_bytes <= capacity):
             memory.append(src.take())
             used += r.payload_bytes
 
-        runs: list[_Run] = []
-        if r is not None:
-            # The segment overflows memory: form runs tagged by run number.
-            heap = [key(m) for m in memory]
-            heapq.heapify(heap)
-            current: list[Record] = []
-            current_run = 0
-            while (r := src.peek(k, prefix)) is not None or (drain and heap):
-                top = heapq.heappop(heap)
-                run = top.run
-                if run != current_run:
-                    runs.append(_write_run(current, spec, met))
-                    current = []
-                    current_run = run
-                current.append(top.rec)
-                if r is not None:
-                    src.take()
-                    new = key(r, current_run)
-                    if new < top:
-                        new.run = current_run + 1
-                    heapq.heappush(heap, new)
-            runs.append(_write_run(current, spec, met))
-            memory = [h.rec for h in heap]
-        met.runs_generated += len(runs) or 1
+        # A segment that overflows memory forms runs tagged by run number,
+        # file-backed in one temp file that closes when its output ends.
+        spills = r is not None and spec.file_backed
+        with tempfile.TemporaryFile() if spills else contextlib.nullcontext() as spill:
+            new_run = functools.partial(_Run, met, cfg.block_bytes, spill)
+            runs: list[_Run] = []
+            if r is not None:
+                heap = [key(m) for m in memory]
+                heapq.heapify(heap)
+                run = new_run()
+                current_run = 0
+                while (r := src.peek(k, prefix)) is not None or (drain and heap):
+                    top = heapq.heappop(heap)
+                    if top.run != current_run:
+                        runs.append(run.close())
+                        run = new_run()
+                        current_run = top.run
+                    run.add(top.rec)
+                    if r is not None:
+                        src.take()
+                        new = key(r, current_run)
+                        if new < top:
+                            new.run = current_run + 1
+                        heapq.heappush(heap, new)
+                runs.append(run.close())
+                memory = [h.rec for h in heap]
+            met.runs_generated += len(runs) or 1
 
-        # Whatever stays in memory (a segment that fit, or the residual heap)
-        # is sorted once and, next to any written runs, merged without a write.
-        in_memory = sorted(memory, key=key)
-        out = in_memory
-        if runs:
-            _reduce_runs(runs, _fanin(cfg) - (1 if in_memory else 0), met, key, spec)
-            streams = _read_runs(runs, met) + ([iter(in_memory)] if in_memory else [])
-            assert len(streams) <= _fanin(cfg)
-            out = _merge_streams(streams, key)
-        if not met.tuples_in_before_first_out:  # every segment emits a tuple
-            met.tuples_in_before_first_out = src.taken
-        yield from out
+            # Whatever stays in memory (a segment that fit, or the residual heap)
+            # is sorted once and, next to any written runs, merged without a write.
+            in_memory = sorted(memory, key=key)
+            out = in_memory
+            if runs:
+                fanin = _fanin(cfg)
+                _reduce_runs(runs, fanin, fanin - (1 if in_memory else 0), key, new_run)
+                streams = [run.stream() for run in runs] + ([iter(in_memory)] if in_memory else [])
+                assert len(streams) <= fanin
+                out = _merge_streams(streams, key)
+            if not met.tuples_in_before_first_out:  # every segment emits a tuple
+                met.tuples_in_before_first_out = src.taken
+            yield from out
 
 
 def gen_segmented_input(rows: int, segment_rows: int, key_positions: int, payload_bytes: int, seed: int):

@@ -73,9 +73,12 @@ class PhysicalPlan:
     node_count: int = field(kw_only=True, compare=False, repr=False)
 
     def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        """Every node in preorder, with an explicit stack: no frame per level."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 def prune_prefixes(orders) -> set[SortOrder]:

@@ -4,14 +4,13 @@ tree-labeling benefit, and a trusted in-memory sort.
 
 This module deliberately depends only on the value types, the catalog, and
 the cost model, never on the heuristic modules it judges.  Guards fail
-loudly; ORDOPT_GUARD_OVERRIDE=1 lifts them (test use only).
+loudly; a caller lifts one by passing a larger ``OracleGuard``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 from . import catalog_stats as cs
@@ -24,12 +23,8 @@ from .order_algebra import EMPTY, AttrSet, SortOrder, is_prefix
 @dataclass(frozen=True)
 class OracleGuard:
     max_attrs: int = 6
-    max_nodes: int = 9
+    max_assignments: int = 10**7
     max_rows: int = 10**6
-
-
-def guards_lifted() -> bool:
-    return os.environ.get("ORDOPT_GUARD_OVERRIDE") == "1"
 
 
 class BrutePlanner:
@@ -47,7 +42,7 @@ class BrutePlanner:
         self._memo: dict[tuple, float] = {}
 
     def _perms_of(self, attrs) -> list[SortOrder]:
-        if len(attrs) > self.guard.max_attrs and not guards_lifted():
+        if len(attrs) > self.guard.max_attrs:
             raise TooLarge(f"{len(attrs)} attributes exceed guard {self.guard.max_attrs}")
         return [SortOrder(p) for p in itertools.permutations(sorted(attrs))]
 
@@ -152,7 +147,7 @@ def exact_minimal_favorable_orders(
     """
     guard = guard or OracleGuard()
     attrs = lx.schema(e, catalog)
-    if len(attrs) > guard.max_attrs and not guards_lifted():
+    if len(attrs) > guard.max_attrs:
         raise TooLarge(f"schema of {len(attrs)} attributes exceeds guard {guard.max_attrs}")
     if query_attrs is None:
         query_attrs = lx.query_attrs(lx.QuerySpec(e, EMPTY), catalog)
@@ -237,8 +232,8 @@ def brute_tree_benefit(tree, guard: OracleGuard | None = None) -> int:
     work = 1.0
     for s in sets:
         work *= math.factorial(len(s))
-    if work > 10**7 and not guards_lifted():
-        raise TooLarge(f"assignment space of {work:.3g} exceeds guard 1e7")
+    if work > guard.max_assignments:
+        raise TooLarge(f"assignment space of {work:.3g} exceeds guard {guard.max_assignments}")
 
     n = len(sets)
     kids: list[list[int]] = [[] for _ in range(n)]
@@ -268,7 +263,7 @@ def reference_sort(records, guard: OracleGuard | None = None) -> list:
     """Trusted in-memory sort by the full key vector."""
     guard = guard or OracleGuard()
     out = list(records)
-    if len(out) > guard.max_rows and not guards_lifted():
+    if len(out) > guard.max_rows:
         raise TooLarge(f"{len(out)} rows exceed guard {guard.max_rows}")
     out.sort(key=lambda r: r.keys)
     return out

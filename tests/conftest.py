@@ -4,7 +4,7 @@ import random
 import pytest
 
 import ordopt.logical_expr as lx
-from ordopt import CostParams, QuerySpec, SortOrder, load_catalog, load_params, parse_query
+from ordopt import CostParams, OracleGuard, QuerySpec, SortOrder, load_catalog, load_params, parse_query
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -178,7 +178,7 @@ def random_labeled_tree(rng: random.Random, max_nodes: int = 9, max_set: int = 3
         work = 1
         for s in sets:
             work *= factorial(len(s))
-        if work > 10**7:
+        if work > OracleGuard().max_assignments:
             continue
         edges = []
         kid_count = [0] * n

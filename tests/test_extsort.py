@@ -1,6 +1,14 @@
 import dataclasses
+import gc
 import hashlib
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +187,80 @@ def test_file_backed_run_holds_65536_key_positions():
     assert fb_met.run_blocks_written > 0
 
 
+def test_file_backed_spill_files_close_even_when_output_is_abandoned(monkeypatch):
+    opened = []
+
+    def temporary_file():
+        f = real_temporary_file()
+        opened.append(f)
+        return f
+
+    real_temporary_file = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    spec = SortSpec(2, 1, BlockConfig(block_bytes=1024, memory_blocks=8), file_backed=True)
+    # three segments, each larger than memory: one spill file each, opened as
+    # the segment spills and closed when its output ends
+    out, _ = sort_mrs(gen_segmented_input(3000, 1000, 2, 100, 14), spec)
+    assert opened == []
+    next(out)
+    assert len(opened) == 1 and not opened[0].closed
+    del out  # abandoned after one record
+    gc.collect()
+    assert opened[0].closed
+    out, _ = sort_mrs(gen_segmented_input(3000, 1000, 2, 100, 14), spec)
+    assert len(list(out)) == 3000
+    assert len(opened) == 4 and all(f.closed for f in opened)
+    # segments that fit in memory open no file
+    out, _ = sort_mrs(gen_segmented_input(3000, 50, 2, 100, 14), spec)
+    assert len(list(out)) == 3000
+    assert len(opened) == 4
+
+
+@pytest.mark.parametrize(
+    "rows, segment_rows, mem, block",
+    [
+        (20000, 1, 64, 4096),  # sorted: one run of about 15x memory
+        (12000, 12000, 8, 1024),  # random: 152 runs, fan-in 7, intermediate merges
+    ],
+    ids=["one_run", "intermediate_merges"],
+)
+def test_file_backed_memory_stays_near_sort_memory(rows, segment_rows, mem, block):
+    cfg = BlockConfig(block_bytes=block, memory_blocks=mem)
+    spec = SortSpec(2, 0, cfg, file_backed=True)
+    tracemalloc.start()
+    try:
+        out, _ = sort_srs(gen_segmented_input(rows, segment_rows, 2, 200, 3), spec)
+        for _ in out:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows * 200 > 10 * cfg.memory_bytes
+    assert peak <= 4 * cfg.memory_bytes + 2**19
+
+
+def test_file_backed_runs_share_one_file_under_a_low_descriptor_limit():
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    limit = 256 if hard == resource.RLIM_INFINITY else min(256, hard)
+    argv = ["sort", "--rows", "8000", "--segment-rows", "8000", "--mem-blocks", "3",
+            "--block-bytes", "256", "--algo", "srs", "--json"]
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_NOFILE, ({limit}, {hard}))\n"
+        "from ordopt.cli import main\n"
+        f"sys.exit(main({argv + ['--file-backed']!r}))\n"
+    )
+    src = str(pathlib.Path(extsort.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got["runs_generated"] >= 1000 > limit
+    _, met = _run(sort_srs, gen_segmented_input(8000, 8000, 2, 200, 0), _srs_spec(mem=3, block=256))
+    assert got == dataclasses.asdict(met)
+
+
 def test_every_written_block_is_read_back_once():
     for seed in (1, 2, 3):
         stream = list(gen_segmented_input(2500, 2500, 2, 100, seed))
@@ -244,48 +326,50 @@ def _tiny_domain(rows, seed):
 
 
 GOLDEN = [
-    # (name, input, keys, mrs prefix, memory_blocks, block_bytes, file_backed, expected)
-    ("empty", lambda: [], 2, 1, 64, 4096, False, {
+    # (name, input, keys, mrs prefix, memory_blocks, block_bytes, expected);
+    # every case runs in memory and file-backed ("-file" in its id), and both
+    # must give the same digest and counters
+    ("empty", lambda: [], 2, 1, 64, 4096, {
         "srs": ("e3b0c44298fc1c14", (0, 0, 0, 0, 0, 0)),
         "mrs": ("e3b0c44298fc1c14", (0, 0, 0, 0, 0, 0)),
         "mrs0": ("e3b0c44298fc1c14", (0, 0, 0, 0, 0, 0)),
     }),
-    ("single", lambda: [Record((3, 1), 100)], 2, 1, 64, 4096, False, {
+    ("single", lambda: [Record((3, 1), 100)], 2, 1, 64, 4096, {
         "srs": ("c3a9f2c692fb081f", (0, 0, 0, 0, 1, 1)),
         "mrs": ("c3a9f2c692fb081f", (0, 0, 0, 0, 1, 1)),
         "mrs0": ("c3a9f2c692fb081f", (0, 0, 0, 0, 1, 1)),
     }),
-    ("segments_fit", lambda: gen_segmented_input(2000, 100, 2, 100, 5), 2, 1, 4, 4096, False, {
+    ("segments_fit", lambda: gen_segmented_input(2000, 100, 2, 100, 5), 2, 1, 4, 4096, {
         "srs": ("3d0bbe9b6a256ca9", (49, 49, 18770, 30647, 2000, 1)),
         "mrs": ("3d0bbe9b6a256ca9", (0, 0, 10677, 10677, 100, 20)),
         "mrs0": ("3d0bbe9b6a256ca9", (45, 45, 20530, 32374, 2000, 1)),
     }),
-    ("one_spill_one_merge", lambda: gen_segmented_input(3000, 3000, 2, 100, 9), 2, 1, 64, 1024, False, {
+    ("one_spill_one_merge", lambda: gen_segmented_input(3000, 3000, 2, 100, 9), 2, 1, 64, 1024, {
         "srs": ("3bb3154bb0ef66d5", (295, 295, 37584, 75168, 3000, 3)),
         "mrs": ("3bb3154bb0ef66d5", (230, 230, 37300, 37300, 3000, 2)),
         "mrs0": ("3bb3154bb0ef66d5", (230, 230, 37300, 74600, 3000, 2)),
     }),
-    ("fan_in_2", lambda: gen_segmented_input(3000, 3000, 2, 100, 10), 2, 1, 3, 512, False, {
+    ("fan_in_2", lambda: gen_segmented_input(3000, 3000, 2, 100, 10), 2, 1, 3, 512, {
         "srs": ("8b350a7e7f8f4b89", (4023, 4023, 35793, 71586, 3000, 101)),
         "mrs": ("8b350a7e7f8f4b89", (4586, 4586, 38301, 38301, 3000, 101)),
         "mrs0": ("8b350a7e7f8f4b89", (4586, 4586, 38301, 76602, 3000, 101)),
     }),
-    ("mixed_widths", lambda: _mixed_widths(3000, 500, 15), 2, 1, 4, 1024, False, {
+    ("mixed_widths", lambda: _mixed_widths(3000, 500, 15), 2, 1, 4, 1024, {
         "srs": ("db9029ce4f734b23", (2563, 2563, 37258, 68688, 3000, 70)),
         "mrs": ("db9029ce4f734b23", (1673, 1673, 33359, 33359, 500, 72)),
         "mrs0": ("db9029ce4f734b23", (2885, 2885, 40583, 73319, 3000, 69)),
     }),
-    ("file_backed", lambda: gen_segmented_input(3000, 1000, 2, 100, 14), 2, 1, 8, 1024, True, {
+    ("file_backed", lambda: gen_segmented_input(3000, 1000, 2, 100, 14), 2, 1, 8, 1024, {
         "srs": ("608b82beac881128", (499, 499, 43561, 82223, 3000, 19)),
         "mrs": ("608b82beac881128", (280, 280, 36567, 36567, 1000, 18)),
         "mrs0": ("608b82beac881128", (499, 499, 45132, 83823, 3000, 18)),
     }),
-    ("unsorted_prefix", _three_key_unsorted, 3, 2, 3, 512, False, {
+    ("unsorted_prefix", _three_key_unsorted, 3, 2, 3, 512, {
         "srs": ("b56f555c5443407a", (39, 39, 821, 2273, 122, 3)),
         "mrs": ("UnsortedPrefix", (15, 15, 708, 708, 40, 4)),
         "mrs0": ("b56f555c5443407a", (54, 54, 908, 2468, 122, 3)),
     }),
-    ("tiny_domain_ties", lambda: _tiny_domain(3000, 16), 3, 1, 4, 1024, False, {
+    ("tiny_domain_ties", lambda: _tiny_domain(3000, 16), 3, 1, 4, 1024, {
         "srs": ("beab337d1aa8973c", (689, 689, 35784, 89252, 3000, 24)),
         "mrs": ("771f49d9773fc59f", (395, 395, 32540, 55744, 750, 24)),
         "mrs0": ("810bd76d3f08c5dd", (790, 790, 39451, 95273, 3000, 23)),
@@ -304,9 +388,12 @@ def _digest(out) -> str:
 
 
 @pytest.mark.parametrize("algo", ["srs", "mrs", "mrs0"])
-@pytest.mark.parametrize("case", GOLDEN, ids=[c[0] for c in GOLDEN])
-def test_golden_counters(case, algo):
-    _, make, keys, prefix, mem, block, file_backed, expected = case
+@pytest.mark.parametrize(
+    "case, file_backed",
+    [pytest.param(c, fb, id=c[0] + ("-file" if fb else "")) for c in GOLDEN for fb in (False, True)],
+)
+def test_golden_counters(case, file_backed, algo):
+    _, make, keys, prefix, mem, block, expected = case
     fn = sort_srs if algo == "srs" else sort_mrs
     spec = SortSpec(
         keys,

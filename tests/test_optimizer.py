@@ -280,3 +280,4 @@ def test_node_count_of_a_deep_plan_is_stored():
         e = lx.Select(e, 1.0, frozenset())
         plan = builder._operator("select", e, i, (plan,))
     assert plan.node_count == 5000
+    assert sum(1 for _ in plan.walk()) == 5000

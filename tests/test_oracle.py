@@ -54,16 +54,16 @@ def test_tree_benefit_matches_cross_product():
         assert brute_tree_benefit(tree) == _cross_product_benefit(tree)
 
 
-def test_tree_benefit_guard(monkeypatch):
+def test_tree_benefit_guard():
     big = LabeledTree(
         tuple(frozenset("abcdef") for _ in range(3)),
         ((0, 1), (1, 2)),
     )
-    # 720^3 > 1e7
+    # 720^3 > 1e7, the default bound; a larger guard lifts it
     with pytest.raises(TooLarge):
         brute_tree_benefit(big)
-    monkeypatch.setenv("ORDOPT_GUARD_OVERRIDE", "1")
-    assert brute_tree_benefit(big) == 12  # identical sets: both edges share all six
+    lifted = OracleGuard(max_assignments=720**3)
+    assert brute_tree_benefit(big, lifted) == 12  # identical sets: both edges share all six
 
 
 def test_reference_sort():
