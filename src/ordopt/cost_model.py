@@ -169,14 +169,12 @@ def access_paths(e: lx.Scan, catalog: cs.Catalog, query_attrs, params: CostParam
 
 
 def operator_cost(kind: str, params: CostParams, **stats) -> CostEstimate:
-    """Per-operator cost by descriptor kind.
+    """Per-operator cost by descriptor kind (scans are costed by `access_paths`).
 
-    Scans cost one read per block; merge join is per-tuple CPU; sort-based
-    group-by consumes an already-sorted stream for free; hash operators are
-    naive per-block constants.
+    Merge join is per-tuple CPU; sort-based group-by consumes an
+    already-sorted stream for free; hash operators are naive per-block
+    constants.
     """
-    if kind in ("table_scan", "covering_index_scan"):
-        return float(stats["data_blocks"])
     if kind == "merge_join":
         return merge_join_cost(stats["left_rows"], stats["right_rows"], params)
     if kind == "hash_join":

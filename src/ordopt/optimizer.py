@@ -55,21 +55,20 @@ _OPS = {
 
 @dataclass(frozen=True)
 class PhysicalPlan:
-    """One operator of a physical plan; costs are subtree totals in io units,
-    and `node_count` is the number of operators in the subtree."""
+    """One operator of a physical plan and the logical expression `expr` it
+    computes (a sort computes its input's); costs are subtree totals in io
+    units, and `node_count` is the number of operators in the subtree."""
 
     op: str
-    expr_id: int
+    expr: lx.LogicalExpr
     produced_order: SortOrder
     op_cost: float
     total_cost: float
     est_rows: float
     est_blocks: int
     children: tuple["PhysicalPlan", ...] = ()
-    relation: str | None = None
     index_key: SortOrder | None = None
     input_order: SortOrder | None = None
-    target_order: SortOrder | None = None
     node_count: int = field(kw_only=True, compare=False, repr=False)
 
     def walk(self):
@@ -141,14 +140,14 @@ class _PlanBuilder:
         self.catalog = catalog
         self.params = params
 
-    def _node(self, op, e, expr_id, produced, op_cost, children, **extra) -> PhysicalPlan:
+    def _node(self, op, e, produced, op_cost, children, **extra) -> PhysicalPlan:
         stats = cs.expr_stats(e, self.catalog)
         total_cost = op_cost + sum(c.total_cost for c in children)
         if not math.isfinite(total_cost):
             raise TooLarge(f"cost estimate of a {op} plan overflows")
         return PhysicalPlan(
             op=op,
-            expr_id=expr_id,
+            expr=e,
             produced_order=produced,
             op_cost=op_cost,
             total_cost=total_cost,
@@ -159,7 +158,7 @@ class _PlanBuilder:
             **extra,
         )
 
-    def _enforced(self, plan: PhysicalPlan, e, want: SortOrder, have: SortOrder | None = None) -> PhysicalPlan:
+    def _enforced(self, plan: PhysicalPlan, want: SortOrder, have: SortOrder | None = None) -> PhysicalPlan:
         """`plan` itself if it delivers `want`; otherwise a (partial) sort on
         top of it that relies on what `have` (by default the plan's own
         order) shares with `want`."""
@@ -167,17 +166,17 @@ class _PlanBuilder:
         if is_prefix(want, have):
             return plan
         known = lcp(want, have)
-        cost = cm.enforce_cost(e, have, want, self.params, self.catalog)
+        cost = cm.enforce_cost(plan.expr, have, want, self.params, self.catalog)
         op = "partial_sort" if known else "full_sort"
-        return self._node(op, e, plan.expr_id, want, cost, (plan,), input_order=known, target_order=want)
+        return self._node(op, plan.expr, want, cost, (plan,), input_order=known)
 
-    def _access(self, e: lx.Scan, expr_id: int, path) -> PhysicalPlan:
+    def _access(self, e: lx.Scan, path) -> PhysicalPlan:
         """The scan node of one of `cm.access_paths(e, ...)`."""
         kind, produced, cost, idx = path
         index_key = idx.key_order if idx is not None else None
-        return self._node(kind, e, expr_id, produced, cost, (), relation=e.relation, index_key=index_key)
+        return self._node(kind, e, produced, cost, (), index_key=index_key)
 
-    def _operator(self, op, e, expr_id, kids, order: SortOrder = EMPTY) -> PhysicalPlan:
+    def _operator(self, op, e, kids, order: SortOrder = EMPTY) -> PhysicalPlan:
         """Operator `op` computing e over `kids`, the plans of e's inputs.  A
         merge join or sort-based group-by produces `order`, which its inputs
         must deliver; select and project pass their input's order on (up to
@@ -193,11 +192,12 @@ class _PlanBuilder:
             op, self.params, left_rows=first.est_rows, right_rows=last.est_rows,
             left_blocks=first.est_blocks, right_blocks=last.est_blocks, input_blocks=first.est_blocks,
         )
-        return self._node(op, e, expr_id, order, cost, kids)
+        return self._node(op, e, order, cost, kids)
 
 
 class Optimizer(_PlanBuilder):
-    """One optimization session: a fresh memo over one catalog and query.
+    """The plan search for one query over one catalog, with a memo of the
+    best plan per goal.
 
     `order_source` maps a subexpression to the favorable orders assumed for
     it; it defaults to the bottom-up approximate sets and can be replaced
@@ -206,31 +206,28 @@ class Optimizer(_PlanBuilder):
     restricted sets refinement then reuses, or any callable.
     """
 
-    def __init__(self, catalog: cs.Catalog, params: cm.CostParams, heuristic: str = "favorable", order_source=None):
+    def __init__(
+        self,
+        catalog: cs.Catalog,
+        params: cm.CostParams,
+        query: lx.QuerySpec,
+        heuristic: str = "favorable",
+        order_source=None,
+    ):
         if heuristic not in HEURISTICS:
             raise ValidationError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
         super().__init__(catalog, params)
+        self.query = query
         self.heuristic = heuristic
-        self._source = order_source
         self.memo: dict[tuple[lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
-        self._expr_ids: dict[lx.LogicalExpr, int] = {}
-        self._query_attrs = frozenset()
-        self._query: lx.QuerySpec | None = None
+        self._query_attrs = lx.query_attrs(query, catalog)
+        if order_source is None:
+            order_source = fo.FavorableOrderIndex(catalog, self._query_attrs)
+        self._source = fo.as_order_source(order_source)
 
-    # -- session entry ------------------------------------------------------
-
-    def optimize(self, query: lx.QuerySpec) -> PhysicalPlan:
-        if self._query is None:
-            self._query = query
-        elif query != self._query:
-            raise ValidationError("one optimization session per Optimizer instance")
-        for i, node in enumerate(lx.preorder(query.root)):
-            self._expr_ids.setdefault(node, i)
-        self._query_attrs = lx.query_attrs(query, self.catalog)
-        if self._source is None:
-            self._source = fo.FavorableOrderIndex(self.catalog, self._query_attrs)
-        self._source = fo.as_order_source(self._source)
-        return self._goal(query.root, query.required_output_order)
+    def optimize(self) -> PhysicalPlan:
+        """The cheapest plan of the query that delivers its required order."""
+        return self._goal(self.query.root, self.query.required_output_order)
 
     # -- goal expansion -----------------------------------------------------
 
@@ -244,15 +241,15 @@ class Optimizer(_PlanBuilder):
 
         if isinstance(e, lx.Scan):
             paths = cm.access_paths(e, self.catalog, self._query_attrs, self.params)
-            cands = [self._enforced(self._access(e, self._id(e), path), e, want) for path in paths]
+            cands = [self._enforced(self._access(e, path), want) for path in paths]
         elif isinstance(e, (lx.Select, lx.Project)):
             (op,) = _OPS[type(e)]
-            cands = [self._operator(op, e, self._id(e), (self._goal(e.input, want),))]
+            cands = [self._operator(op, e, (self._goal(e.input, want),))]
         else:
             cands = list(self._ordered_candidates(e, want))
 
         if want:
-            cands.append(self._enforced(self._goal(e, EMPTY), e, want, have=EMPTY))
+            cands.append(self._enforced(self._goal(e, EMPTY), want, have=EMPTY))
 
         best = min(cands, key=lambda p: (p.total_cost, p.produced_order.attrs, p.node_count))
         self.memo[key] = best
@@ -270,13 +267,10 @@ class Optimizer(_PlanBuilder):
         for io in sorted(orders, key=lambda o: o.attrs):
             # map adds no interpreter frame per level, unlike a comprehension
             kids = tuple(map(self._goal, inputs, [io] * len(inputs)))
-            yield self._enforced(self._operator(sort_op, e, self._id(e), kids, io), e, want)
+            yield self._enforced(self._operator(sort_op, e, kids, io), want)
         if self.params.hashjoin_enabled:
             kids = tuple(map(self._goal, inputs, [EMPTY] * len(inputs)))
-            yield self._enforced(self._operator(hash_op, e, self._id(e), kids), e, want)
-
-    def _id(self, e: lx.LogicalExpr) -> int:
-        return self._expr_ids.get(e, -1)
+            yield self._enforced(self._operator(hash_op, e, kids), want)
 
 
 def optimize_query(
@@ -286,47 +280,51 @@ def optimize_query(
     heuristic: str = "favorable",
     order_source=None,
 ) -> PhysicalPlan:
-    """Convenience wrapper: one fresh optimization session."""
-    return Optimizer(catalog, params, heuristic, order_source).optimize(query)
+    """The cheapest plan of `query`, searched by a fresh `Optimizer`."""
+    return Optimizer(catalog, params, query, heuristic, order_source).optimize()
 
 
 # --- plan (de)serialization ---------------------------------------------------
 
 
-def _node_fields(p: PhysicalPlan) -> dict:
-    """The document fields of one plan node, children left out."""
+def _node_fields(p: PhysicalPlan, expr_id: int) -> dict:
+    """The document fields of one plan node with id `expr_id`, children left out."""
     d = {
         "op": p.op,
-        "expr_id": p.expr_id,
+        "expr_id": expr_id,
         "order": list(p.produced_order.attrs),
         "op_cost": p.op_cost,
         "total_cost": p.total_cost,
         "rows": p.est_rows,
         "blocks": p.est_blocks,
     }
-    if p.relation is not None:
-        d["relation"] = p.relation
+    if not p.children:
+        d["relation"] = p.expr.relation
     if p.index_key is not None:
         d["index_key"] = list(p.index_key.attrs)
-    if p.input_order is not None:
+    if p.input_order is not None:  # a sort
         d["input_order"] = list(p.input_order.attrs)
-    if p.target_order is not None:
-        d["target_order"] = list(p.target_order.attrs)
+        d["target_order"] = list(p.produced_order.attrs)
     return d
 
 
-def _plan_node_to_dict(p: PhysicalPlan) -> dict:
-    return {**_node_fields(p), "children": [_plan_node_to_dict(c) for c in p.children]}
+def _plan_node_to_dict(p: PhysicalPlan, ids: dict) -> dict:
+    return {**_node_fields(p, ids[p.expr]), "children": [_plan_node_to_dict(c, ids) for c in p.children]}
 
 
 def plan_document(plan: PhysicalPlan, catalog: cs.Catalog, params: cm.CostParams, query: lx.QuerySpec) -> dict:
-    """Self-contained plan JSON: embeds catalog, query, and cost parameters."""
+    """Self-contained plan JSON: embeds catalog, query, and cost parameters.
+    A node's `expr_id` is the first preorder position of its expression in
+    the query, so equal subtrees share one id."""
+    ids: dict[lx.LogicalExpr, int] = {}
+    for i, node in enumerate(lx.preorder(query.root)):
+        ids.setdefault(node, i)
     return {
         "format": "ordopt-plan/1",
         "catalog": cs.catalog_to_dict(catalog),
         "query": lx.query_to_dict(query),
         **cm.params_to_dict(params),
-        "plan": _plan_node_to_dict(plan),
+        "plan": _plan_node_to_dict(plan, ids),
     }
 
 
@@ -375,7 +373,7 @@ class _PlanLoader(_PlanBuilder):
             have = _order(d, "input_order", path)
             if not is_prefix(have, kids[0].produced_order):
                 raise _doc.fail(path + ".input_order", f"the input delivers {kids[0].produced_order}")
-            node = self._enforced(kids[0], e, _order(d, "order", path), have)
+            node = self._enforced(kids[0], _order(d, "order", path), have)
         elif isinstance(e, lx.Scan):
             key = d.get("index_key")
             found = [
@@ -386,17 +384,17 @@ class _PlanLoader(_PlanBuilder):
             if not found:
                 raise _doc.fail(path + ".index_key", f"no covering index of {e.relation!r} has key {key!r}")
             # Of several indices with this key the optimizer picks the cheapest.
-            node = self._access(e, expr_id, min(found, key=lambda p: p[2]))
+            node = self._access(e, min(found, key=lambda p: p[2]))
         elif op in ("merge_join", "sort_group_by"):
             order = _order(d, "order", path)
             attrs = _sort_attrs(e)
             if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
                 raise _doc.fail(path + ".order", f"expected an order of {sorted(attrs)} every input delivers")
-            node = self._operator(op, e, expr_id, kids, order)
+            node = self._operator(op, e, kids, order)
         else:  # the order of any other operator is derived, and checked below
-            node = self._operator(op, e, expr_id, kids)
+            node = self._operator(op, e, kids)
 
-        rebuilt = _node_fields(node)
+        rebuilt = _node_fields(node, expr_id)
         rebuilt["children"] = docs
         if d != rebuilt:  # not exactly as ordopt writes this node: check field by field
             for key, value in d.items():
@@ -426,12 +424,12 @@ def load_plan_document(source):
 def format_plan(p: PhysicalPlan, indent: int = 0) -> str:
     """Human-readable plan tree, one operator per line."""
     parts = [p.op]
-    if p.relation:
-        parts.append(p.relation)
+    if not p.children:
+        parts.append(p.expr.relation)
     if p.index_key is not None:
         parts.append(f"key={p.index_key}")
     if p.op in _SORTS:
-        parts.append(f"{p.input_order}->{p.target_order}")
+        parts.append(f"{p.input_order}->{p.produced_order}")
     parts.append(f"order={p.produced_order}")
     parts.append(f"rows={p.est_rows:.6g}")
     parts.append(f"blocks={p.est_blocks}")

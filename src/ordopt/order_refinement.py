@@ -230,22 +230,20 @@ def join_prefix_benefit(plan: PhysicalPlan) -> int:
 
 
 class _Rebuilder(_PlanBuilder):
-    def __init__(self, catalog, params, exprs, new_orders):
+    def __init__(self, catalog, params, new_orders):
         super().__init__(catalog, params)
-        self.exprs = exprs  # preorder list of logical nodes
         self.new_orders = new_orders  # id(plan node) -> SortOrder
 
     def rebuild(self, p: PhysicalPlan, want: SortOrder) -> PhysicalPlan:
         if p.op in _SORTS:
             return self.rebuild(p.children[0], want)
-        e = self.exprs[p.expr_id]
         if not p.children:  # access paths: reuse verbatim, re-enforce on top
-            return self._enforced(p, e, want)
+            return self._enforced(p, want)
         order = self.new_orders.get(id(p), p.produced_order)
         inner = {"merge_join": order, "sort_group_by": order, "select": want, "project": want}.get(p.op, EMPTY)
         # map adds no interpreter frame per level, unlike a comprehension
         kids = tuple(map(self.rebuild, p.children, [inner] * len(p.children)))
-        return self._enforced(self._operator(p.op, e, p.expr_id, kids, order), e, want)
+        return self._enforced(self._operator(p.op, p.expr, kids, order), want)
 
 
 def refine_plan(
@@ -268,13 +266,12 @@ def refine_plan(
     trees = _join_trees(plan)
     if not any(edges for _, edges in trees):
         return plan
-    exprs = lx.preorder(query.root)
 
     # A join's order is a permutation of its attributes, so its common prefix
     # with an input favorable order is its common prefix with that order's
     # restriction to the attributes.
     def head(j: PhysicalPlan) -> SortOrder:
-        e = exprs[j.expr_id]
+        e = j.expr
         s = e.join_attrs
         usable = favorable_index.restricted(e.left, s) | favorable_index.restricted(e.right, s)
         return j.produced_order.prefix(max((len(lcp(j.produced_order, q)) for q in usable), default=0))
@@ -291,7 +288,5 @@ def refine_plan(
 
     if not new_orders:
         return plan
-    rebuilt = _Rebuilder(catalog, params, exprs, new_orders).rebuild(
-        plan, query.required_output_order
-    )
+    rebuilt = _Rebuilder(catalog, params, new_orders).rebuild(plan, query.required_output_order)
     return rebuilt if rebuilt.total_cost <= plan.total_cost else plan

@@ -121,32 +121,32 @@ def random_chain_query(rng: random.Random, n_rels: int = 3):
 
 
 def assert_plan_sound(plan, query, catalog) -> None:
-    """Structural soundness: every operator's produced order is consistent
-    with its semantics, and the root satisfies the required output order."""
+    """Structural soundness: every operator computes a node of the query (a
+    sort its input's), its produced order is consistent with its semantics,
+    and the root satisfies the required output order."""
     from ordopt import EMPTY, is_prefix
 
-    nodes = lx.preorder(query.root)
+    nodes = set(lx.preorder(query.root))
     for p in plan.walk():
+        e = p.expr
+        assert e in nodes
         if p.op == "merge_join":
-            e = nodes[p.expr_id]
             assert p.produced_order.attr_set() == e.join_attrs
             for c in p.children:
                 assert is_prefix(p.produced_order, c.produced_order)
         elif p.op in ("full_sort", "partial_sort"):
-            assert p.produced_order == p.target_order
+            assert e == p.children[0].expr
             if p.op == "partial_sort":
-                assert p.input_order and is_prefix(p.input_order, p.target_order)
-                assert len(p.input_order) < len(p.target_order)
+                assert p.input_order and is_prefix(p.input_order, p.produced_order)
+                assert len(p.input_order) < len(p.produced_order)
             else:
                 assert p.input_order == EMPTY
         elif p.op == "select":
             assert p.produced_order == p.children[0].produced_order
         elif p.op == "project":
-            e = nodes[p.expr_id]
             assert p.produced_order.attr_set() <= e.cols
             assert is_prefix(p.produced_order, p.children[0].produced_order)
         elif p.op == "sort_group_by":
-            e = nodes[p.expr_id]
             assert p.produced_order.attr_set() == e.keys
             assert is_prefix(p.produced_order, p.children[0].produced_order)
         elif p.op in ("hash_join", "hash_group_by"):

@@ -256,7 +256,7 @@ def test_criterion_10_q3_plan_structure():
     ok = bool(joins) and bool(gbs)
 
     def lineitem_side(p):
-        return any(n.op == "covering_index_scan" and n.relation == "lineitem" for n in p.walk())
+        return any(n.op == "covering_index_scan" and n.expr.relation == "lineitem" for n in p.walk())
 
     side = [c for c in joins[0].children if lineitem_side(c)] if ok else []
     ok = ok and bool(side)

@@ -140,7 +140,6 @@ def test_longer_known_prefix_never_costs_more():
 
 def test_operator_costs():
     p = _params()
-    assert operator_cost("table_scan", p, data_blocks=48829) == 48829.0
     assert operator_cost("merge_join", p, left_rows=0, right_rows=0) == 0.0
     assert operator_cost("sort_group_by", p) == 0.0
     assert operator_cost("hash_join", p, left_blocks=10, right_blocks=20) == 90.0

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -29,8 +30,8 @@ from conftest import load_pair, random_catalog_and_join, random_chain_query
 def _optimize(cat, qry, **kw):
     catalog, query = load_pair(cat, qry)
     params = kw.pop("params", CostParams())
-    opt = Optimizer(catalog, params, **kw)
-    plan = opt.optimize(query)
+    opt = Optimizer(catalog, params, query, **kw)
+    plan = opt.optimize()
     return catalog, query, params, opt, plan
 
 
@@ -71,7 +72,7 @@ def test_q3_plan_structure():
 
     def lineitem_subtree(p):
         for n in p.walk():
-            if n.op == "covering_index_scan" and n.relation == "lineitem":
+            if n.op == "covering_index_scan" and n.expr.relation == "lineitem":
                 return True
         return False
 
@@ -141,7 +142,7 @@ def test_plain_callable_order_source_gives_the_default_plan():
 
 def test_memo_idempotence_and_enforcer_dominance():
     catalog, query, params, opt, plan = _optimize("tpch_catalog.json", "q3_query.json")
-    again = opt.optimize(query)
+    again = opt.optimize()
     assert again.total_cost == plan.total_cost
     for (e, want), node in opt.memo.items():
         if not want:
@@ -152,25 +153,12 @@ def test_memo_idempotence_and_enforcer_dominance():
         assert node.total_cost <= bound + 1e-9
 
 
-def test_one_session_per_optimizer_instance():
-    from ordopt import ValidationError
-
-    catalog, query = load_pair("tpch_catalog.json", "q2_query.json")
-    other = parse_query(
-        {"expr": {"op": "scan", "relation": "partsupp"}, "order_by": []}, catalog
-    )
-    opt = Optimizer(catalog, CostParams())
-    opt.optimize(query)
-    with pytest.raises(ValidationError):
-        opt.optimize(other)
-
-
 def test_enforcer_dominance_on_random_catalogs():
     rng = random.Random(88)
     for _ in range(40):
         catalog, query, params = random_catalog_and_join(rng)
-        opt = Optimizer(catalog, params)
-        opt.optimize(query)
+        opt = Optimizer(catalog, params, query)
+        opt.optimize()
         for (e, want), node in opt.memo.items():
             if not want:
                 continue
@@ -254,12 +242,35 @@ def test_hash_join_competes_when_enabled():
 
 
 def test_plan_document_round_trip():
+    from conftest import assert_plan_sound
+
     catalog, query, params, _, plan = _optimize("tpch_catalog.json", "q3_query.json")
     doc = plan_document(plan, catalog, params, query)
     catalog2, params2, query2, plan2 = load_plan_document(doc)
     assert plan2.total_cost == plan.total_cost
     assert [p.op for p in plan2.walk()] == [p.op for p in plan.walk()]
     assert query2 == query
+    assert_plan_sound(plan2, query2, catalog2)
+
+
+def test_plan_document_writes_the_first_id_of_equal_subtrees():
+    """A node may name any preorder position of an equal subtree; writing the
+    loaded plan back gives every node the first one, as optimize does."""
+    from test_cli_golden import SELF_JOIN_QUERY
+
+    catalog, _ = load_pair("example1_catalog.json", "example1_query.json")
+    query = parse_query(SELF_JOIN_QUERY, catalog)
+    params = CostParams()
+    doc = plan_document(optimize_query(catalog, params, query), catalog, params, query)
+    renumbered = copy.deepcopy(doc)
+    stack = [renumbered["plan"]["children"][1]]
+    while stack:  # the right half: ids 1, 2, 3 name its own positions 4, 5, 6
+        node = stack.pop()
+        node["expr_id"] += 3
+        stack.extend(node["children"])
+    assert renumbered != doc
+    catalog2, params2, query2, plan2 = load_plan_document(renumbered)
+    assert plan_document(plan2, catalog2, params2, query2) == doc
 
 
 def test_deterministic_across_sessions():
@@ -275,9 +286,9 @@ def test_node_count_of_a_deep_plan_is_stored():
     params = CostParams()
     builder = _PlanBuilder(catalog, params)
     e = lx.Scan("rating")
-    plan = builder._access(e, 0, access_paths(e, catalog, frozenset(), params)[0])
-    for i in range(1, 5000):
+    plan = builder._access(e, access_paths(e, catalog, frozenset(), params)[0])
+    for _ in range(4999):
         e = lx.Select(e, 1.0, frozenset())
-        plan = builder._operator("select", e, i, (plan,))
+        plan = builder._operator("select", e, (plan,))
     assert plan.node_count == 5000
     assert sum(1 for _ in plan.walk()) == 5000
