@@ -83,6 +83,31 @@ def test_mrs_first_output_after_one_segment():
     assert met_srs.tuples_in_before_first_out == 5000
 
 
+@pytest.mark.parametrize(
+    "fn, spec, segment_rows, pulled, before_first_out",
+    [
+        (sort_mrs, _spec(mem=64), 500, 501, 500),  # first segment fits in memory
+        (sort_mrs, _spec(mem=4, block=1024), 3000, 3001, 3000),  # first segment spills
+        (sort_mrs, SortSpec(2, 1, BlockConfig(1024, 4), file_backed=True), 3000, 3001, 3000),
+        (sort_srs, _srs_spec(mem=64), 500, 10000, 10000),  # one segment: the whole input
+    ],
+    ids=["mrs_fits", "mrs_spills", "mrs_spills_file_backed", "srs"],
+)
+def test_first_output_reads_one_record_past_the_first_segment(fn, spec, segment_rows, pulled, before_first_out):
+    pulls = 0
+
+    def counted():
+        nonlocal pulls
+        for r in gen_segmented_input(10000, segment_rows, 2, 100, 15):
+            pulls += 1
+            yield r
+
+    out, met = fn(counted(), spec)
+    next(out)
+    assert pulls == pulled
+    assert met.tuples_in_before_first_out == before_first_out
+
+
 def test_mrs_spilling_segments_match_reference():
     stream = list(gen_segmented_input(4000, 1000, 2, 100, 7))
     spec = _spec(mem=4, block=1024)  # segment of 1000*100B far exceeds 4KiB memory
