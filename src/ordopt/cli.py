@@ -102,23 +102,17 @@ def _cmd_explain_afm(args) -> int:
 
 def _run_sort(args, algo: str, segment_rows: int):
     stream = extsort.gen_segmented_input(args.rows, segment_rows, args.keys, args.payload, args.seed)
-    spec = _sort_spec_for(args, algo)
+    spec = extsort.SortSpec(
+        target_order_len=args.keys,
+        known_prefix_len=args.prefix_len if algo == "mrs" else 0,
+        cfg=cs.BlockConfig(block_bytes=args.block_bytes, memory_blocks=args.mem_blocks),
+        file_backed=getattr(args, "file_backed", False),  # bench a3 has no --file-backed
+    )
     runner = extsort.sort_mrs if algo == "mrs" else extsort.sort_srs
     out, met = runner(stream, spec)
     for _ in out:
         pass
     return met
-
-
-def _sort_spec_for(args, algo: str) -> extsort.SortSpec:
-    cfg = cs.BlockConfig(block_bytes=args.block_bytes, memory_blocks=args.mem_blocks)
-    prefix = args.prefix_len if algo == "mrs" else 0
-    return extsort.SortSpec(
-        target_order_len=args.keys,
-        known_prefix_len=prefix,
-        cfg=cfg,
-        file_backed=getattr(args, "file_backed", False),
-    )
 
 
 def _cmd_sort(args) -> int:

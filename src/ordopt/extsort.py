@@ -1,7 +1,8 @@
 """Simulated-I/O external sort engine.
 
 One replacement-selection core runs over each segment of tuples that share
-their first k key positions.  Segments that fit in memory are sorted and
+their first k key positions; ``itertools.groupby`` splits the input into
+segments, one at a time.  Segments that fit in memory are sorted and
 emitted with no simulated I/O; larger ones form runs (roughly twice memory on
 random input, one run on sorted input) that are merged.  The heap is emptied
 at every segment boundary, so output starts after the first segment.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import heapq
+import itertools
 import math
 import os
 import random
@@ -69,40 +71,6 @@ class SortMetrics:
     positions_inspected: int = 0
     tuples_in_before_first_out: int = 0
     runs_generated: int = 0
-
-
-class _Source:
-    """One-slot lookahead over the input; only take() counts as consumed, and
-    it consumes the tuple the last peek() returned."""
-
-    __slots__ = ("_it", "_head", "_has_head", "taken")
-
-    def __init__(self, it):
-        self._it = iter(it)
-        self._head = None
-        self._has_head = False
-        self.taken = 0
-
-    def peek(self, k: int = 0, prefix: tuple = ()):
-        """The next tuple if its first k keys equal prefix, else None."""
-        if not self._has_head:
-            self._head = next(self._it, None)
-            self._has_head = True
-        r = self._head
-        if r is None:
-            return None
-        keys = r.keys
-        i = 0
-        while i < k:  # position by position: a slice would make a tuple per tuple
-            if keys[i] != prefix[i]:
-                return None
-            i += 1
-        return r
-
-    def take(self):
-        self._has_head = False
-        self.taken += 1
-        return self._head
 
 
 def _counted_key(met: SortMetrics, lo: int, hi: int):
@@ -285,20 +253,20 @@ def sort_mrs(records, spec: SortSpec):
 def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, drain: bool):
     """Replacement selection over each segment of equal first-k keys.
 
-    A segment that fits in memory is sorted there, with no simulated I/O.  A
-    larger one is spilled as runs; at its end the heap is either drained into
-    more written runs (``drain``) or kept as an in-memory run, and everything
-    is merged.  The heap is popped only when an input tuple of the segment is
+    ``itertools.groupby`` yields the segments; like any lookahead, it reads
+    one record past a segment before that segment's output starts.  A segment
+    that fits in memory is sorted there, with no simulated I/O.  A larger one
+    is spilled as runs; at its end the heap is either drained into more
+    written runs (``drain``) or kept as an in-memory run, and everything is
+    merged.  The heap is popped only when an input tuple of the segment is
     waiting, or while draining.
     """
     cfg = spec.cfg
     key = _counted_key(met, k, spec.target_order_len)
-    src = _Source(records)
     capacity = cfg.memory_bytes
     prev_prefix = None
 
-    while (head := src.peek()) is not None:
-        prefix = head.keys[:k]
+    for prefix, segment in itertools.groupby(records, lambda r: r.keys[:k]):
         if prev_prefix is not None and not prev_prefix < prefix:
             raise UnsortedPrefix(
                 f"prefix {prefix} arrived after {prev_prefix}; input is not "
@@ -306,10 +274,15 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
             )
         prev_prefix = prefix
 
+        # Fill memory; r is left as the first record that did not fit, if any.
         memory, used = [], 0
-        while (r := src.peek(k, prefix)) is not None and (not memory or used + r.payload_bytes <= capacity):
-            memory.append(src.take())
+        for r in segment:
+            if memory and used + r.payload_bytes > capacity:
+                break
+            memory.append(r)
             used += r.payload_bytes
+        else:
+            r = None
 
         # A segment that overflows memory forms runs tagged by run number,
         # file-backed in one temp file that closes when its output ends.
@@ -322,7 +295,7 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
                 heapq.heapify(heap)
                 run = new_run()
                 current_run = 0
-                while (r := src.peek(k, prefix)) is not None or (drain and heap):
+                while r is not None or (drain and heap):
                     top = heapq.heappop(heap)
                     if top.run != current_run:
                         runs.append(run.close())
@@ -330,11 +303,11 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
                         current_run = top.run
                     run.add(top.rec)
                     if r is not None:
-                        src.take()
                         new = key(r, current_run)
                         if new < top:
                             new.run = current_run + 1
                         heapq.heappush(heap, new)
+                        r = next(segment, None)
                 runs.append(run.close())
                 memory = [h.rec for h in heap]
             met.runs_generated += len(runs) or 1
@@ -349,8 +322,8 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
                 streams = [run.stream() for run in runs] + ([iter(in_memory)] if in_memory else [])
                 assert len(streams) <= fanin
                 out = _merge_streams(streams, key)
-            if not met.tuples_in_before_first_out:  # every segment emits a tuple
-                met.tuples_in_before_first_out = src.taken
+            if not met.tuples_in_before_first_out:  # the first segment, read whole
+                met.tuples_in_before_first_out = len(in_memory) + sum(run.count for run in runs)
             yield from out
 
 

@@ -15,7 +15,6 @@ by whoever holds the index.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 from . import catalog_stats as cs
 from . import logical_expr as lx
@@ -42,14 +41,15 @@ def restrict_orders(orders, s: AttrSet) -> FavorableOrderSet:
 
 
 class OrderSource:
-    """Favorable-order sets of one query's subexpressions, given by any
-    callable `orders_for` (such as the oracle's exact sets), and their
-    restrictions to attribute sets, each computed once per (expression,
-    attribute set)."""
+    """Favorable-order sets of one query's subexpressions, given by
+    `orders_for`, and their restrictions to attribute sets, each computed
+    once per (expression, attribute set)."""
 
-    def __init__(self, orders_for):
-        self.orders_for = orders_for
+    def __init__(self):
         self._restricted = {}
+
+    def orders_for(self, e: lx.LogicalExpr) -> FavorableOrderSet:
+        raise NotImplementedError
 
     def restricted(self, e: lx.LogicalExpr, s: AttrSet) -> FavorableOrderSet:
         """restrict_orders(self.orders_for(e), s), cached."""
@@ -60,10 +60,18 @@ class OrderSource:
         return got
 
 
+class _CallableOrderSource(OrderSource):
+    """The sets given by any callable, such as the oracle's exact sets."""
+
+    def __init__(self, orders_for):
+        super().__init__()
+        self.orders_for = orders_for
+
+
 def as_order_source(source) -> OrderSource:
     """`source` itself if it is an OrderSource (a FavorableOrderIndex, say),
     else the callable `source` wrapped in one."""
-    return source if isinstance(source, OrderSource) else OrderSource(source)
+    return source if isinstance(source, OrderSource) else _CallableOrderSource(source)
 
 
 def _extensions(heads, s: AttrSet) -> set[SortOrder]:
@@ -73,7 +81,6 @@ def _extensions(heads, s: AttrSet) -> set[SortOrder]:
     return out
 
 
-@dataclass
 class FavorableOrderIndex(OrderSource):
     """Per-node favorable orders for one query, computed bottom-up and cached.
 
@@ -85,10 +92,11 @@ class FavorableOrderIndex(OrderSource):
     deterministic name order).
     """
 
-    catalog: cs.Catalog
-    query_attrs: AttrSet
-    _cache: dict = field(default_factory=dict)
-    _restricted: dict = field(default_factory=dict)
+    def __init__(self, catalog: cs.Catalog, query_attrs: AttrSet):
+        super().__init__()
+        self.catalog = catalog
+        self.query_attrs = query_attrs
+        self._cache = {}
 
     def orders_for(self, e: lx.LogicalExpr) -> FavorableOrderSet:
         cached = self._cache.get(e)

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ordopt
 from ordopt.cli import main
 
 from conftest import fixture_path
@@ -206,3 +211,23 @@ def test_guard_violation_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "guard" in err
+
+
+def test_successful_run_writes_nothing_to_stderr():
+    # In a fresh interpreter: pytest's own logging handlers would swallow a
+    # record that Python's last-resort handler prints to stderr.
+    argv = ["optimize", "--catalog", str(fixture_path("example1_catalog.json")),
+            "--query", str(fixture_path("example1_query.json"))]
+    script = (
+        "import sys\n"
+        "from ordopt import favorable_orders as fo\n"
+        "from ordopt.cli import main\n"
+        "fo.SET_SIZE_FLAG = 2  # log a warning for every larger order set\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(pathlib.Path(ordopt.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert "merge_join" in done.stdout
+    assert done.stderr == ""
