@@ -186,6 +186,73 @@ TWO_TREE_QUERY = {
 }
 TWO_TREE_DIGEST = "f05dabb86eefe9410c02cb5e6082ad5c5e0716bb2282d84d3cf5d142f1f92787"
 
+def _rel(name: str, rows: int, tuple_bytes: int, clustering: list, **distincts) -> dict:
+    return {
+        "name": name,
+        "row_count": rows,
+        "tuple_bytes": tuple_bytes,
+        "columns": sorted(distincts),
+        "clustering_order": clustering,
+        "distincts": distincts,
+    }
+
+
+def _join(left, right, *attrs) -> dict:
+    return {"op": "join", "left": left, "right": right, "join_attrs": list(attrs)}
+
+
+def _scan(relation: str) -> dict:
+    return {"op": "scan", "relation": relation}
+
+
+#: An 8-join chain whose best plan mixes merge and hash joins under cheap hash
+#: operators; refinement re-orders two of its merge joins and rebuilds the
+#: plan through the hash joins below them, at the same cost.
+HASH_CHAIN_CATALOG = {
+    "relations": [
+        _rel("r00", 50000, 48, ["a04"], a00=50000, a04=50000, a10=50000),
+        _rel("r01", 2000, 64, ["a03", "a07"], a00=1000, a03=2000, a07=2000, a11=1000),
+        _rel("r02", 10000, 80, ["a10"], a01=5000, a05=5000, a07=10000, a09=10000, a10=2500),
+        _rel("r03", 2000, 96, ["a06", "a10"], a01=500, a02=2000, a04=500, a06=500, a09=2000, a10=500),
+        _rel("r04", 50000, 96, [], a00=50000, a01=12500, a06=50000, a09=50000, a10=50000, a11=50000),
+        _rel("r05", 50000, 80, [], a00=25000, a04=50000, a06=12500, a08=50000, a10=50000),
+        _rel("r06", 2000, 64, [], a05=2000, a06=2000, a08=2000, a11=2000),
+        _rel("r07", 50000, 80, ["a04"], a01=50000, a03=50000, a04=12500, a05=12500, a08=25000),
+        _rel("r08", 10000, 64, ["a05"], a04=5000, a05=5000, a08=5000, a10=5000),
+    ],
+    "indices": [
+        {"relation": "r02", "key_order": ["a10", "a01"], "included_columns": ["a05", "a07", "a09"], "kind": "secondary"},
+        {"relation": "r03", "key_order": ["a04", "a06"], "included_columns": ["a01", "a02", "a09", "a10"], "kind": "secondary"},
+        {"relation": "r06", "key_order": ["a05", "a08"], "included_columns": ["a06", "a11"], "kind": "secondary"},
+        {"relation": "r08", "key_order": ["a08", "a05"], "included_columns": ["a04", "a10"], "kind": "secondary"},
+    ],
+}
+HASH_CHAIN_QUERY = {
+    "expr": _join(
+        _scan("r00"),
+        _join(
+            _join(_scan("r01"), _scan("r02"), "a07"),
+            _join(
+                _join(_join(_scan("r03"), _scan("r04"), "a06", "a09"), _scan("r05"), "a00", "a06"),
+                _join(_scan("r06"), _join(_scan("r07"), _scan("r08"), "a05"), "a05", "a08"),
+                "a01", "a08", "a11",
+            ),
+            "a03", "a09", "a11",
+        ),
+        "a00", "a04",
+    ),
+    "order_by": ["a10", "a09", "a08"],
+}
+HASH_CHAIN_PARAMS = {
+    "cost_params": {"block_bytes": 4096, "memory_blocks": 256, "hashjoin_enabled": True, "hash_per_block_io_equiv": 0.2}
+}
+#: sha256 of optimize --json, and of both optimize --refine --json and refine --plan --json on it
+HASH_CHAIN_DIGESTS = (
+    "19cb96a3368fa540e8b8acd02a7ebd411b3c31aab2132fe27b10f2859ac09021",
+    "e6226d1cfbe2a9f7b92cdcc63e16a839a42880e875c88bc82c2822784c123468",
+)
+
+
 # random_chain_query seed (seed 5 draws no chain) -> sha256 of optimize --refine --json (with --params)
 CHAIN_DIGESTS = {
     1: "959034b09d9b85c4b96712421751a6db7a1d60995e08bbd4cfb1270da5b5f418",
@@ -290,3 +357,23 @@ def test_two_join_trees_refine_bytes(capsys, tmp_path):
         [["a", "b"], ["a", "z", "d"], ["a", "z", "b"]],
     ]
     assert digest == TWO_TREE_DIGEST
+
+
+def test_refined_plan_with_hash_joins_bytes(capsys, tmp_path):
+    files = []
+    for name, doc in (("catalog", HASH_CHAIN_CATALOG), ("query", HASH_CHAIN_QUERY), ("params", HASH_CHAIN_PARAMS)):
+        files += [f"--{name}", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    plain, digest = _digest(capsys, "optimize", *files, "--json")
+    refined, refined_digest = _digest(capsys, "optimize", *files, "--refine", "--json")
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(plain)
+    _, again = _digest(capsys, "refine", "--plan", str(plan_file), "--json")
+    assert (digest, refined_digest) == HASH_CHAIN_DIGESTS and again == refined_digest
+    ops = {node["op"] for node in _plan_nodes(refined)}
+    assert {"hash_join", "covering_index_scan"} <= ops
+    join_orders = [[n["order"] for n in _plan_nodes(out) if n["op"] == "merge_join"] for out in (plain, refined)]
+    assert join_orders == [
+        [["a04", "a00"], ["a03", "a09", "a11"], ["a07"], ["a08", "a01", "a11"]],
+        [["a04", "a00"], ["a03", "a11", "a09"], ["a07"], ["a08", "a11", "a01"]],
+    ]
