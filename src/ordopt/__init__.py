@@ -21,7 +21,6 @@ from .cost_model import (
     enforce_cost,
     full_sort_cost,
     load_params,
-    operator_cost,
     partial_sort_cost,
     sort_cpu_cost,
 )
@@ -34,7 +33,6 @@ from .errors import (
     TooLarge,
     UnknownAttribute,
     UnknownRelation,
-    UnknownStatistic,
     UnsortedPrefix,
     ValidationError,
 )

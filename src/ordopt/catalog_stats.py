@@ -42,7 +42,7 @@ class CatalogRelation:
     clustering_order: SortOrder = EMPTY
     distincts: tuple[tuple[str, int], ...] = ()
 
-    def attr_width(self, attr: str = "") -> float:
+    def attr_width(self) -> float:
         """Average per-column width, tuple_bytes spread over the columns."""
         return self.tuple_bytes / len(self.columns)
 

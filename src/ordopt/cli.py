@@ -100,6 +100,15 @@ def _cmd_explain_afm(args) -> int:
     return 0
 
 
+def _check_sort_flags(args, mrs: bool) -> None:
+    """Reject --keys and --prefix-len values that describe no sort; `srs`
+    ignores --prefix-len."""
+    if args.keys < 1:
+        raise ValidationError("--keys must be >= 1")
+    if mrs and not 0 <= args.prefix_len < args.keys:
+        raise ValidationError("--prefix-len must be in [0, --keys)")
+
+
 def _run_sort(args, algo: str, segment_rows: int):
     stream = extsort.gen_segmented_input(args.rows, segment_rows, args.keys, args.payload, args.seed)
     spec = extsort.SortSpec(
@@ -116,6 +125,7 @@ def _run_sort(args, algo: str, segment_rows: int):
 
 
 def _cmd_sort(args) -> int:
+    _check_sort_flags(args, mrs=args.algo == "mrs")
     met = _run_sort(args, args.algo, args.segment_rows)
     body = dataclasses.asdict(met)
     if args.json:
@@ -129,6 +139,7 @@ def _cmd_sort(args) -> int:
 def _cmd_bench_a3(args) -> int:
     if args.rows < 1:
         raise ValidationError("--rows must be >= 1")
+    _check_sort_flags(args, mrs=True)
     size = 1
     sizes = []
     while size < args.rows:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import _doc
 from . import catalog_stats as cs
 from . import logical_expr as lx
-from .errors import ConfigError, UnknownStatistic
+from .errors import ConfigError
 from .order_algebra import SortOrder, lcp, subtract
 
 #: Costs are plain floats in I/O-block-equivalent units.
@@ -81,8 +81,6 @@ def full_sort_cost(rows: float, data_blocks: float, key_len: int, params: CostPa
     streams to the consumer and is not written back.
     """
     m = params.cfg.memory_blocks
-    if m < 2:
-        raise ConfigError("memory_blocks must be >= 2")
     cpu = sort_cpu_cost(rows, key_len, params)
     if data_blocks <= m:
         return cpu
@@ -145,7 +143,7 @@ def hash_group_cost(input_blocks: float, params: CostParams) -> CostEstimate:
 
 
 def access_paths(e: lx.Scan, catalog: cs.Catalog, query_attrs, params: CostParams):
-    """Physical access paths for a scan: (kind, produced order, cost, index).
+    """Physical access paths for a scan: (kind, produced order, cost).
 
     The heap scan delivers the clustering order at one read per data block; a
     covering secondary index delivers its key order at one read per entry
@@ -157,30 +155,14 @@ def access_paths(e: lx.Scan, catalog: cs.Catalog, query_attrs, params: CostParam
             "table_scan",
             rel.clustering_order,
             float(cs.blocks(rel.row_count, rel.tuple_bytes, params.cfg)),
-            None,
         )
     ]
     needed = frozenset(query_attrs) & rel.columns
     for idx in cs.covering_indices(rel, needed, catalog):
-        entry_width = sum(rel.attr_width(a) for a in sorted(idx.all_attrs()))
+        # one width per column, summed: k * width can differ in the last bit,
+        # and block counts round up
+        entry_width = sum(rel.attr_width() for _ in idx.all_attrs())
         cost = float(cs.blocks(rel.row_count, entry_width, params.cfg))
-        paths.append(("covering_index_scan", idx.key_order, cost, idx))
+        paths.append(("covering_index_scan", idx.key_order, cost))
     return paths
 
-
-def operator_cost(kind: str, params: CostParams, **stats) -> CostEstimate:
-    """Per-operator cost by descriptor kind (scans are costed by `access_paths`).
-
-    Merge join is per-tuple CPU; sort-based group-by consumes an
-    already-sorted stream for free; hash operators are naive per-block
-    constants.
-    """
-    if kind == "merge_join":
-        return merge_join_cost(stats["left_rows"], stats["right_rows"], params)
-    if kind == "hash_join":
-        return hash_join_cost(stats["left_blocks"], stats["right_blocks"], params)
-    if kind == "hash_group_by":
-        return hash_group_cost(stats["input_blocks"], params)
-    if kind in ("sort_group_by", "select", "project"):
-        return 0.0
-    raise UnknownStatistic(f"no cost rule for operator kind {kind!r}")

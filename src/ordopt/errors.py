@@ -33,10 +33,6 @@ class UnknownAttribute(ValidationError):
     """An attribute is not part of the schema it is used against."""
 
 
-class UnknownStatistic(OrdoptError):
-    """A statistic needed by the cost model is unavailable."""
-
-
 class ConfigError(OrdoptError):
     """Invalid cost-model or block configuration."""
 

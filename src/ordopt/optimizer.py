@@ -57,7 +57,8 @@ _OPS = {
 class PhysicalPlan:
     """One operator of a physical plan and the logical expression `expr` it
     computes (a sort computes its input's); costs are subtree totals in io
-    units, and `node_count` is the number of operators in the subtree."""
+    units, and `node_count` is the number of operators in the subtree.  A
+    covering index scan's key is the order it produces."""
 
     op: str
     expr: lx.LogicalExpr
@@ -67,7 +68,6 @@ class PhysicalPlan:
     est_rows: float
     est_blocks: int
     children: tuple["PhysicalPlan", ...] = ()
-    index_key: SortOrder | None = None
     input_order: SortOrder | None = None
     node_count: int = field(kw_only=True, compare=False, repr=False)
 
@@ -122,14 +122,13 @@ def _heuristic_orders(e: lx.Join | lx.GroupBy, heuristic: str) -> set[SortOrder]
             concat(SortOrder((a,)), canonical_permutation(attrs - {a}))
             for a in sorted(attrs)
         }
-    if heuristic == "exhaustive":
-        if len(attrs) > EXHAUSTIVE_MAX_ATTRS:
-            raise TooLarge(
-                f"exhaustive enumeration over {len(attrs)} attributes exceeds "
-                f"guard {EXHAUSTIVE_MAX_ATTRS}"
-            )
-        return {SortOrder(p) for p in itertools.permutations(sorted(attrs))}
-    raise ValidationError(f"unknown heuristic {heuristic!r}")
+    # exhaustive: Optimizer.__init__ admits no other heuristic
+    if len(attrs) > EXHAUSTIVE_MAX_ATTRS:
+        raise TooLarge(
+            f"exhaustive enumeration over {len(attrs)} attributes exceeds "
+            f"guard {EXHAUSTIVE_MAX_ATTRS}"
+        )
+    return {SortOrder(p) for p in itertools.permutations(sorted(attrs))}
 
 
 class _PlanBuilder:
@@ -140,7 +139,7 @@ class _PlanBuilder:
         self.catalog = catalog
         self.params = params
 
-    def _node(self, op, e, produced, op_cost, children, **extra) -> PhysicalPlan:
+    def _node(self, op, e, produced, op_cost, children, input_order=None) -> PhysicalPlan:
         stats = cs.expr_stats(e, self.catalog)
         total_cost = op_cost + sum(c.total_cost for c in children)
         if not math.isfinite(total_cost):
@@ -154,8 +153,8 @@ class _PlanBuilder:
             est_rows=stats.rows,
             est_blocks=cs.blocks(stats.rows, stats.width, self.params.cfg),
             children=tuple(children),
+            input_order=input_order,
             node_count=1 + sum(c.node_count for c in children),
-            **extra,
         )
 
     def _enforced(self, plan: PhysicalPlan, want: SortOrder, have: SortOrder | None = None) -> PhysicalPlan:
@@ -172,26 +171,30 @@ class _PlanBuilder:
 
     def _access(self, e: lx.Scan, path) -> PhysicalPlan:
         """The scan node of one of `cm.access_paths(e, ...)`."""
-        kind, produced, cost, idx = path
-        index_key = idx.key_order if idx is not None else None
-        return self._node(kind, e, produced, cost, (), index_key=index_key)
+        kind, produced, cost = path
+        return self._node(kind, e, produced, cost, ())
 
     def _operator(self, op, e, kids, order: SortOrder = EMPTY) -> PhysicalPlan:
-        """Operator `op` computing e over `kids`, the plans of e's inputs.  A
-        merge join or sort-based group-by produces `order`, which its inputs
-        must deliver; select and project pass their input's order on (up to
-        a project's first dropped column); hash operators produce none."""
+        """Operator `op` computing e over `kids`, the plans of e's inputs, with
+        its order and own cost.  A merge join or sort-based group-by produces
+        `order`, which its inputs must deliver; select and project pass their
+        input's order on (up to a project's first dropped column); hash
+        operators produce none.  Only merge join (per input tuple) and hash
+        operators (per input block) cost anything."""
         first, last = kids[0], kids[-1]
+        cost = 0.0
         if op == "select":
             order = first.produced_order
         elif op == "project":
             order = lcp_with_set(first.produced_order, e.cols)
-        elif op in ("hash_join", "hash_group_by"):
+        elif op == "merge_join":
+            cost = cm.merge_join_cost(first.est_rows, last.est_rows, self.params)
+        elif op == "hash_join":
             order = EMPTY
-        cost = cm.operator_cost(
-            op, self.params, left_rows=first.est_rows, right_rows=last.est_rows,
-            left_blocks=first.est_blocks, right_blocks=last.est_blocks, input_blocks=first.est_blocks,
-        )
+            cost = cm.hash_join_cost(first.est_blocks, last.est_blocks, self.params)
+        elif op == "hash_group_by":
+            order = EMPTY
+            cost = cm.hash_group_cost(first.est_blocks, self.params)
         return self._node(op, e, order, cost, kids)
 
 
@@ -300,8 +303,8 @@ def _node_fields(p: PhysicalPlan, expr_id: int) -> dict:
     }
     if not p.children:
         d["relation"] = p.expr.relation
-    if p.index_key is not None:
-        d["index_key"] = list(p.index_key.attrs)
+    if p.op == "covering_index_scan":
+        d["index_key"] = list(p.produced_order.attrs)
     if p.input_order is not None:  # a sort
         d["input_order"] = list(p.input_order.attrs)
         d["target_order"] = list(p.produced_order.attrs)
@@ -379,7 +382,7 @@ class _PlanLoader(_PlanBuilder):
             found = [
                 p
                 for p in cm.access_paths(e, self.catalog, self.query_attrs, self.params)
-                if p[0] == op and (p[3] is None or list(p[3].key_order.attrs) == key)
+                if p[0] == op and (op == "table_scan" or list(p[1].attrs) == key)
             ]
             if not found:
                 raise _doc.fail(path + ".index_key", f"no covering index of {e.relation!r} has key {key!r}")
@@ -426,8 +429,8 @@ def format_plan(p: PhysicalPlan, indent: int = 0) -> str:
     parts = [p.op]
     if not p.children:
         parts.append(p.expr.relation)
-    if p.index_key is not None:
-        parts.append(f"key={p.index_key}")
+    if p.op == "covering_index_scan":
+        parts.append(f"key={p.produced_order}")
     if p.op in _SORTS:
         parts.append(f"{p.input_order}->{p.produced_order}")
     parts.append(f"order={p.produced_order}")

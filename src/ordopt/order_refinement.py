@@ -51,7 +51,15 @@ class LabeledTree:
             kid_count[p] += 1
             if kid_count[p] > 2:
                 raise ValidationError(f"node {p} has more than two children")
-        if n and len(self.edges) != n - 1:
+        # With one parent per child, the nodes form one tree exactly when a
+        # walk down from the first parentless node reaches all of them.
+        kids = self.children()
+        stack = [i for i in range(n) if i not in seen_child][:1]
+        reached = 0
+        while stack:
+            reached += 1
+            stack.extend(kids[stack.pop()])
+        if reached != n:
             raise ValidationError("tree must be connected and acyclic")
 
     def children(self) -> list[list[int]]:

@@ -203,6 +203,11 @@ def test_unreadable_file_exits_1(flag, content, message, capsys, tmp_path):
         (["bench", "a3", "--rows", "-3"], "--rows must be >= 1"),
         (["bench", "a3", "--rows", "200", "--payload", "100", "--mem-blocks", "2"],
          "external merging needs memory_blocks >= 3"),
+        (["bench", "a3", "--rows", "10", "--keys", "1"], "--prefix-len must be in [0, --keys)"),
+        (["bench", "a3", "--rows", "10", "--keys", "0"], "--keys must be >= 1"),
+        (["sort", "--rows", "10", "--algo", "mrs", "--keys", "1"], "--prefix-len must be in [0, --keys)"),
+        (["sort", "--rows", "10", "--algo", "mrs", "--prefix-len", "-1"], "--prefix-len must be in [0, --keys)"),
+        (["sort", "--rows", "10", "--algo", "srs", "--keys", "0"], "--keys must be >= 1"),
     ],
 )
 def test_bad_bench_flags_write_no_csv(argv, message, capsys):

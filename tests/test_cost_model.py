@@ -18,11 +18,11 @@ from ordopt import (
     full_sort_cost,
     load_catalog,
     load_params,
-    operator_cost,
     order,
     partial_sort_cost,
     sort_cpu_cost,
 )
+from ordopt.cost_model import hash_join_cost, merge_join_cost
 
 from conftest import load_pair, random_catalog_and_join
 
@@ -140,16 +140,15 @@ def test_longer_known_prefix_never_costs_more():
 
 def test_operator_costs():
     p = _params()
-    assert operator_cost("merge_join", p, left_rows=0, right_rows=0) == 0.0
-    assert operator_cost("sort_group_by", p) == 0.0
-    assert operator_cost("hash_join", p, left_blocks=10, right_blocks=20) == 90.0
+    assert merge_join_cost(0, 0, p) == 0.0
+    assert hash_join_cost(10, 20, p) == 90.0
 
 
 def test_covering_index_scan_beats_table_scan_when_narrower():
     catalog, query = load_pair("tpch_catalog.json", "q2_query.json")
     p = _params()
     scan = lx.Scan("lineitem")
-    paths = {kind: cost for kind, _, cost, _ in access_paths(scan, catalog, frozenset(["suppkey", "partkey"]), p)}
+    paths = {kind: cost for kind, _, cost in access_paths(scan, catalog, frozenset(["suppkey", "partkey"]), p)}
     assert paths["covering_index_scan"] < paths["table_scan"]
 
 

@@ -292,3 +292,15 @@ def test_node_count_of_a_deep_plan_is_stored():
         plan = builder._operator("select", e, (plan,))
     assert plan.node_count == 5000
     assert sum(1 for _ in plan.walk()) == 5000
+
+
+def test_sort_group_by_reads_its_sorted_input_for_free():
+    catalog, _ = load_pair("example1_catalog.json", "example1_query.json")
+    params = CostParams()
+    builder = _PlanBuilder(catalog, params)
+    e = lx.Scan("rating")
+    scan = builder._access(e, access_paths(e, catalog, frozenset(), params)[0])
+    make = order("make")
+    sorted_scan = builder._enforced(scan, make)
+    plan = builder._operator("sort_group_by", lx.GroupBy(e, frozenset(["make"]), 8), (sorted_scan,), make)
+    assert (plan.op_cost, plan.total_cost, plan.produced_order) == (0.0, sorted_scan.total_cost, make)

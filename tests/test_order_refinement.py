@@ -113,6 +113,9 @@ def test_labeled_tree_validation():
         )
     with pytest.raises(ValidationError):
         LabeledTree((frozenset(), frozenset(), frozenset()), ((0, 2), (1, 2)))  # two parents
+    ab = frozenset("ab")
+    with pytest.raises(ValidationError, match="connected and acyclic"):
+        LabeledTree((frozenset("a"), ab, ab), ((1, 2), (2, 1)))  # a cycle beside the root
 
 
 def _refined(cat, qry):
