@@ -238,6 +238,34 @@ def test_estimate_overflow_is_a_guard_violation(capsys, tmp_path):
     assert err.startswith("ordopt: guard violation: size estimate"), err
 
 
+MERGE_OVERFLOW = {"block_bytes": 1, "memory_blocks": 3, "mergejoin_per_tuple_io_equiv": 1.7976931348623157e308}
+SORT_OVERFLOW = {
+    "block_bytes": 1, "memory_blocks": 3, "cpu_per_comparison_io_equiv": 1e306, "mergejoin_per_tuple_io_equiv": 1e300
+}
+
+
+@pytest.mark.parametrize(
+    "fixture,params,op",
+    [
+        ("example1", MERGE_OVERFLOW, "merge_join"),
+        ("q4", MERGE_OVERFLOW, "merge_join"),
+        ("q5", MERGE_OVERFLOW, "merge_join"),
+        ("postopt", MERGE_OVERFLOW, "merge_join"),
+        ("example1", SORT_OVERFLOW, "full_sort"),
+        ("q4", SORT_OVERFLOW, "full_sort"),
+        ("q5", SORT_OVERFLOW, "full_sort"),
+        ("postopt", SORT_OVERFLOW, "partial_sort"),
+    ],
+)
+def test_cost_overflow_names_the_first_overflowing_operator(fixture, params, op, capsys, tmp_path):
+    """Search meets its candidates in a fixed order; the first whose total
+    overflows names the operator."""
+    catalog = json.loads(fixture_path(f"{fixture}_catalog.json").read_text())
+    query = json.loads(fixture_path(f"{fixture}_query.json").read_text())
+    argv = _optimize_argv(tmp_path, catalog, query, {"cost_params": params})
+    assert _run(capsys, *argv) == (2, "", f"ordopt: guard violation: cost estimate of a {op} plan overflows\n")
+
+
 @pytest.mark.parametrize("alternate", [False, True])
 def test_chain_at_the_depth_guard(alternate, capsys, tmp_path):
     catalog, query = _chain(MAX_QUERY_DEPTH - 1, alternate)
