@@ -100,11 +100,18 @@ def _cmd_explain_afm(args) -> int:
     return 0
 
 
+#: The least value of each sort flag; `bench a3` has no --segment-rows.
+_SORT_FLAG_MINIMA = (
+    ("rows", 0), ("segment_rows", 1), ("keys", 1), ("payload", 1), ("mem_blocks", 2), ("block_bytes", 1)
+)
+
+
 def _check_sort_flags(args, mrs: bool) -> None:
-    """Reject --keys and --prefix-len values that describe no sort; `srs`
+    """Reject sort flag values that describe no sort, by flag name; `srs`
     ignores --prefix-len."""
-    if args.keys < 1:
-        raise ValidationError("--keys must be >= 1")
+    for name, least in _SORT_FLAG_MINIMA:
+        if getattr(args, name, least) < least:
+            raise ValidationError(f"--{name.replace('_', '-')} must be >= {least}")
     if mrs and not 0 <= args.prefix_len < args.keys:
         raise ValidationError("--prefix-len must be in [0, --keys)")
 

@@ -332,9 +332,13 @@ def gen_segmented_input(rows: int, segment_rows: int, key_positions: int, payloa
     within a segment and increases across segments; the rest are uniform."""
     if rows < 0 or segment_rows < 1 or key_positions < 1 or payload_bytes < 1:
         raise ValidationError("rows >= 0, segment_rows/key_positions/payload_bytes >= 1")
-    rng = random.Random(seed)
+    draw = random.Random(seed).getrandbits
     for i in range(rows):
-        keys = (i // segment_rows,) + tuple(
-            rng.randrange(2**31) for _ in range(key_positions - 1)
-        )
-        yield Record(keys, payload_bytes)
+        keys = [i // segment_rows]
+        for _ in range(key_positions - 1):
+            # randrange(2**31), inlined: it rejects 32-bit draws >= 2**31
+            r = draw(32)
+            while r >= 2**31:
+                r = draw(32)
+            keys.append(r)
+        yield Record(tuple(keys), payload_bytes)

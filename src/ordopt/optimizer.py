@@ -10,6 +10,13 @@ the inputs' favorable orders plus the downstream requirement, each extended to
 a full permutation of those attributes, or a heuristic's fixed orders.  `_OPS`
 names the operators that compute each kind of expression, for search and the
 plan loader alike.
+
+Search ranks the candidates of a goal before building their sorts: a sort's
+cost is known without its node, so only the winner's sort is built.  The
+operators below the sorts are built once per query and shared by every goal
+of their expression, since their inputs are memoized goals: the scans of
+each access path, and each merge join, sort-based group-by and hash operator
+per input order.
 """
 
 from __future__ import annotations
@@ -133,14 +140,21 @@ def _heuristic_orders(e: lx.Join | lx.GroupBy, heuristic: str) -> set[SortOrder]
 
 class _PlanBuilder:
     """Builds and costs plan nodes over one catalog and set of cost
-    parameters; the optimizer, refinement and the plan loader build with it."""
+    parameters; the optimizer, refinement and the plan loader build with it.
+    Its caches hold for that catalog and those parameters only, so they live
+    on the instance."""
 
     def __init__(self, catalog: cs.Catalog, params: cm.CostParams):
         self.catalog = catalog
         self.params = params
+        self._sizes: dict[lx.LogicalExpr, tuple[float, int]] = {}
+        self._sort_costs: dict[tuple[lx.LogicalExpr, AttrSet, int], float] = {}
 
     def _node(self, op, e, produced, op_cost, children, input_order=None) -> PhysicalPlan:
-        stats = cs.expr_stats(e, self.catalog)
+        size = self._sizes.get(e)
+        if size is None:
+            stats = cs.expr_stats(e, self.catalog)
+            size = self._sizes[e] = (stats.rows, cs.blocks(stats.rows, stats.width, self.params.cfg))
         total_cost = op_cost + sum(c.total_cost for c in children)
         if not math.isfinite(total_cost):
             raise TooLarge(f"cost estimate of a {op} plan overflows")
@@ -150,12 +164,23 @@ class _PlanBuilder:
             produced_order=produced,
             op_cost=op_cost,
             total_cost=total_cost,
-            est_rows=stats.rows,
-            est_blocks=cs.blocks(stats.rows, stats.width, self.params.cfg),
+            est_rows=size[0],
+            est_blocks=size[1],
             children=tuple(children),
             input_order=input_order,
             node_count=1 + sum(c.node_count for c in children),
         )
+
+    def _sort(self, e: lx.LogicalExpr, want: SortOrder, have: SortOrder) -> tuple[str, SortOrder, float]:
+        """The op, known prefix and own cost of a sort of e's result from
+        `have` to `want`.  `cm.enforce_cost` reads only the known prefix's
+        attribute set and the length of the rest, so they key its cache."""
+        known = lcp(want, have)
+        key = (e, known.attr_set(), len(want) - len(known))
+        cost = self._sort_costs.get(key)
+        if cost is None:
+            cost = self._sort_costs[key] = cm.enforce_cost(e, have, want, self.params, self.catalog)
+        return ("partial_sort" if known else "full_sort"), known, cost
 
     def _enforced(self, plan: PhysicalPlan, want: SortOrder, have: SortOrder | None = None) -> PhysicalPlan:
         """`plan` itself if it delivers `want`; otherwise a (partial) sort on
@@ -164,9 +189,7 @@ class _PlanBuilder:
         have = plan.produced_order if have is None else have
         if is_prefix(want, have):
             return plan
-        known = lcp(want, have)
-        cost = cm.enforce_cost(plan.expr, have, want, self.params, self.catalog)
-        op = "partial_sort" if known else "full_sort"
+        op, known, cost = self._sort(plan.expr, want, have)
         return self._node(op, plan.expr, want, cost, (plan,), input_order=known)
 
     def _access(self, e: lx.Scan, path) -> PhysicalPlan:
@@ -223,6 +246,11 @@ class Optimizer(_PlanBuilder):
         self.query = query
         self.heuristic = heuristic
         self.memo: dict[tuple[lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
+        # Operators whose inputs are memoized goals are the same for every
+        # order required of them: the scans of each Scan, and each merge
+        # join, sort-based group-by and hash operator by (op, e, input order).
+        self._scans: dict[lx.Scan, list[PhysicalPlan]] = {}
+        self._shared: dict[tuple[str, lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
         self._query_attrs = lx.query_attrs(query, catalog)
         if order_source is None:
             order_source = fo.FavorableOrderIndex(catalog, self._query_attrs)
@@ -243,37 +271,60 @@ class Optimizer(_PlanBuilder):
             return done
 
         if isinstance(e, lx.Scan):
-            paths = cm.access_paths(e, self.catalog, self._query_attrs, self.params)
-            cands = [self._enforced(self._access(e, path), want) for path in paths]
+            bases = self._scans.get(e)
+            if bases is None:
+                paths = cm.access_paths(e, self.catalog, self._query_attrs, self.params)
+                bases = self._scans[e] = [self._access(e, path) for path in paths]
         elif isinstance(e, (lx.Select, lx.Project)):
             (op,) = _OPS[type(e)]
-            cands = [self._operator(op, e, (self._goal(e.input, want),))]
+            bases = [self._operator(op, e, (self._goal(e.input, want),))]
         else:
-            cands = list(self._ordered_candidates(e, want))
+            bases = self._ordered_candidates(e, want)
 
+        # Rank the candidates in order, before building their sorts; min keeps
+        # the first of equal keys.  map adds no interpreter frame, unlike a
+        # comprehension, while `bases` recurses into the inputs' goals.
+        cands = list(map(self._candidate, bases, itertools.repeat(want)))
         if want:
-            cands.append(self._enforced(self._goal(e, EMPTY), want, have=EMPTY))
+            cands.append(self._candidate(self._goal(e, EMPTY), want, EMPTY))
+        _, base, have = min(cands, key=lambda c: c[0])
+        plan = self._enforced(base, want, have)
+        self.memo[key] = plan
+        return plan
 
-        best = min(cands, key=lambda p: (p.total_cost, p.produced_order.attrs, p.node_count))
-        self.memo[key] = best
-        return best
+    def _candidate(self, base: PhysicalPlan, want: SortOrder, have: SortOrder | None = None):
+        """(tie-break key, base, have) of the plan `_enforced(base, want,
+        have)` would build, without building a sort."""
+        have = base.produced_order if have is None else have
+        if is_prefix(want, have):
+            return (base.total_cost, base.produced_order.attrs, base.node_count), base, have
+        op, _, cost = self._sort(base.expr, want, have)
+        total = cost + base.total_cost  # as _node's op_cost + sum(...) over one child
+        if not math.isfinite(total):
+            raise TooLarge(f"cost estimate of a {op} plan overflows")
+        return (total, want.attrs, base.node_count + 1), base, have
 
     def _ordered_candidates(self, e: lx.Join | lx.GroupBy, want: SortOrder):
         """The merge join resp. sort-based group-by over each candidate order,
-        which every input delivers; then the hash variant over unordered inputs."""
+        which every input delivers; then the hash variant over unordered
+        inputs.  Each is built once per order and shared by every goal of e."""
         sort_op, hash_op = _OPS[type(e)]
         if self.heuristic == "favorable":
             orders = interesting_orders(e, want, self._source)
         else:
             orders = _heuristic_orders(e, self.heuristic)
-        inputs = lx.children(e)
-        for io in sorted(orders, key=lambda o: o.attrs):
-            # map adds no interpreter frame per level, unlike a comprehension
-            kids = tuple(map(self._goal, inputs, [io] * len(inputs)))
-            yield self._enforced(self._operator(sort_op, e, kids, io), want)
+        ops = [(sort_op, io) for io in sorted(orders, key=lambda o: o.attrs)]
         if self.params.hashjoin_enabled:
-            kids = tuple(map(self._goal, inputs, [EMPTY] * len(inputs)))
-            yield self._enforced(self._operator(hash_op, e, kids), want)
+            ops.append((hash_op, EMPTY))
+        inputs = lx.children(e)
+        for op, io in ops:
+            key = (op, e, io)
+            node = self._shared.get(key)
+            if node is None:
+                # map adds no interpreter frame per level, unlike a comprehension
+                kids = tuple(map(self._goal, inputs, [io] * len(inputs)))
+                node = self._shared[key] = self._operator(op, e, kids, io)
+            yield node
 
 
 def optimize_query(

@@ -3,7 +3,8 @@
 A plan's merge joins each carry a chosen key permutation; attributes of that
 permutation not pinned down by any input favorable order are free.  This
 module maximizes the shared-prefix benefit between adjacent joins over those
-free attributes: exactly on paths (dynamic programming over segments), within
+free attributes: exactly on paths (dynamic programming over segments, on each
+piece between neighbours that share no attribute), within
 a factor of two on binary trees (split edges by level parity, solve each
 parity class of paths exactly, keep the better half), and applies the result
 to a plan, re-deriving and re-costing the sort enforcers.  A refined plan is
@@ -88,15 +89,26 @@ def assignment_benefit(tree: LabeledTree, assignment) -> int:
 def path_order(sets) -> list[SortOrder]:
     """Benefit-maximal orders for a path of attribute sets.
 
-    Segment DP: the best value of a segment is the best split of it plus the
-    number of attributes common to the whole segment; those common attributes
-    become a shared prefix block of every node in the segment, recursively.
-    Ties break toward the smallest split index.
+    Neighbours with disjoint sets share no prefix under any orders, so the
+    path is cut between them and each piece solved alone by `_piece_order`;
+    the orders are the ones the segment DP returns over the whole path.
     """
     sets = [frozenset(s) for s in sets]
+    orders: list[SortOrder] = []
+    start = 0
+    for end in range(1, len(sets) + 1):
+        if end == len(sets) or not sets[end - 1] & sets[end]:
+            orders += _piece_order(sets[start:end])
+            start = end
+    return orders
+
+
+def _piece_order(sets: list[frozenset]) -> list[SortOrder]:
+    """Segment DP: the best value of a segment is the best split of it plus
+    the number of attributes common to the whole segment; those common
+    attributes become a shared prefix block of every node in the segment,
+    recursively.  Ties break toward the smallest split index."""
     n = len(sets)
-    if n == 0:
-        return []
     commons = [[frozenset()] * n for _ in range(n)]
     benefit = [[0] * n for _ in range(n)]
     split = [[-1] * n for _ in range(n)]
@@ -115,20 +127,19 @@ def path_order(sets) -> list[SortOrder]:
             benefit[i][j] = best_v + len(common)
             split[i][j] = best_k
 
+    # A segment's block follows the blocks of every segment around it.
     prefixes: list[list[str]] = [[] for _ in range(n)]
-
-    def emit(i: int, j: int, removed: frozenset) -> None:
+    stack = [(0, n - 1, frozenset())]
+    while stack:
+        i, j, removed = stack.pop()
         block = commons[i][j] - removed
         perm = canonical_permutation(block).attrs
         for k in range(i, j + 1):
             prefixes[k].extend(perm)
-        if i == j:
-            return
-        taken = removed | block
-        emit(i, split[i][j], taken)
-        emit(split[i][j] + 1, j, taken)
-
-    emit(0, n - 1, frozenset())
+        if i < j:
+            taken = removed | block
+            stack.append((i, split[i][j], taken))
+            stack.append((split[i][j] + 1, j, taken))
     return [SortOrder(tuple(p)) for p in prefixes]
 
 

@@ -208,6 +208,14 @@ def test_unreadable_file_exits_1(flag, content, message, capsys, tmp_path):
         (["sort", "--rows", "10", "--algo", "mrs", "--keys", "1"], "--prefix-len must be in [0, --keys)"),
         (["sort", "--rows", "10", "--algo", "mrs", "--prefix-len", "-1"], "--prefix-len must be in [0, --keys)"),
         (["sort", "--rows", "10", "--algo", "srs", "--keys", "0"], "--keys must be >= 1"),
+        (["sort", "--rows", "10", "--algo", "mrs", "--segment-rows", "0"], "--segment-rows must be >= 1"),
+        (["sort", "--rows", "-1", "--algo", "mrs"], "--rows must be >= 0"),
+        (["sort", "--rows", "10", "--algo", "mrs", "--payload", "0"], "--payload must be >= 1"),
+        (["sort", "--rows", "10", "--algo", "srs", "--mem-blocks", "1"], "--mem-blocks must be >= 2"),
+        (["sort", "--rows", "10", "--algo", "srs", "--block-bytes", "0"], "--block-bytes must be >= 1"),
+        (["bench", "a3", "--rows", "10", "--payload", "0"], "--payload must be >= 1"),
+        (["bench", "a3", "--rows", "10", "--mem-blocks", "1"], "--mem-blocks must be >= 2"),
+        (["bench", "a3", "--rows", "10", "--block-bytes", "0"], "--block-bytes must be >= 1"),
     ],
 )
 def test_bad_bench_flags_write_no_csv(argv, message, capsys):

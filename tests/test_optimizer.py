@@ -304,3 +304,60 @@ def test_sort_group_by_reads_its_sorted_input_for_free():
     sorted_scan = builder._enforced(scan, make)
     plan = builder._operator("sort_group_by", lx.GroupBy(e, frozenset(["make"]), 8), (sorted_scan,), make)
     assert (plan.op_cost, plan.total_cost, plan.produced_order) == (0.0, sorted_scan.total_cost, make)
+
+
+def _long_chain(joins: int):
+    """A left-deep chain of relations with four of eight columns, each
+    sharing at least one with the one before, joined on up to three shared
+    columns, with a covering index on every third relation and a required
+    output order."""
+    rng = random.Random(7)
+    cols = [f"a{i}" for i in range(8)]
+    rels, indices = [], []
+    for i in range(joins + 1):
+        shared = [rng.choice(rels[-1]["columns"])] if rels else []
+        mine = sorted(shared + rng.sample([c for c in cols if c not in shared], 4 - len(shared)))
+        rows = rng.choice([1000, 20000, 300000])
+        rels.append({
+            "name": f"r{i}", "row_count": rows, "tuple_bytes": 64, "columns": mine,
+            "clustering_order": mine[:rng.randint(0, 2)], "distincts": {c: rng.choice([300, 1000]) for c in mine},
+        })
+        if i % 3 == 0:
+            indices.append({"relation": f"r{i}", "key_order": mine[1:3], "included_columns": [mine[0], mine[3]]})
+    catalog = load_catalog({"relations": rels, "indices": indices})
+    expr, schema = lx.Scan("r0"), set(rels[0]["columns"])
+    for i in range(1, joins + 1):
+        common = sorted(schema & set(rels[i]["columns"]))
+        expr = lx.Join(expr, lx.Scan(f"r{i}"), frozenset(rng.sample(common, min(len(common), rng.randint(1, 3)))))
+        schema |= set(rels[i]["columns"])
+    return catalog, lx.QuerySpec(expr, order("a1", "a0"))
+
+
+@pytest.mark.parametrize("hashjoin,nodes,sorts", [(False, 462, 190), (True, 526, 190)])
+def test_search_builds_each_node_once_and_costs_each_sort_once(hashjoin, nodes, sorts, monkeypatch):
+    """Search counts pinned on a 64-join chain: how many plan nodes it
+    builds, and one `enforce_cost` call per (expression, known attribute
+    set, rest length), the only inputs the cost reads."""
+    from ordopt import cost_model
+    from ordopt.optimizer import PhysicalPlan
+
+    catalog, query = _long_chain(64)
+    params = CostParams(hashjoin_enabled=hashjoin, hash_per_block_io_equiv=0.5)
+    built, costed = [], []
+    plain_init, plain_cost = PhysicalPlan.__init__, cost_model.enforce_cost
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        plain_init(self, *args, **kwargs)
+
+    def counting_cost(e, have, want, params, catalog):
+        known = lcp(want, have)
+        costed.append((e, known.attr_set(), len(want) - len(known)))
+        return plain_cost(e, have, want, params, catalog)
+
+    monkeypatch.setattr(PhysicalPlan, "__init__", counting_init)
+    monkeypatch.setattr(cost_model, "enforce_cost", counting_cost)
+    plan = optimize_query(catalog, params, query)
+    assert len(costed) == len(set(costed))
+    assert (len(built), len(costed)) == (nodes, sorts)
+    assert any(p.op == "merge_join" for p in plan.walk())

@@ -60,6 +60,59 @@ def test_path_order_matches_brute_force():
         assert assignment_benefit(tree, got) == brute_tree_benefit(tree)
 
 
+def _uncut_path_order(sets):
+    """The segment DP over the whole path, without cuts: the reference."""
+    sets = [frozenset(s) for s in sets]
+    n = len(sets)
+    if n == 0:
+        return []
+    commons = [[frozenset()] * n for _ in range(n)]
+    benefit = [[0] * n for _ in range(n)]
+    split = [[-1] * n for _ in range(n)]
+    for i in range(n):
+        commons[i][i] = sets[i]
+    for span in range(1, n):
+        for i in range(n - span):
+            j = i + span
+            common = commons[i][j - 1] & sets[j]
+            best_k, best_v = i, -1
+            for k in range(i, j):
+                v = benefit[i][k] + benefit[k + 1][j]
+                if v > best_v:
+                    best_k, best_v = k, v
+            commons[i][j] = common
+            benefit[i][j] = best_v + len(common)
+            split[i][j] = best_k
+
+    prefixes = [[] for _ in range(n)]
+
+    def emit(i, j, removed):
+        block = commons[i][j] - removed
+        perm = canonical_permutation(block).attrs
+        for k in range(i, j + 1):
+            prefixes[k].extend(perm)
+        if i == j:
+            return
+        taken = removed | block
+        emit(i, split[i][j], taken)
+        emit(split[i][j] + 1, j, taken)
+
+    emit(0, n - 1, frozenset())
+    return [order(*p) for p in prefixes]
+
+
+def test_path_cut_at_disjoint_neighbours_returns_the_uncut_orders():
+    # Few attributes and small sets make many ties, empty sets and disjoint
+    # neighbours, so the smallest-split tie-break is exercised across cuts.
+    rng = random.Random(105)
+    cuts = 0
+    for _ in range(3000):
+        sets = [frozenset(rng.sample("abcde", rng.randint(0, 3))) for _ in range(rng.randint(1, 12))]
+        cuts += any(not (x & y) for x, y in zip(sets, sets[1:]))
+        assert path_order(sets) == _uncut_path_order(sets), sets
+    assert cuts > 1000
+
+
 def test_tree_approx_single_node_and_paths():
     t = LabeledTree((frozenset("ba"),), ())
     assert tree_approx(t) == [canonical_permutation(frozenset("ab"))]
