@@ -246,9 +246,7 @@ class Optimizer(_PlanBuilder):
         self.query = query
         self.heuristic = heuristic
         self.memo: dict[tuple[lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
-        # Operators whose inputs are memoized goals are the same for every
-        # order required of them: the scans of each Scan, and each merge
-        # join, sort-based group-by and hash operator by (op, e, input order).
+        # operators built once and shared by every goal of their expression
         self._scans: dict[lx.Scan, list[PhysicalPlan]] = {}
         self._shared: dict[tuple[str, lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
         self._query_attrs = lx.query_attrs(query, catalog)

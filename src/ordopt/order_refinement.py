@@ -4,11 +4,11 @@ A plan's merge joins each carry a chosen key permutation; attributes of that
 permutation not pinned down by any input favorable order are free.  This
 module maximizes the shared-prefix benefit between adjacent joins over those
 free attributes: exactly on paths (dynamic programming over segments, on each
-piece between neighbours that share no attribute), within
-a factor of two on binary trees (split edges by level parity, solve each
-parity class of paths exactly, keep the better half), and applies the result
-to a plan, re-deriving and re-costing the sort enforcers.  A refined plan is
-kept only if it does not cost more.
+piece between neighbours that share no attribute), within a factor of two on
+binary trees (split edges by level parity, solve each parity class of paths
+exactly, keep the better half), and applies the result to a plan, re-deriving
+and re-costing the sort enforcers.  A refined plan is kept only if it does
+not cost more.
 """
 
 from __future__ import annotations
