@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+import ordopt.logical_expr as lx
 from ordopt import (
     CostParams,
     LabeledTree,
@@ -11,6 +13,7 @@ from ordopt import (
     canonical_permutation,
     index_for_query,
     join_prefix_benefit,
+    load_catalog,
     optimize_query,
     order,
     path_order,
@@ -308,3 +311,36 @@ def test_refined_fixture_plan_is_sound():
     plan = optimize_query(catalog, params, query)
     refined = refine_plan(plan, query, catalog, params, index_for_query(query, catalog))
     assert_plan_sound(refined, query, catalog)
+
+
+@pytest.mark.parametrize("heuristic", ["favorable", "arbitrary"])
+def test_search_and_refinement_fit_a_290_join_chain_in_the_default_stack(heuristic):
+    """Plan search, the favorable-order pass and refinement recurse a few
+    interpreter frames per query level; at CPython's default limit of 1000
+    they reach a little over 300 joins.  One more frame per level would cut
+    that to about 250.  The chain is built as expressions, beneath the
+    parser's depth guard, and each call gets a fresh favorable-order index,
+    so the pass runs at the depth of search and of refinement in turn.  On
+    the arbitrary plan refinement reorders a join and keeps the rebuilt plan."""
+    joins = 290
+    rels = [
+        {"name": f"r{i}", "row_count": 1000 * (1 + i % 3), "tuple_bytes": 64,
+         "columns": ["a", "b", "c"], "clustering_order": ["c"] if i % 2 else []}
+        for i in range(joins + 1)
+    ]
+    catalog = load_catalog({"relations": rels})
+    e = lx.Scan("r0")
+    for i in range(1, joins + 1):
+        e = lx.Join(e, lx.Scan(f"r{i}"), frozenset("ab" if i % 2 else "bc"))
+    query = lx.QuerySpec(e, order("b"))
+    params = CostParams()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        plan = optimize_query(catalog, params, query, heuristic=heuristic)
+        refined = refine_plan(plan, query, catalog, params, index_for_query(query, catalog))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(p.op == "merge_join" for p in refined.walk()) == joins
+    assert refined.total_cost <= plan.total_cost
+    assert (refined is plan) == (heuristic == "favorable")
