@@ -16,7 +16,7 @@ from . import _doc
 from . import catalog_stats as cs
 from . import logical_expr as lx
 from .errors import ConfigError
-from .order_algebra import SortOrder, lcp, subtract
+from .order_algebra import AttrSet, SortOrder, lcp
 
 #: Costs are plain floats in I/O-block-equivalent units.
 CostEstimate = float
@@ -114,19 +114,23 @@ def enforce_cost(
     catalog: cs.Catalog,
 ) -> CostEstimate:
     """Cost of producing order `want` on the result of e given that order
-    `have` already holds.
-
-    Only the common prefix of the two orders helps; its distinct-value count
-    gives the number of independent sort segments.
-    """
+    `have` already holds: only the common prefix of the two orders helps."""
     known = lcp(want, have)
-    rest = subtract(want, known)
-    if not rest:
+    return sort_cost(e, known.attr_set(), len(want) - len(known), params, catalog)
+
+
+def sort_cost(
+    e: lx.LogicalExpr, known: AttrSet, rest_len: int, params: CostParams, catalog: cs.Catalog
+) -> CostEstimate:
+    """Cost of sorting e's result on `rest_len` more attributes when it is
+    grouped on the attributes `known` already, in one independent segment per
+    distinct value of them.  The cost reads nothing else, so callers cache it."""
+    if not rest_len:
         return 0.0
     stats = cs.expr_stats(e, catalog)
     data_blocks = cs.blocks(stats.rows, stats.width, params.cfg)
-    segments = cs.distinct_count(e, known.attr_set(), catalog)
-    return partial_sort_cost(stats.rows, data_blocks, segments, len(rest), params)
+    segments = cs.distinct_count(e, known, catalog)
+    return partial_sort_cost(stats.rows, data_blocks, segments, rest_len, params)
 
 
 def merge_join_cost(left_rows: float, right_rows: float, params: CostParams) -> CostEstimate:

@@ -41,15 +41,14 @@ def restrict_orders(orders, s: AttrSet) -> FavorableOrderSet:
 
 
 class OrderSource:
-    """Favorable-order sets of one query's subexpressions, given by
-    `orders_for`, and their restrictions to attribute sets, each computed
-    once per (expression, attribute set)."""
+    """Favorable-order sets of one query's subexpressions, from the callable
+    `orders_for` or a subclass's method of that name, and their restrictions
+    to attribute sets, each computed once per (expression, attribute set)."""
 
-    def __init__(self):
+    def __init__(self, orders_for=None):
+        if orders_for is not None:
+            self.orders_for = orders_for
         self._restricted = {}
-
-    def orders_for(self, e: lx.LogicalExpr) -> FavorableOrderSet:
-        raise NotImplementedError
 
     def restricted(self, e: lx.LogicalExpr, s: AttrSet) -> FavorableOrderSet:
         """restrict_orders(self.orders_for(e), s), cached."""
@@ -59,19 +58,17 @@ class OrderSource:
             got = self._restricted[key] = restrict_orders(self.orders_for(e), s)
         return got
 
-
-class _CallableOrderSource(OrderSource):
-    """The sets given by any callable, such as the oracle's exact sets."""
-
-    def __init__(self, orders_for):
-        super().__init__()
-        self.orders_for = orders_for
+    def usable(self, e: lx.Join | lx.GroupBy, s: AttrSet) -> FavorableOrderSet:
+        """The union of e's inputs' sets restricted to s: the prefixes a merge
+        join or group-by on s can use.  `_compute` avoids it, a frame per level."""
+        inputs = lx.children(e)
+        return frozenset().union(*map(self.restricted, inputs, [s] * len(inputs)))
 
 
 def as_order_source(source) -> OrderSource:
     """`source` itself if it is an OrderSource (a FavorableOrderIndex, say),
     else the callable `source` wrapped in one."""
-    return source if isinstance(source, OrderSource) else _CallableOrderSource(source)
+    return source if isinstance(source, OrderSource) else OrderSource(source)
 
 
 def _extensions(heads, s: AttrSet) -> set[SortOrder]:

@@ -112,11 +112,8 @@ def interesting_orders(
     join attributes resp. grouping keys.  `source` is a
     `favorable_orders.OrderSource` or any callable from an expression to its
     favorable orders."""
-    source = fo.as_order_source(source)
     s = _sort_attrs(e)
-    t = {lcp_with_set(required, s)}
-    for c in lx.children(e):
-        t |= source.restricted(c, s)
+    t = fo.as_order_source(source).usable(e, s) | {lcp_with_set(required, s)}
     return {extend_to(o, s) for o in prune_prefixes(t)}
 
 
@@ -138,11 +135,19 @@ def _heuristic_orders(e: lx.Join | lx.GroupBy, heuristic: str) -> set[SortOrder]
     return {SortOrder(p) for p in itertools.permutations(sorted(attrs))}
 
 
+def _total(op: str, op_cost: float, below: float) -> float:
+    """The total cost of an `op` node whose inputs total `below`; it must be finite."""
+    total = op_cost + below
+    if not math.isfinite(total):
+        raise TooLarge(f"cost estimate of a {op} plan overflows")
+    return total
+
+
 class _PlanBuilder:
     """Builds and costs plan nodes over one catalog and set of cost
     parameters; the optimizer, refinement and the plan loader build with it.
-    Its caches hold for that catalog and those parameters only, so they live
-    on the instance."""
+    `_node` builds every node and `_sort` prices every sort; the caches hold
+    for that catalog and those parameters only, so they live on the instance."""
 
     def __init__(self, catalog: cs.Catalog, params: cm.CostParams):
         self.catalog = catalog
@@ -155,15 +160,12 @@ class _PlanBuilder:
         if size is None:
             stats = cs.expr_stats(e, self.catalog)
             size = self._sizes[e] = (stats.rows, cs.blocks(stats.rows, stats.width, self.params.cfg))
-        total_cost = op_cost + sum(c.total_cost for c in children)
-        if not math.isfinite(total_cost):
-            raise TooLarge(f"cost estimate of a {op} plan overflows")
         return PhysicalPlan(
             op=op,
             expr=e,
             produced_order=produced,
             op_cost=op_cost,
-            total_cost=total_cost,
+            total_cost=_total(op, op_cost, sum(c.total_cost for c in children)),
             est_rows=size[0],
             est_blocks=size[1],
             children=tuple(children),
@@ -171,31 +173,28 @@ class _PlanBuilder:
             node_count=1 + sum(c.node_count for c in children),
         )
 
-    def _sort(self, e: lx.LogicalExpr, want: SortOrder, have: SortOrder) -> tuple[str, SortOrder, float]:
-        """The op, known prefix and own cost of a sort of e's result from
-        `have` to `want`.  `cm.enforce_cost` reads only the known prefix's
-        attribute set and the length of the rest, so they key its cache."""
+    def _sort(self, plan: PhysicalPlan, want: SortOrder, have: SortOrder | None = None):
+        """None if `have` (by default the plan's own order) delivers `want`;
+        otherwise the op, known prefix and own cost of a sort on top of `plan`
+        that relies on what `have` shares with `want`."""
+        have = plan.produced_order if have is None else have
+        if is_prefix(want, have):
+            return None
         known = lcp(want, have)
-        key = (e, known.attr_set(), len(want) - len(known))
+        key = (plan.expr, known.attr_set(), len(want) - len(known))
         cost = self._sort_costs.get(key)
         if cost is None:
-            cost = self._sort_costs[key] = cm.enforce_cost(e, have, want, self.params, self.catalog)
+            cost = self._sort_costs[key] = cm.sort_cost(*key, self.params, self.catalog)
         return ("partial_sort" if known else "full_sort"), known, cost
 
     def _enforced(self, plan: PhysicalPlan, want: SortOrder, have: SortOrder | None = None) -> PhysicalPlan:
-        """`plan` itself if it delivers `want`; otherwise a (partial) sort on
-        top of it that relies on what `have` (by default the plan's own
-        order) shares with `want`."""
-        have = plan.produced_order if have is None else have
-        if is_prefix(want, have):
+        """`plan` itself if it delivers `want`, else the sort `_sort` prices
+        on top of it."""
+        sort = self._sort(plan, want, have)
+        if sort is None:
             return plan
-        op, known, cost = self._sort(plan.expr, want, have)
+        op, known, cost = sort
         return self._node(op, plan.expr, want, cost, (plan,), input_order=known)
-
-    def _access(self, e: lx.Scan, path) -> PhysicalPlan:
-        """The scan node of one of `cm.access_paths(e, ...)`."""
-        kind, produced, cost = path
-        return self._node(kind, e, produced, cost, ())
 
     def _operator(self, op, e, kids, order: SortOrder = EMPTY) -> PhysicalPlan:
         """Operator `op` computing e over `kids`, the plans of e's inputs, with
@@ -272,12 +271,15 @@ class Optimizer(_PlanBuilder):
             bases = self._scans.get(e)
             if bases is None:
                 paths = cm.access_paths(e, self.catalog, self._query_attrs, self.params)
-                bases = self._scans[e] = [self._access(e, path) for path in paths]
+                bases = self._scans[e] = [self._node(kind, e, produced, cost, ()) for kind, produced, cost in paths]
         elif isinstance(e, (lx.Select, lx.Project)):
             (op,) = _OPS[type(e)]
             bases = [self._operator(op, e, (self._goal(e.input, want),))]
+        elif self.heuristic == "favorable":
+            # computed here, not in the generator, so the favorable-order pass starts a frame higher
+            bases = self._ordered_candidates(e, interesting_orders(e, want, self._source))
         else:
-            bases = self._ordered_candidates(e, want)
+            bases = self._ordered_candidates(e, _heuristic_orders(e, self.heuristic))
 
         # Rank the candidates in order, before building their sorts; min keeps
         # the first of equal keys.  map adds no interpreter frame, unlike a
@@ -293,24 +295,17 @@ class Optimizer(_PlanBuilder):
     def _candidate(self, base: PhysicalPlan, want: SortOrder, have: SortOrder | None = None):
         """(tie-break key, base, have) of the plan `_enforced(base, want,
         have)` would build, without building a sort."""
-        have = base.produced_order if have is None else have
-        if is_prefix(want, have):
+        sort = self._sort(base, want, have)
+        if sort is None:
             return (base.total_cost, base.produced_order.attrs, base.node_count), base, have
-        op, _, cost = self._sort(base.expr, want, have)
-        total = cost + base.total_cost  # as _node's op_cost + sum(...) over one child
-        if not math.isfinite(total):
-            raise TooLarge(f"cost estimate of a {op} plan overflows")
-        return (total, want.attrs, base.node_count + 1), base, have
+        op, _, cost = sort
+        return (_total(op, cost, base.total_cost), want.attrs, base.node_count + 1), base, have
 
-    def _ordered_candidates(self, e: lx.Join | lx.GroupBy, want: SortOrder):
-        """The merge join resp. sort-based group-by over each candidate order,
+    def _ordered_candidates(self, e: lx.Join | lx.GroupBy, orders):
+        """The merge join resp. sort-based group-by over each of `orders`,
         which every input delivers; then the hash variant over unordered
         inputs.  Each is built once per order and shared by every goal of e."""
         sort_op, hash_op = _OPS[type(e)]
-        if self.heuristic == "favorable":
-            orders = interesting_orders(e, want, self._source)
-        else:
-            orders = _heuristic_orders(e, self.heuristic)
         ops = [(sort_op, io) for io in sorted(orders, key=lambda o: o.attrs)]
         if self.params.hashjoin_enabled:
             ops.append((hash_op, EMPTY))
@@ -436,7 +431,8 @@ class _PlanLoader(_PlanBuilder):
             if not found:
                 raise _doc.fail(path + ".index_key", f"no covering index of {e.relation!r} has key {key!r}")
             # Of several indices with this key the optimizer picks the cheapest.
-            node = self._access(e, min(found, key=lambda p: p[2]))
+            _, produced, cost = min(found, key=lambda p: p[2])
+            node = self._node(op, e, produced, cost, ())
         elif op in ("merge_join", "sort_group_by"):
             order = _order(d, "order", path)
             attrs = _sort_attrs(e)
@@ -452,8 +448,10 @@ class _PlanLoader(_PlanBuilder):
             for key, value in d.items():
                 if key in _OUTPUT_ONLY:
                     _doc.number(value, f"{path}.{key}", 0.0)
-                elif value != rebuilt.get(key):
-                    raise _doc.fail(f"{path}.{key}", f"expected {rebuilt.get(key)!r}, got {value!r}")
+                elif key not in rebuilt:
+                    raise _doc.fail(f"{path}.{key}", f"a {node.op} node has no such field")
+                elif value != rebuilt[key]:
+                    raise _doc.fail(f"{path}.{key}", f"expected {rebuilt[key]!r}, got {value!r}")
         return node
 
 

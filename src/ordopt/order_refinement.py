@@ -290,9 +290,7 @@ def refine_plan(
     # with an input favorable order is its common prefix with that order's
     # restriction to the attributes.
     def head(j: PhysicalPlan) -> SortOrder:
-        e = j.expr
-        s = e.join_attrs
-        usable = favorable_index.restricted(e.left, s) | favorable_index.restricted(e.right, s)
+        usable = favorable_index.usable(j.expr, j.expr.join_attrs)
         return j.produced_order.prefix(max((len(lcp(j.produced_order, q)) for q in usable), default=0))
 
     # Each tree of adjacent joins is solved separately.

@@ -146,6 +146,19 @@ CASES = {
         "plan", _set("plan", "children", 0, "children", 1, "children", 0, "index_key", ["year"]),
         1, "plan.children[0].children[1].children[0].index_key:",
     ),
+    "plan-merge-join-input-order-null": (
+        "plan", _set("plan", "children", 0, "input_order", None), 1, "plan.children[0].input_order:",
+    ),
+    "plan-merge-join-target-order-null": (
+        "plan", _set("plan", "children", 0, "target_order", None), 1, "plan.children[0].target_order:",
+    ),
+    "plan-merge-join-relation-null": (
+        "plan", _set("plan", "children", 0, "relation", None), 1, "plan.children[0].relation:",
+    ),
+    "plan-table-scan-index-key-null": (
+        "plan", _set("plan", "children", 0, "children", 0, "children", 0, "children", 0, "index_key", None),
+        1, "plan.children[0].children[0].children[0].children[0].index_key:",
+    ),
     "plan-expr-id-bool": ("plan", _set("plan", "expr_id", True), 1, "plan.expr_id:"),
     "plan-order-string": ("plan", _set("plan", "order", "abc"), 1, "plan.order:"),
     "plan-rows-string": ("plan", _set("plan", "rows", "x"), 1, "plan.rows:"),

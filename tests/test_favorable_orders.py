@@ -324,4 +324,8 @@ def test_restricted_sets_equal_restricting_the_full_sets():
         for e in lx.preorder(query.root):
             if isinstance(e, (lx.Join, lx.GroupBy)):
                 assert index.orders_for(e) == _per_member_orders(index, e)
+                s = e.join_attrs if isinstance(e, lx.Join) else e.keys
+                assert index.usable(e, s) == frozenset().union(
+                    *(restrict_orders(index.orders_for(c), s) for c in lx.children(e))
+                )
     assert checked > 200

@@ -286,7 +286,8 @@ def test_node_count_of_a_deep_plan_is_stored():
     params = CostParams()
     builder = _PlanBuilder(catalog, params)
     e = lx.Scan("rating")
-    plan = builder._access(e, access_paths(e, catalog, frozenset(), params)[0])
+    kind, produced, cost = access_paths(e, catalog, frozenset(), params)[0]
+    plan = builder._node(kind, e, produced, cost, ())
     for _ in range(4999):
         e = lx.Select(e, 1.0, frozenset())
         plan = builder._operator("select", e, (plan,))
@@ -299,7 +300,8 @@ def test_sort_group_by_reads_its_sorted_input_for_free():
     params = CostParams()
     builder = _PlanBuilder(catalog, params)
     e = lx.Scan("rating")
-    scan = builder._access(e, access_paths(e, catalog, frozenset(), params)[0])
+    kind, produced, cost = access_paths(e, catalog, frozenset(), params)[0]
+    scan = builder._node(kind, e, produced, cost, ())
     make = order("make")
     sorted_scan = builder._enforced(scan, make)
     plan = builder._operator("sort_group_by", lx.GroupBy(e, frozenset(["make"]), 8), (sorted_scan,), make)
@@ -336,27 +338,26 @@ def _long_chain(joins: int):
 @pytest.mark.parametrize("hashjoin,nodes,sorts", [(False, 462, 190), (True, 526, 190)])
 def test_search_builds_each_node_once_and_costs_each_sort_once(hashjoin, nodes, sorts, monkeypatch):
     """Search counts pinned on a 64-join chain: how many plan nodes it
-    builds, and one `enforce_cost` call per (expression, known attribute
-    set, rest length), the only inputs the cost reads."""
+    builds, and one `sort_cost` call per (expression, known attribute set,
+    rest length), the arguments it takes."""
     from ordopt import cost_model
     from ordopt.optimizer import PhysicalPlan
 
     catalog, query = _long_chain(64)
     params = CostParams(hashjoin_enabled=hashjoin, hash_per_block_io_equiv=0.5)
     built, costed = [], []
-    plain_init, plain_cost = PhysicalPlan.__init__, cost_model.enforce_cost
+    plain_init, plain_cost = PhysicalPlan.__init__, cost_model.sort_cost
 
     def counting_init(self, *args, **kwargs):
         built.append(None)
         plain_init(self, *args, **kwargs)
 
-    def counting_cost(e, have, want, params, catalog):
-        known = lcp(want, have)
-        costed.append((e, known.attr_set(), len(want) - len(known)))
-        return plain_cost(e, have, want, params, catalog)
+    def counting_cost(e, known, rest_len, params, catalog):
+        costed.append((e, known, rest_len))
+        return plain_cost(e, known, rest_len, params, catalog)
 
     monkeypatch.setattr(PhysicalPlan, "__init__", counting_init)
-    monkeypatch.setattr(cost_model, "enforce_cost", counting_cost)
+    monkeypatch.setattr(cost_model, "sort_cost", counting_cost)
     plan = optimize_query(catalog, params, query)
     assert len(costed) == len(set(costed))
     assert (len(built), len(costed)) == (nodes, sorts)
