@@ -1,4 +1,8 @@
+import importlib.util
+import math
+import pathlib
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -13,6 +17,7 @@ from ordopt import (
     expr_stats,
     load_catalog,
     order,
+    parse_query,
 )
 
 from conftest import load_pair, random_catalog_and_join
@@ -119,3 +124,143 @@ def test_group_by_stats_include_aggregate_column():
     widths = dict(stats.widths)
     assert widths[lx.AGG_ATTR] == 8.0
     assert stats.rows <= expr_stats(query.root.input, catalog).rows
+
+
+# --- derived statistics against a frozen reference --------------------------
+
+
+@dataclass(frozen=True)
+class _RefStats:
+    rows: float
+    width: float
+    distinct: tuple[tuple[str, float], ...]
+    widths: tuple[tuple[str, float], ...]
+
+    def distinct_map(self) -> dict[str, float]:
+        return dict(self.distinct)
+
+
+class _ReferenceStats:
+    """The statistics derivation as it stood before it was tuned for speed,
+    kept verbatim apart from recursing through its own memo: every float it
+    makes, and the order each sum is taken in, is the reference."""
+
+    def __init__(self, catalog):
+        self.catalog = catalog
+        self.memo = {}
+
+    def expr_stats(self, e):
+        if e not in self.memo:
+            self.memo[e] = self._compute_stats(e, self.catalog)
+        return self.memo[e]
+
+    def _compute_stats(self, e, catalog):
+        if isinstance(e, lx.Scan):
+            rel = catalog.relation(e.relation)
+            w = rel.attr_width()
+            counts = dict(rel.distincts)  # a column without a count has all values distinct
+            distinct = tuple((a, float(min(counts.get(a, rel.row_count), rel.row_count))) for a in sorted(rel.columns))
+            widths = tuple((a, w) for a in sorted(rel.columns))
+            return _RefStats(float(rel.row_count), float(rel.tuple_bytes), distinct, widths)
+
+        if isinstance(e, lx.Select):
+            s = self.expr_stats(e.input)
+            rows = s.rows * e.selectivity
+            return _RefStats(rows, s.width, s.distinct, s.widths)
+
+        if isinstance(e, lx.Project):
+            s = self.expr_stats(e.input)
+            widths = tuple((a, w) for a, w in s.widths if a in e.cols)
+            distinct = tuple((a, d) for a, d in s.distinct if a in e.cols)
+            width = sum(w for _, w in widths)
+            return _RefStats(s.rows, width, distinct, widths)
+
+        if isinstance(e, lx.Join):
+            ls = self.expr_stats(e.left)
+            rs = self.expr_stats(e.right)
+            ld, rd = ls.distinct_map(), rs.distinct_map()
+            if e.full_outer:
+                rows = ls.rows + rs.rows
+            else:
+                denom = 1.0
+                for a in e.join_attrs:
+                    denom *= max(min(ld[a], ls.rows), min(rd[a], rs.rows), 1.0)
+                rows = max(ls.rows * rs.rows / denom, 1.0)
+            widths = dict(rs.widths)
+            widths.update(dict(ls.widths))  # shared attributes keep the left width
+            distinct = dict(rd)
+            distinct.update(ld)
+            for a in e.join_attrs:
+                distinct[a] = min(ld[a], rd[a])
+            width = sum(widths.values())
+            return _RefStats(
+                rows,
+                width,
+                tuple(sorted(distinct.items())),
+                tuple(sorted(widths.items())),
+            )
+
+        if isinstance(e, lx.GroupBy):
+            s = self.expr_stats(e.input)
+            rows = self.distinct_count(e.input, e.keys)
+            widths = {a: w for a, w in s.widths if a in e.keys}
+            widths[lx.AGG_ATTR] = float(e.agg_width_bytes)
+            distinct = {a: min(d, rows) for a, d in s.distinct if a in e.keys}
+            distinct[lx.AGG_ATTR] = rows
+            return _RefStats(
+                rows,
+                sum(widths.values()),
+                tuple(sorted(distinct.items())),
+                tuple(sorted(widths.items())),
+            )
+
+        raise TypeError(f"not a logical expression: {e!r}")
+
+    def distinct_count(self, e, s):
+        if not s:
+            return 1.0
+        stats = self.expr_stats(e)
+        dmap = stats.distinct_map()
+        cap = max(stats.rows, 1.0)
+        prod = 1.0
+        for a in s:
+            prod *= max(min(dmap[a], cap), 1.0)
+            if prod >= cap:
+                return cap
+        return min(prod, cap)
+
+
+def _assert_stats_match_reference(catalog, root):
+    ref = _ReferenceStats(catalog)
+    for e in lx.preorder(root):
+        got, want = expr_stats(e, catalog), ref.expr_stats(e)
+        assert (got.rows, got.width) == (want.rows, want.width), e
+        assert list(dict(got.distinct).items()) == list(want.distinct), e
+        assert list(dict(got.widths).items()) == list(want.widths), e
+        assert all(map(math.isfinite, (got.rows, got.width)))
+        for attrs in (frozenset(), lx.schema(e, catalog), frozenset(sorted(lx.schema(e, catalog))[:2])):
+            assert distinct_count(e, attrs, catalog) == ref.distinct_count(e, attrs)
+
+
+def _workloads():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stats_match_the_reference_on_every_fixture_subexpression():
+    pairs = _workloads().FIXTURE_PAIRS
+    assert len(pairs) == 6
+    for cat, qry in pairs:
+        catalog, query = load_pair(cat, qry)
+        _assert_stats_match_reference(catalog, query.root)
+
+
+def test_stats_match_the_reference_on_plan_chain_queries():
+    """The first 200 seed-0 inputs of the benchmark's plan_chain workload:
+    left-deep and bushy join trees of 8 to 64 joins, selects and group-bys."""
+    for catalog_text, query_text, _ in _workloads().chain_inputs(0, 200):
+        catalog = load_catalog(catalog_text)
+        _assert_stats_match_reference(catalog, parse_query(query_text, catalog).root)

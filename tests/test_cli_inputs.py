@@ -67,6 +67,14 @@ def _set(*path_and_value):
     return mutate
 
 
+def _all(*mutations):
+    def mutate(doc):
+        for m in mutations:
+            m(doc)
+
+    return mutate
+
+
 def _nested_selects(depth, selectivity=0.5):
     """The query under `depth` selects, as JSON text: deep documents are
     beyond what json.dumps can write."""
@@ -83,8 +91,10 @@ ABC_RELATION = {
     "name": "x", "row_count": 1, "tuple_bytes": 1, "columns": ["a", "b", "c"], "clustering_order": "abc",
 }
 
-# (document, mutation, exit code, start of the message after the prefix); the
-# one case that exits 0 must print what the unmodified document prints.
+# (document, mutation, exit code, the message after the prefix: all of it for
+# plan documents, its start for the others); the one case that exits 0 must
+# print what the unmodified document prints.  Where a plan document has
+# several faults, the message pins which one is reported.
 CASES = {
     "catalog-clustering-string": (
         "catalog", _set("relations", 3, ABC_RELATION),
@@ -136,33 +146,64 @@ CASES = {
     "query-nested-900": ("query", _nested_selects(900), 2, "query"),
     "query-nested-2000": ("query", _nested_selects(2000), 2, "query"),
     "plan-total-cost-zero": ("plan", _set("plan", "total_cost", 0), 0, None),
-    "plan-op-bogus": ("plan", _set("plan", "op", "bogus"), 1, "plan.op:"),
-    "plan-children-not-a-list": ("plan", _set("plan", "children", 5), 1, "plan.children:"),
+    "plan-op-bogus": (
+        "plan", _set("plan", "op", "bogus"), 1, "plan.op: expected one of merge_join, hash_join, got 'bogus'",
+    ),
+    "plan-children-not-a-list": ("plan", _set("plan", "children", 5), 1, "plan.children: expected a list, got 5"),
     "plan-merge-join-on-a-scan": (
         "plan", _set("plan", "children", 0, "children", 0, "expr_id", 2),
-        1, "plan.children[0].children[0].expr_id:",
+        1, "plan.children[0].children[0].expr_id: node 2 is not the expression computed here",
     ),
     "plan-index-key-of-no-index": (
         "plan", _set("plan", "children", 0, "children", 1, "children", 0, "index_key", ["year"]),
-        1, "plan.children[0].children[1].children[0].index_key:",
+        1, "plan.children[0].children[1].children[0].index_key: no covering index of 'rating' has key ['year']",
     ),
     "plan-merge-join-input-order-null": (
-        "plan", _set("plan", "children", 0, "input_order", None), 1, "plan.children[0].input_order:",
+        "plan", _set("plan", "children", 0, "input_order", None),
+        1, "plan.children[0].input_order: a merge_join node has no such field",
     ),
     "plan-merge-join-target-order-null": (
-        "plan", _set("plan", "children", 0, "target_order", None), 1, "plan.children[0].target_order:",
+        "plan", _set("plan", "children", 0, "target_order", None),
+        1, "plan.children[0].target_order: a merge_join node has no such field",
     ),
     "plan-merge-join-relation-null": (
-        "plan", _set("plan", "children", 0, "relation", None), 1, "plan.children[0].relation:",
+        "plan", _set("plan", "children", 0, "relation", None),
+        1, "plan.children[0].relation: a merge_join node has no such field",
     ),
     "plan-table-scan-index-key-null": (
         "plan", _set("plan", "children", 0, "children", 0, "children", 0, "children", 0, "index_key", None),
-        1, "plan.children[0].children[0].children[0].children[0].index_key:",
+        1, "plan.children[0].children[0].children[0].children[0].index_key: a table_scan node has no such field",
     ),
-    "plan-expr-id-bool": ("plan", _set("plan", "expr_id", True), 1, "plan.expr_id:"),
-    "plan-order-string": ("plan", _set("plan", "order", "abc"), 1, "plan.order:"),
-    "plan-rows-string": ("plan", _set("plan", "rows", "x"), 1, "plan.rows:"),
-    "plan-unknown-field": ("plan", _set("surprise", 1), 1, "plan file:"),
+    "plan-expr-id-bool": (
+        "plan", _set("plan", "expr_id", True), 1, "plan.expr_id: expected an integer in [0, 4], got True",
+    ),
+    "plan-order-string": (
+        "plan", _set("plan", "order", "abc"), 1, "plan.order: expected a list of non-empty attribute names",
+    ),
+    "plan-rows-string": (
+        "plan", _set("plan", "rows", "x"), 1, "plan.rows: expected a finite number in [0, inf], got 'x'",
+    ),
+    "plan-unknown-field": ("plan", _set("surprise", 1), 1, "plan file: unknown fields ['surprise']"),
+    "plan-unknown-field-and-bad-expr-id": (
+        "plan", _all(_set("plan", "children", 0, "surprise", 1), _set("plan", "children", 0, "expr_id", 99)),
+        1, "plan.children[0]: unknown fields ['surprise']",
+    ),
+    "plan-bad-child-and-bad-parent-order": (
+        "plan",
+        _all(
+            _set("plan", "children", 0, "children", 0, "order", ["make"]),
+            _set("plan", "children", 0, "children", 0, "children", 1, "input_order", ["year"]),
+        ),
+        1, "plan.children[0].children[0].children[1].input_order: the input delivers (make)",
+    ),
+    "plan-bool-total-cost-and-bad-index-key": (
+        "plan",
+        _all(
+            _set("plan", "children", 0, "children", 1, "children", 0, "total_cost", True),
+            _set("plan", "children", 0, "children", 1, "children", 0, "index_key", ["year"]),
+        ),
+        1, "plan.children[0].children[1].children[0].total_cost: expected a finite number in [0, inf], got True",
+    ),
 }
 
 
@@ -184,7 +225,10 @@ def test_bad_document_exits_cleanly(case, capsys, tmp_path):
     assert (code, out) == (want_code, want_out)
     if want_code:
         prefix = "ordopt: guard violation: " if want_code == 2 else "ordopt: error: "
-        assert err.startswith(prefix + want_msg), err
+        if kind == "plan":
+            assert err == prefix + want_msg + "\n"
+        else:
+            assert err.startswith(prefix + want_msg), err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 
 import pytest
@@ -22,7 +23,8 @@ from ordopt import (
     parse_query,
     plan_document,
 )
-from ordopt.optimizer import _PlanBuilder
+from ordopt.optimizer import _SORTS, _PlanBuilder
+from ordopt.order_refinement import refine_plan
 
 from conftest import load_pair, random_catalog_and_join, random_chain_query
 
@@ -167,17 +169,17 @@ def test_enforcer_dominance_on_random_catalogs():
             assert node.total_cost <= bound + 1e-9
 
 
-@pytest.mark.parametrize(
-    "cat,qry",
-    [
-        ("example1_catalog.json", "example1_query.json"),
-        ("tpch_catalog.json", "q2_query.json"),
-        ("tpch_catalog.json", "q3_query.json"),
-        ("q4_catalog.json", "q4_query.json"),
-        ("q5_catalog.json", "q5_query.json"),
-        ("postopt_catalog.json", "postopt_query.json"),
-    ],
-)
+FIXTURE_PAIRS = [
+    ("example1_catalog.json", "example1_query.json"),
+    ("tpch_catalog.json", "q2_query.json"),
+    ("tpch_catalog.json", "q3_query.json"),
+    ("q4_catalog.json", "q4_query.json"),
+    ("q5_catalog.json", "q5_query.json"),
+    ("postopt_catalog.json", "postopt_query.json"),
+]
+
+
+@pytest.mark.parametrize("cat,qry", FIXTURE_PAIRS)
 def test_produced_order_soundness(cat, qry):
     from conftest import assert_plan_sound
 
@@ -362,3 +364,39 @@ def test_search_builds_each_node_once_and_costs_each_sort_once(hashjoin, nodes, 
     assert len(costed) == len(set(costed))
     assert (len(built), len(costed)) == (nodes, sorts)
     assert any(p.op == "merge_join" for p in plan.walk())
+
+
+@pytest.mark.parametrize("cat,qry", FIXTURE_PAIRS)
+def test_loading_a_plan_document_builds_each_node_once(cat, qry, monkeypatch):
+    """Work counts of reloading each fixture's refined plan document: one
+    node built per document node, one `sort_cost` call per sort node, and
+    each distinct expression's statistics derived once on the new catalog."""
+    from ordopt import catalog_stats, cost_model
+
+    catalog, query = load_pair(cat, qry)
+    params = CostParams()
+    plan = refine_plan(optimize_query(catalog, params, query), query, catalog, params, index_for_query(query, catalog))
+    doc = json.loads(json.dumps(plan_document(plan, catalog, params, query)))
+    built, costed, derived = [], [], []
+    plain_node, plain_cost, plain_stats = _PlanBuilder._node, cost_model.sort_cost, catalog_stats._compute_stats
+
+    def counting_node(self, *args, **kwargs):
+        built.append(None)
+        return plain_node(self, *args, **kwargs)
+
+    def counting_cost(*args):
+        costed.append(None)
+        return plain_cost(*args)
+
+    def counting_stats(e, catalog):
+        derived.append(e)
+        return plain_stats(e, catalog)
+
+    monkeypatch.setattr(_PlanBuilder, "_node", counting_node)
+    monkeypatch.setattr(cost_model, "sort_cost", counting_cost)
+    monkeypatch.setattr(catalog_stats, "_compute_stats", counting_stats)
+    _, _, query2, plan2 = load_plan_document(doc)
+    nodes = list(plan2.walk())
+    assert len(built) == len(nodes) == sum(1 for _ in plan.walk())
+    assert len(costed) == sum(1 for p in nodes if p.op in _SORTS) > 0
+    assert len(derived) == len(set(derived)) == len(set(lx.preorder(query2.root)))
