@@ -13,6 +13,7 @@ import math
 from .errors import ParseError, TooLarge, ValidationError
 
 MAX_INT = 2**53
+_STR = frozenset([str])
 
 
 def fail(path: str, msg: str) -> ValidationError:
@@ -32,12 +33,12 @@ def read_json(source, what: str):
 
 
 def fields(doc, path: str, allowed) -> dict:
-    """`doc` itself, if it is an object with no field outside `allowed`."""
+    """`doc` itself, if it is an object with no field outside `allowed`, a
+    set or a dict's keys."""
     if not isinstance(doc, dict):
         raise fail(path, "expected an object")
-    extra = doc.keys() - allowed
-    if extra:
-        raise fail(path, f"unknown fields {sorted(extra)}")
+    if not doc.keys() <= allowed:
+        raise fail(path, f"unknown fields {sorted(doc.keys() - allowed)}")
     return doc
 
 
@@ -52,6 +53,15 @@ def integer(value, path: str, lo: int = 1, hi: int = MAX_INT) -> int:
     if type(value) is not int or not lo <= value <= hi:  # a bool is not an int here
         raise fail(path, f"expected an integer in [{lo}, {hi}], got {value!r}")
     return value
+
+
+def integers(values: dict, path: str, lo: int = 1, hi: int = MAX_INT) -> dict:
+    """`values` itself, if each value is an integer in [lo, hi]; the path of
+    a value is `path.<its key>`, spelled out only for an error."""
+    for key, value in values.items():
+        if type(value) is not int or not lo <= value <= hi:
+            integer(value, f"{path}.{key}", lo, hi)
+    return values
 
 
 def number(value, path: str, lo: float, hi: float = math.inf, *, lo_open: bool = False):
@@ -76,7 +86,7 @@ def name(value, path: str) -> str:
 
 def attr_list(value, path: str, *, nonempty: bool = False) -> tuple[str, ...]:
     """A list of distinct non-empty attribute names, in document order."""
-    if type(value) is not list or set(map(type, value)) - {str} or "" in value:
+    if type(value) is not list or not _STR.issuperset(map(type, value)) or "" in value:
         raise fail(path, "expected a list of non-empty attribute names")
     if len(set(value)) != len(value):
         raise fail(path, "duplicate attribute")

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import _doc
 from . import logical_expr as lx
 from .errors import ConfigError, TooLarge, UnknownAttribute, UnknownRelation
-from .order_algebra import EMPTY, AttrSet, SortOrder
+from .order_algebra import EMPTY, AttrSet, SortOrder, _derived
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,11 @@ def load_catalog(source) -> Catalog:
         rows = _doc.integer(rdoc.get("row_count"), path + ".row_count")
         width = _doc.integer(rdoc.get("tuple_bytes"), path + ".tuple_bytes")
         columns = frozenset(_doc.attr_list(rdoc.get("columns", []), path + ".columns", nonempty=True))
-        clustering = SortOrder(_doc.attr_list(rdoc.get("clustering_order", []), path + ".clustering_order"))
-        if not clustering.attr_set() <= columns:
+        clustering = _derived(_doc.attr_list(rdoc.get("clustering_order", []), path + ".clustering_order"))
+        if not columns.issuperset(clustering.attrs):
             raise _doc.fail(f"{path}.clustering_order", "attributes outside the relation's columns")
         distincts_doc = _doc.fields(rdoc.get("distincts", {}), f"{path}.distincts", columns)
-        for attr, count in distincts_doc.items():
-            _doc.integer(count, f"{path}.distincts.{attr}", 1, rows)
-        distincts = tuple(sorted(distincts_doc.items()))
+        distincts = tuple(sorted(_doc.integers(distincts_doc, f"{path}.distincts", 1, rows).items()))
         relations[name] = CatalogRelation(name, rows, width, columns, clustering, distincts)
 
     indices = []
@@ -133,7 +132,7 @@ def load_catalog(source) -> Catalog:
         if rel_name not in relations:
             raise UnknownRelation(f"{path}: unknown relation {rel_name!r}")
         rel = relations[rel_name]
-        key = SortOrder(_doc.attr_list(idoc.get("key_order", []), path + ".key_order", nonempty=True))
+        key = _derived(_doc.attr_list(idoc.get("key_order", []), path + ".key_order", nonempty=True))
         included = frozenset(_doc.attr_list(idoc.get("included_columns", []), path + ".included_columns"))
         if not (key.attr_set() | included) <= rel.columns:
             raise _doc.fail(path, "index attributes outside the relation's columns")
@@ -173,17 +172,15 @@ def catalog_to_dict(catalog: Catalog) -> dict:
 # --- derived expression statistics ------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExprStats:
-    """Estimated cardinality and per-attribute statistics of an expression."""
+class ExprStats(NamedTuple):
+    """Estimated cardinality and per-attribute statistics of an expression.
+    The per-attribute dicts are in attribute name order and shared between
+    expressions and callers: read them, never change them."""
 
     rows: float
     width: float  # logical output tuple width in bytes
-    distinct: tuple[tuple[str, float], ...]
-    widths: tuple[tuple[str, float], ...]
-
-    def distinct_map(self) -> dict[str, float]:
-        return dict(self.distinct)
+    distinct: dict[str, float]
+    widths: dict[str, float]
 
 
 def expr_stats(e: lx.LogicalExpr, catalog: Catalog) -> ExprStats:
@@ -197,30 +194,32 @@ def expr_stats(e: lx.LogicalExpr, catalog: Catalog) -> ExprStats:
 
 
 def _compute_stats(e: lx.LogicalExpr, catalog: Catalog) -> ExprStats:
+    # Every width is summed in one fixed order, which fixes its last bits:
+    # a join's in its right input's name order, then the left-only
+    # attributes in theirs; any other node's in name order.
     if isinstance(e, lx.Scan):
         rel = catalog.relation(e.relation)
-        w = rel.attr_width()
+        rows = rel.row_count
+        cols = sorted(rel.columns)
         counts = dict(rel.distincts)  # a column without a count has all values distinct
-        distinct = tuple((a, float(min(counts.get(a, rel.row_count), rel.row_count))) for a in sorted(rel.columns))
-        widths = tuple((a, w) for a in sorted(rel.columns))
-        return ExprStats(float(rel.row_count), float(rel.tuple_bytes), distinct, widths)
+        distinct = {a: float(min(counts.get(a, rows), rows)) for a in cols}
+        return ExprStats(float(rows), float(rel.tuple_bytes), distinct, dict.fromkeys(cols, rel.attr_width()))
 
     if isinstance(e, lx.Select):
         s = expr_stats(e.input, catalog)
-        rows = s.rows * e.selectivity
-        return ExprStats(rows, s.width, s.distinct, s.widths)
+        return ExprStats(s.rows * e.selectivity, s.width, s.distinct, s.widths)
 
     if isinstance(e, lx.Project):
         s = expr_stats(e.input, catalog)
-        widths = tuple((a, w) for a, w in s.widths if a in e.cols)
-        distinct = tuple((a, d) for a, d in s.distinct if a in e.cols)
-        width = sum(w for _, w in widths)
-        return ExprStats(s.rows, width, distinct, widths)
+        cols = e.cols
+        widths = {a: w for a, w in s.widths.items() if a in cols}
+        distinct = {a: d for a, d in s.distinct.items() if a in cols}
+        return ExprStats(s.rows, sum(widths.values()), distinct, widths)
 
     if isinstance(e, lx.Join):
         ls = expr_stats(e.left, catalog)
         rs = expr_stats(e.right, catalog)
-        ld, rd = ls.distinct_map(), rs.distinct_map()
+        ld, rd = ls.distinct, rs.distinct
         if e.full_outer:
             rows = ls.rows + rs.rows
         else:
@@ -228,33 +227,21 @@ def _compute_stats(e: lx.LogicalExpr, catalog: Catalog) -> ExprStats:
             for a in e.join_attrs:
                 denom *= max(min(ld[a], ls.rows), min(rd[a], rs.rows), 1.0)
             rows = max(ls.rows * rs.rows / denom, 1.0)
-        widths = dict(rs.widths)
-        widths.update(dict(ls.widths))  # shared attributes keep the left width
-        distinct = dict(rd)
-        distinct.update(ld)
+        widths = {**rs.widths, **ls.widths}  # shared attributes keep the left width
+        distinct = {**rd, **ld}
         for a in e.join_attrs:
             distinct[a] = min(ld[a], rd[a])
-        width = sum(widths.values())
-        return ExprStats(
-            rows,
-            width,
-            tuple(sorted(distinct.items())),
-            tuple(sorted(widths.items())),
-        )
+        return ExprStats(rows, sum(widths.values()), dict(sorted(distinct.items())), dict(sorted(widths.items())))
 
     if isinstance(e, lx.GroupBy):
         s = expr_stats(e.input, catalog)
         rows = distinct_count(e.input, e.keys, catalog)
-        widths = {a: w for a, w in s.widths if a in e.keys}
+        keys = e.keys
+        widths = {a: w for a, w in s.widths.items() if a in keys}
         widths[lx.AGG_ATTR] = float(e.agg_width_bytes)
-        distinct = {a: min(d, rows) for a, d in s.distinct if a in e.keys}
+        distinct = {a: min(d, rows) for a, d in s.distinct.items() if a in keys}
         distinct[lx.AGG_ATTR] = rows
-        return ExprStats(
-            rows,
-            sum(widths.values()),
-            tuple(sorted(distinct.items())),
-            tuple(sorted(widths.items())),
-        )
+        return ExprStats(rows, sum(widths.values()), dict(sorted(distinct.items())), dict(sorted(widths.items())))
 
     raise TypeError(f"not a logical expression: {e!r}")
 
@@ -268,8 +255,8 @@ def distinct_count(e: lx.LogicalExpr, s: AttrSet, catalog: Catalog) -> float:
     if not s:
         return 1.0
     stats = expr_stats(e, catalog)
-    dmap = stats.distinct_map()
-    missing = s - set(dmap)
+    dmap = stats.distinct
+    missing = s.difference(dmap)
     if missing:
         raise UnknownAttribute(f"attributes {sorted(missing)} not in schema of {e!r}")
     cap = max(stats.rows, 1.0)

@@ -49,7 +49,7 @@ def load_params(source) -> CostParams:
     """Read cost parameters from a JSON document with a `cost_params` object;
     absent fields keep their `CostParams` defaults."""
     doc = _doc.fields(_doc.read_json(source, "params"), "params", {"cost_params"})
-    body = {**_PARAM_DEFAULTS, **_doc.fields(doc.get("cost_params", {}), "cost_params", _PARAM_DEFAULTS)}
+    body = {**_PARAM_DEFAULTS, **_doc.fields(doc.get("cost_params", {}), "cost_params", _PARAM_DEFAULTS.keys())}
     cfg = cs.BlockConfig(
         block_bytes=_doc.integer(body["block_bytes"], "cost_params.block_bytes"),
         memory_blocks=_doc.integer(body["memory_blocks"], "cost_params.memory_blocks"),

@@ -129,16 +129,21 @@ def query_attrs(q: QuerySpec, catalog) -> AttrSet:
     this set.
     """
     used: set[str] = set(q.required_output_order.attrs)
-    used |= schema(q.root, catalog)
-    for node in preorder(q.root):
-        if isinstance(node, Select):
-            used |= node.touched
-        elif isinstance(node, Project):
-            used |= node.cols
-        elif isinstance(node, Join):
+    # One walk; `out` marks nodes whose output columns reach the root's
+    # schema: no project or group-by lies above them.
+    stack = [(q.root, True)]
+    while stack:
+        node, out = stack.pop()
+        kind = type(node)
+        if kind is Scan:
+            if out:
+                used |= catalog.relation(node.relation).columns
+        elif kind is Join:
             used |= node.join_attrs
-        elif isinstance(node, GroupBy):
-            used |= node.keys
+            stack += ((node.left, out), (node.right, out))
+        else:
+            used |= node.touched if kind is Select else node.cols if kind is Project else node.keys
+            stack.append((node.input, out and kind is Select))
     used.discard(AGG_ATTR)
     return frozenset(used)
 

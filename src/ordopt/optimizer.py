@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from typing import NamedTuple
 
 from . import _doc
 from . import catalog_stats as cs
@@ -35,6 +36,7 @@ from .order_algebra import (
     EMPTY,
     AttrSet,
     SortOrder,
+    _derived,
     canonical_permutation,
     concat,
     extend_to,
@@ -60,12 +62,16 @@ _OPS = {
 }
 
 
-@dataclass(frozen=True)
-class PhysicalPlan:
+class PhysicalPlan(NamedTuple):
     """One operator of a physical plan and the logical expression `expr` it
-    computes (a sort computes its input's); costs are subtree totals in io
-    units, and `node_count` is the number of operators in the subtree.  A
-    covering index scan's key is the order it produces."""
+    computes (a sort computes its input's); `op_cost` is the operator's own
+    cost, `total_cost` its subtree's, in io units, and `node_count` is the
+    number of operators in the subtree.  A sort's `input_order` is the prefix
+    it relies on; other operators have None.  A covering index scan's key is
+    the order it produces.
+
+    Nodes are shared by every goal and plan that reaches them, so they are
+    immutable: a tuple, built in C, by `_PlanBuilder._node` alone."""
 
     op: str
     expr: lx.LogicalExpr
@@ -74,9 +80,9 @@ class PhysicalPlan:
     total_cost: float
     est_rows: float
     est_blocks: int
-    children: tuple["PhysicalPlan", ...] = ()
-    input_order: SortOrder | None = None
-    node_count: int = field(kw_only=True, compare=False, repr=False)
+    children: tuple[PhysicalPlan, ...]
+    input_order: SortOrder | None
+    node_count: int
 
     def walk(self):
         """Every node in preorder, with an explicit stack: no frame per level."""
@@ -135,6 +141,11 @@ def _heuristic_orders(e: lx.Join | lx.GroupBy, heuristic: str) -> set[SortOrder]
     return {SortOrder(p) for p in itertools.permutations(sorted(attrs))}
 
 
+_new_plan = tuple.__new__
+_TOTAL_COST = operator.attrgetter("total_cost")
+_NODE_COUNT = operator.attrgetter("node_count")
+
+
 def _total(op: str, op_cost: float, below: float) -> float:
     """The total cost of an `op` node whose inputs total `below`; it must be finite."""
     total = op_cost + below
@@ -160,18 +171,11 @@ class _PlanBuilder:
         if size is None:
             stats = cs.expr_stats(e, self.catalog)
             size = self._sizes[e] = (stats.rows, cs.blocks(stats.rows, stats.width, self.params.cfg))
-        return PhysicalPlan(
-            op=op,
-            expr=e,
-            produced_order=produced,
-            op_cost=op_cost,
-            total_cost=_total(op, op_cost, sum(c.total_cost for c in children)),
-            est_rows=size[0],
-            est_blocks=size[1],
-            children=tuple(children),
-            input_order=input_order,
-            node_count=1 + sum(c.node_count for c in children),
-        )
+        rows, blocks = size
+        total = _total(op, op_cost, sum(map(_TOTAL_COST, children)))
+        count = 1 + sum(map(_NODE_COUNT, children))
+        # the fields in PhysicalPlan's order, built in C without its Python __new__
+        return _new_plan(PhysicalPlan, (op, e, produced, op_cost, total, rows, blocks, tuple(children), input_order, count))
 
     def _sort(self, plan: PhysicalPlan, want: SortOrder, have: SortOrder | None = None):
         """None if `have` (by default the plan's own order) delivers `want`;
@@ -181,7 +185,7 @@ class _PlanBuilder:
         if is_prefix(want, have):
             return None
         known = lcp(want, have)
-        key = (plan.expr, known.attr_set(), len(want) - len(known))
+        key = (plan.expr, frozenset(known.attrs), len(want.attrs) - len(known.attrs))
         cost = self._sort_costs.get(key)
         if cost is None:
             cost = self._sort_costs[key] = cm.sort_cost(*key, self.params, self.catalog)
@@ -190,11 +194,15 @@ class _PlanBuilder:
     def _enforced(self, plan: PhysicalPlan, want: SortOrder, have: SortOrder | None = None) -> PhysicalPlan:
         """`plan` itself if it delivers `want`, else the sort `_sort` prices
         on top of it."""
-        sort = self._sort(plan, want, have)
+        return self._sorted(plan, want, self._sort(plan, want, have))
+
+    def _sorted(self, plan: PhysicalPlan, want: SortOrder, sort) -> PhysicalPlan:
+        """`plan` itself if `sort` is None, else the sort to `want` that
+        `sort`, as `_sort` returns it, prices on top of it."""
         if sort is None:
             return plan
         op, known, cost = sort
-        return self._node(op, plan.expr, want, cost, (plan,), input_order=known)
+        return self._node(op, plan.expr, want, cost, (plan,), known)
 
     def _operator(self, op, e, kids, order: SortOrder = EMPTY) -> PhysicalPlan:
         """Operator `op` computing e over `kids`, the plans of e's inputs, with
@@ -287,19 +295,20 @@ class Optimizer(_PlanBuilder):
         cands = list(map(self._candidate, bases, itertools.repeat(want)))
         if want:
             cands.append(self._candidate(self._goal(e, EMPTY), want, EMPTY))
-        _, base, have = min(cands, key=lambda c: c[0])
-        plan = self._enforced(base, want, have)
+        _, base, sort = min(cands, key=lambda c: c[0])
+        plan = self._sorted(base, want, sort)
         self.memo[key] = plan
         return plan
 
     def _candidate(self, base: PhysicalPlan, want: SortOrder, have: SortOrder | None = None):
-        """(tie-break key, base, have) of the plan `_enforced(base, want,
-        have)` would build, without building a sort."""
+        """(tie-break key, base, sort) of the plan `_enforced(base, want,
+        have)` would build, where `sort` is what `_sort` prices, without
+        building the sort: the winner's is built from it."""
         sort = self._sort(base, want, have)
         if sort is None:
-            return (base.total_cost, base.produced_order.attrs, base.node_count), base, have
+            return (base.total_cost, base.produced_order.attrs, base.node_count), base, None
         op, _, cost = sort
-        return (_total(op, cost, base.total_cost), want.attrs, base.node_count + 1), base, have
+        return (_total(op, cost, base.total_cost), want.attrs, base.node_count + 1), base, sort
 
     def _ordered_candidates(self, e: lx.Join | lx.GroupBy, orders):
         """The merge join resp. sort-based group-by over each of `orders`,
@@ -382,8 +391,24 @@ _NODE_KEYS = {
 }
 
 
-def _order(d: dict, key: str, path: str) -> SortOrder:
-    return SortOrder(_doc.attr_list(d.get(key, []), f"{path}.{key}"))
+def _path(where) -> str:
+    """The document path of the plan node at `where`: "plan", or the pair of
+    its parent's `where` and its index among the parent's children.  Loading
+    hands these pairs down and spells a path out only for an error message."""
+    steps = []
+    while type(where) is tuple:
+        where, i = where
+        steps.append(f".children[{i}]")
+    return where + "".join(reversed(steps))
+
+
+def _order(d: dict, key: str, where) -> SortOrder:
+    """The order in field `key` of plan node `d`, empty where it is absent."""
+    try:
+        names = _doc.attr_list(d.get(key, []), key)
+    except ValidationError as exc:  # its message starts with the key: put the node's path before it
+        raise ValidationError(f"{_path(where)}.{exc}") from None
+    return _derived(names)  # attr_list has checked the names
 
 
 class _PlanLoader(_PlanBuilder):
@@ -395,32 +420,57 @@ class _PlanLoader(_PlanBuilder):
         self.exprs = lx.preorder(query.root)
         self.query_attrs = lx.query_attrs(query, catalog)
 
-    def load(self, d, path: str, e: lx.LogicalExpr, sort_ok: bool = True) -> PhysicalPlan:
-        """Rebuild plan node `d`, which computes e; no sort sits on a sort."""
-        _doc.fields(d, path, _NODE_KEYS)
-        for key in _OUTPUT_ONLY:  # a bool would pass for 0 or 1 in the comparison below
-            if type(d.get(key)) is bool:
-                _doc.number(d[key], f"{path}.{key}", 0.0)
-        expr_id = _doc.integer(d.get("expr_id"), path + ".expr_id", 0, len(self.exprs) - 1)
-        if self.exprs[expr_id] != e:
-            raise _doc.fail(path + ".expr_id", f"node {expr_id} is not the expression computed here")
-        op = d.get("op")
-        is_sort = op in _SORTS and sort_ok
+    def load(self, d, where, e: lx.LogicalExpr, sort_ok: bool = True) -> PhysicalPlan:
+        """Rebuild plan node `d` at `where` (see `_path`), which computes e;
+        no sort sits on a sort.  The checks run in a fixed order, which picks
+        the error of a node with several faults; a node as ordopt writes it
+        passes each one in a single test."""
+        get = d.get if isinstance(d, dict) else None
+        # a bool would pass for 0 or 1 in the comparison below
+        if get is None or not d.keys() <= _NODE_KEYS or (
+            type(get("op_cost")) is bool or type(get("total_cost")) is bool
+            or type(get("rows")) is bool or type(get("blocks")) is bool
+        ):
+            _doc.fields(d, _path(where), _NODE_KEYS)
+            for key in _OUTPUT_ONLY:
+                if type(d.get(key)) is bool:
+                    _doc.number(d[key], f"{_path(where)}.{key}", 0.0)
+        exprs = self.exprs
+        expr_id = get("expr_id")
+        if type(expr_id) is not int or not 0 <= expr_id < len(exprs):
+            _doc.integer(expr_id, _path(where) + ".expr_id", 0, len(exprs) - 1)
+        if exprs[expr_id] is not e and exprs[expr_id] != e:
+            raise _doc.fail(_path(where) + ".expr_id", f"node {expr_id} is not the expression computed here")
+        op = get("op")
+        is_sort = sort_ok and op in _SORTS
         if not is_sort and op not in _OPS[type(e)]:
-            raise _doc.fail(path + ".op", f"expected one of {', '.join(_OPS[type(e)])}, got {op!r}")
-        docs = _doc.array(d.get("children", []), path + ".children")
+            raise _doc.fail(_path(where) + ".op", f"expected one of {', '.join(_OPS[type(e)])}, got {op!r}")
+        docs = get("children", [])
+        if type(docs) is not list:
+            _doc.array(docs, _path(where) + ".children")
         inputs = (e,) if is_sort else lx.children(e)
         if len(docs) != len(inputs):
-            raise _doc.fail(path + ".children", f"expected {len(inputs)} input plans, got {len(docs)}")
-        paths = [f"{path}.children[{i}]" for i in range(len(docs))]
-        # map adds no interpreter frame per level, unlike a comprehension
-        kids = tuple(map(self.load, docs, paths, inputs, [not is_sort] * len(docs)))
+            raise _doc.fail(_path(where) + ".children", f"expected {len(inputs)} input plans, got {len(docs)}")
+        # direct calls add no interpreter frame per level, unlike a comprehension
+        sub = not is_sort
+        if not docs:
+            kids = ()
+        elif len(docs) == 1:
+            kids = (self.load(docs[0], (where, 0), inputs[0], sub),)
+        else:  # a join's two inputs
+            kids = (self.load(docs[0], (where, 0), inputs[0], sub), self.load(docs[1], (where, 1), inputs[1], sub))
 
+        # An order the inputs deliver is a prefix of the first input's, and
+        # so a checked one; any other value gets the checks in full.
         if is_sort:
-            have = _order(d, "input_order", path)
-            if not is_prefix(have, kids[0].produced_order):
-                raise _doc.fail(path + ".input_order", f"the input delivers {kids[0].produced_order}")
-            node = self._enforced(kids[0], _order(d, "order", path), have)
+            delivered = kids[0].produced_order
+            names = get("input_order", [])
+            have = delivered.prefix(len(names)) if type(names) is list else None
+            if have is None or names != list(have.attrs):
+                have = _order(d, "input_order", where)
+                if not is_prefix(have, delivered):
+                    raise _doc.fail(_path(where) + ".input_order", f"the input delivers {delivered}")
+            node = self._enforced(kids[0], _order(d, "order", where), have)
         elif isinstance(e, lx.Scan):
             key = d.get("index_key")
             found = [
@@ -429,15 +479,18 @@ class _PlanLoader(_PlanBuilder):
                 if p[0] == op and (op == "table_scan" or list(p[1].attrs) == key)
             ]
             if not found:
-                raise _doc.fail(path + ".index_key", f"no covering index of {e.relation!r} has key {key!r}")
+                raise _doc.fail(_path(where) + ".index_key", f"no covering index of {e.relation!r} has key {key!r}")
             # Of several indices with this key the optimizer picks the cheapest.
             _, produced, cost = min(found, key=lambda p: p[2])
             node = self._node(op, e, produced, cost, ())
         elif op in ("merge_join", "sort_group_by"):
-            order = _order(d, "order", path)
             attrs = _sort_attrs(e)
-            if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
-                raise _doc.fail(path + ".order", f"expected an order of {sorted(attrs)} every input delivers")
+            order = kids[0].produced_order.prefix(len(attrs))
+            names = get("order", [])
+            if names != list(order.attrs) or frozenset(names) != attrs or not is_prefix(order, kids[-1].produced_order):
+                order = _order(d, "order", where)
+                if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
+                    raise _doc.fail(_path(where) + ".order", f"expected an order of {sorted(attrs)} every input delivers")
             node = self._operator(op, e, kids, order)
         else:  # the order of any other operator is derived, and checked below
             node = self._operator(op, e, kids)
@@ -445,6 +498,7 @@ class _PlanLoader(_PlanBuilder):
         rebuilt = _node_fields(node, expr_id)
         rebuilt["children"] = docs
         if d != rebuilt:  # not exactly as ordopt writes this node: check field by field
+            path = _path(where)
             for key, value in d.items():
                 if key in _OUTPUT_ONLY:
                     _doc.number(value, f"{path}.{key}", 0.0)

@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 import random
 
@@ -11,6 +12,14 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 def fixture_path(name: str) -> pathlib.Path:
     return FIXTURES / name
+
+
+def perfbench_workloads():
+    """The benchmark's seeded input generator, `perfbench/workloads.py`."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", FIXTURES.parent / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_pair(catalog_name: str, query_name: str):

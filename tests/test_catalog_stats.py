@@ -1,6 +1,4 @@
-import importlib.util
 import math
-import pathlib
 import random
 from dataclasses import dataclass
 
@@ -20,7 +18,7 @@ from ordopt import (
     parse_query,
 )
 
-from conftest import load_pair, random_catalog_and_join
+from conftest import load_pair, perfbench_workloads, random_catalog_and_join
 
 
 def test_blocks_examples():
@@ -242,16 +240,8 @@ def _assert_stats_match_reference(catalog, root):
             assert distinct_count(e, attrs, catalog) == ref.distinct_count(e, attrs)
 
 
-def _workloads():
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_stats_match_the_reference_on_every_fixture_subexpression():
-    pairs = _workloads().FIXTURE_PAIRS
+    pairs = perfbench_workloads().FIXTURE_PAIRS
     assert len(pairs) == 6
     for cat, qry in pairs:
         catalog, query = load_pair(cat, qry)
@@ -261,6 +251,6 @@ def test_stats_match_the_reference_on_every_fixture_subexpression():
 def test_stats_match_the_reference_on_plan_chain_queries():
     """The first 200 seed-0 inputs of the benchmark's plan_chain workload:
     left-deep and bushy join trees of 8 to 64 joins, selects and group-bys."""
-    for catalog_text, query_text, _ in _workloads().chain_inputs(0, 200):
+    for catalog_text, query_text, _ in perfbench_workloads().chain_inputs(0, 200):
         catalog = load_catalog(catalog_text)
         _assert_stats_match_reference(catalog, parse_query(query_text, catalog).root)

@@ -184,6 +184,18 @@ CASES = {
         "plan", _set("plan", "rows", "x"), 1, "plan.rows: expected a finite number in [0, inf], got 'x'",
     ),
     "plan-unknown-field": ("plan", _set("surprise", 1), 1, "plan file: unknown fields ['surprise']"),
+    "plan-sort-input-order-not-a-list": (
+        "plan", _set("plan", "input_order", 5), 1, "plan.input_order: expected a list of non-empty attribute names",
+    ),
+    "plan-merge-join-on-a-prefix-of-its-attributes": (
+        "plan",
+        _all(
+            _set("plan", "children", 0, "children", 0, "order", ["make"]),
+            _set("plan", "children", 0, "children", 0, "children", 0, "order", ["make"]),
+            _set("plan", "children", 0, "children", 0, "children", 0, "target_order", ["make"]),
+        ),
+        1, "plan.children[0].children[0].order: expected an order of ['city', 'color', 'make', 'year'] every input delivers",
+    ),
     "plan-unknown-field-and-bad-expr-id": (
         "plan", _all(_set("plan", "children", 0, "surprise", 1), _set("plan", "children", 0, "expr_id", 99)),
         1, "plan.children[0]: unknown fields ['surprise']",

@@ -18,7 +18,7 @@ from ordopt import (
     schema,
 )
 
-from conftest import load_pair
+from conftest import load_pair, perfbench_workloads
 
 
 def test_schema_rules():
@@ -124,6 +124,43 @@ def test_query_attrs_gathers_everything():
     used = query_attrs(query, catalog)
     assert {"suppkey", "partkey", "availqty", "linestatus"} <= used
     assert lx.AGG_ATTR not in used
+
+
+def _reference_query_attrs(q, catalog):
+    """The definition: the output schema, the required order and every
+    attribute a node names, without the aggregate column."""
+    used = set(q.required_output_order.attrs) | schema(q.root, catalog)
+    for node in lx.preorder(q.root):
+        if isinstance(node, lx.Select):
+            used |= node.touched
+        elif isinstance(node, lx.Project):
+            used |= node.cols
+        elif isinstance(node, lx.Join):
+            used |= node.join_attrs
+        elif isinstance(node, lx.GroupBy):
+            used |= node.keys
+    used.discard(lx.AGG_ATTR)
+    return frozenset(used)
+
+
+def test_query_attrs_match_the_definition():
+    """On the fixtures, the benchmark's first 200 seed-0 chain queries, and
+    projects and group-bys stacked over each other and over joins."""
+    pairs = [load_pair(c, q) for c, q in perfbench_workloads().FIXTURE_PAIRS]
+    for catalog_text, query_text, _ in perfbench_workloads().chain_inputs(0, 200):
+        catalog = load_catalog(catalog_text)
+        pairs.append((catalog, parse_query(query_text, catalog)))
+    catalog, _ = load_pair("tpch_catalog.json", "q3_query.json")
+    join = lx.Join(lx.Scan("partsupp"), lx.Scan("lineitem"), frozenset(["partkey"]))
+    inner = lx.GroupBy(join, frozenset(["partkey", "suppkey"]), 8)
+    for root in (
+        lx.Project(join, frozenset(["partkey"])),
+        lx.GroupBy(inner, frozenset(["partkey", lx.AGG_ATTR]), 8),
+        lx.Select(lx.Project(inner, frozenset([lx.AGG_ATTR, "suppkey"])), 0.5, frozenset(["suppkey"])),
+    ):
+        pairs.append((catalog, lx.QuerySpec(root, order(lx.AGG_ATTR))))
+    for catalog, query in pairs:
+        assert query_attrs(query, catalog) == _reference_query_attrs(query, catalog)
 
 
 def test_full_outer_join_parses():

@@ -337,32 +337,49 @@ def _long_chain(joins: int):
     return catalog, lx.QuerySpec(expr, order("a1", "a0"))
 
 
+#: Candidates ranked on the 64-join chain, without and with hash operators.
+_CANDIDATES = {False: 912, True: 1105}
+
+
 @pytest.mark.parametrize("hashjoin,nodes,sorts", [(False, 462, 190), (True, 526, 190)])
 def test_search_builds_each_node_once_and_costs_each_sort_once(hashjoin, nodes, sorts, monkeypatch):
     """Search counts pinned on a 64-join chain: how many plan nodes it
-    builds, and one `sort_cost` call per (expression, known attribute set,
-    rest length), the arguments it takes."""
+    builds; one `sort_cost` call per (expression, known attribute set,
+    rest length), the arguments it takes; and one `_sort` pricing per
+    candidate, so the winner's sort is built from its candidate's price."""
     from ordopt import cost_model
-    from ordopt.optimizer import PhysicalPlan
+    from ordopt.optimizer import Optimizer
 
     catalog, query = _long_chain(64)
     params = CostParams(hashjoin_enabled=hashjoin, hash_per_block_io_equiv=0.5)
-    built, costed = [], []
-    plain_init, plain_cost = PhysicalPlan.__init__, cost_model.sort_cost
+    built, costed, priced, ranked = [], [], [], []
+    plain_node, plain_cost = _PlanBuilder._node, cost_model.sort_cost
+    plain_sort, plain_candidate = _PlanBuilder._sort, Optimizer._candidate
 
-    def counting_init(self, *args, **kwargs):
+    def counting_node(self, *args, **kwargs):
         built.append(None)
-        plain_init(self, *args, **kwargs)
+        return plain_node(self, *args, **kwargs)
 
     def counting_cost(e, known, rest_len, params, catalog):
         costed.append((e, known, rest_len))
         return plain_cost(e, known, rest_len, params, catalog)
 
-    monkeypatch.setattr(PhysicalPlan, "__init__", counting_init)
+    def counting_sort(self, *args):
+        priced.append(None)
+        return plain_sort(self, *args)
+
+    def counting_candidate(self, *args):
+        ranked.append(None)
+        return plain_candidate(self, *args)
+
+    monkeypatch.setattr(_PlanBuilder, "_node", counting_node)
     monkeypatch.setattr(cost_model, "sort_cost", counting_cost)
+    monkeypatch.setattr(_PlanBuilder, "_sort", counting_sort)
+    monkeypatch.setattr(Optimizer, "_candidate", counting_candidate)
     plan = optimize_query(catalog, params, query)
     assert len(costed) == len(set(costed))
     assert (len(built), len(costed)) == (nodes, sorts)
+    assert len(priced) == len(ranked) == _CANDIDATES[hashjoin]
     assert any(p.op == "merge_join" for p in plan.walk())
 
 
