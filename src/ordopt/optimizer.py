@@ -12,11 +12,18 @@ names the operators that compute each kind of expression, for search and the
 plan loader alike.
 
 Search ranks the candidates of a goal before building their sorts: a sort's
-cost is known without its node, so only the winner's sort is built.  The
-operators below the sorts are built once per query and shared by every goal
-of their expression, since their inputs are memoized goals: the scans of
-each access path, and each merge join, sort-based group-by and hash operator
-per input order.
+cost is known without its node, so only the winner's sort is built, from the
+price its candidate already holds.  The operators below the sorts are built
+once per query and shared by every goal of their expression, since their
+inputs are memoized goals: the scans of each access path, and each merge
+join, sort-based group-by and hash operator per input order.  Plan nodes are
+immutable tuples, and `_PlanBuilder._node` builds every one of them.
+
+A plan document is untrusted: `load_plan_document` rebuilds each node
+through the same builder, so every cost is recomputed.  It checks a node in
+one pass, in a fixed order that decides which error a document with several
+faults gets; a node exactly as ordopt writes it passes each check in a
+single test, and a node's path is spelled out only for an error.
 """
 
 from __future__ import annotations
