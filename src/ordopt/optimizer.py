@@ -446,7 +446,8 @@ class _PlanLoader(_PlanBuilder):
         expr_id = get("expr_id")
         if type(expr_id) is not int or not 0 <= expr_id < len(exprs):
             _doc.integer(expr_id, _path(where) + ".expr_id", 0, len(exprs) - 1)
-        if exprs[expr_id] is not e and exprs[expr_id] != e:
+        computed = exprs[expr_id]
+        if computed is not e and computed != e:
             raise _doc.fail(_path(where) + ".expr_id", f"node {expr_id} is not the expression computed here")
         op = get("op")
         is_sort = sort_ok and op in _SORTS
