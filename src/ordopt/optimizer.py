@@ -182,7 +182,8 @@ class _PlanBuilder:
         total = _total(op, op_cost, sum(map(_TOTAL_COST, children)))
         count = 1 + sum(map(_NODE_COUNT, children))
         # the fields in PhysicalPlan's order, built in C without its Python __new__
-        return _new_plan(PhysicalPlan, (op, e, produced, op_cost, total, rows, blocks, tuple(children), input_order, count))
+        fields = (op, e, produced, op_cost, total, rows, blocks, tuple(children), input_order, count)
+        return _new_plan(PhysicalPlan, fields)
 
     def _sort(self, plan: PhysicalPlan, want: SortOrder, have: SortOrder | None = None):
         """None if `have` (by default the plan's own order) delivers `want`;
@@ -478,7 +479,12 @@ class _PlanLoader(_PlanBuilder):
                 have = _order(d, "input_order", where)
                 if not is_prefix(have, delivered):
                     raise _doc.fail(_path(where) + ".input_order", f"the input delivers {delivered}")
-            node = self._enforced(kids[0], _order(d, "order", where), have)
+            want = _order(d, "order", where)
+            # the distinct counts are keyed by e's output attributes
+            outside = frozenset(want.attrs).difference(cs.expr_stats(e, self.catalog).distinct)
+            if outside:
+                raise _doc.fail(_path(where) + ".order", f"attributes {sorted(outside)} not in the input's schema")
+            node = self._enforced(kids[0], want, have)
         elif isinstance(e, lx.Scan):
             key = d.get("index_key")
             found = [
@@ -498,7 +504,8 @@ class _PlanLoader(_PlanBuilder):
             if names != list(order.attrs) or frozenset(names) != attrs or not is_prefix(order, kids[-1].produced_order):
                 order = _order(d, "order", where)
                 if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
-                    raise _doc.fail(_path(where) + ".order", f"expected an order of {sorted(attrs)} every input delivers")
+                    msg = f"expected an order of {sorted(attrs)} every input delivers"
+                    raise _doc.fail(_path(where) + ".order", msg)
             node = self._operator(op, e, kids, order)
         else:  # the order of any other operator is derived, and checked below
             node = self._operator(op, e, kids)

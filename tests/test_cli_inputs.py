@@ -184,6 +184,10 @@ CASES = {
         "plan", _set("plan", "rows", "x"), 1, "plan.rows: expected a finite number in [0, inf], got 'x'",
     ),
     "plan-unknown-field": ("plan", _set("surprise", 1), 1, "plan file: unknown fields ['surprise']"),
+    "plan-sort-on-attributes-outside-the-schema": (
+        "plan", _all(_set("plan", "order", ["make", "zz"]), _set("plan", "target_order", ["make", "zz"])),
+        1, "plan.order: attributes ['zz'] not in the input's schema",
+    ),
     "plan-sort-input-order-not-a-list": (
         "plan", _set("plan", "input_order", 5), 1, "plan.input_order: expected a list of non-empty attribute names",
     ),
@@ -194,7 +198,8 @@ CASES = {
             _set("plan", "children", 0, "children", 0, "children", 0, "order", ["make"]),
             _set("plan", "children", 0, "children", 0, "children", 0, "target_order", ["make"]),
         ),
-        1, "plan.children[0].children[0].order: expected an order of ['city', 'color', 'make', 'year'] every input delivers",
+        1,
+        "plan.children[0].children[0].order: expected an order of ['city', 'color', 'make', 'year'] every input delivers",
     ),
     "plan-unknown-field-and-bad-expr-id": (
         "plan", _all(_set("plan", "children", 0, "surprise", 1), _set("plan", "children", 0, "expr_id", 99)),

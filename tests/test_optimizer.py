@@ -10,6 +10,7 @@ from ordopt import (
     EMPTY,
     Optimizer,
     TooLarge,
+    ValidationError,
     access_paths,
     enforce_cost,
     index_for_query,
@@ -417,3 +418,19 @@ def test_loading_a_plan_document_builds_each_node_once(cat, qry, monkeypatch):
     assert len(built) == len(nodes) == sum(1 for _ in plan.walk())
     assert len(costed) == sum(1 for p in nodes if p.op in _SORTS) > 0
     assert len(derived) == len(set(derived)) == len(set(lx.preorder(query2.root)))
+
+
+def test_a_sort_on_attributes_outside_its_input_is_rejected():
+    """q4 has no ORDER BY, so only the sort's own check stands between a
+    document and a plan sorted on attributes its expression lacks."""
+    catalog, query = load_pair("q4_catalog.json", "q4_query.json")
+    params = CostParams()
+    doc = json.loads(json.dumps(plan_document(optimize_query(catalog, params, query), catalog, params, query)))
+    root = doc["plan"]
+    names = ["zz", "yy"]
+    doc["plan"] = {
+        "op": "full_sort", "expr_id": root["expr_id"], "order": names, "target_order": names, "input_order": [],
+        "children": [root],
+    }
+    with pytest.raises(ValidationError, match=r"^plan\.order: attributes \['yy', 'zz'\] not in the input's schema$"):
+        load_plan_document(doc)
