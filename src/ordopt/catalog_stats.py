@@ -8,7 +8,6 @@ count; the join-result estimate is the usual System-R style formula.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -35,8 +34,7 @@ class BlockConfig:
         return self.block_bytes * self.memory_blocks
 
 
-@dataclass(frozen=True)
-class CatalogRelation:
+class CatalogRelation(NamedTuple):
     name: str
     row_count: int
     tuple_bytes: int
@@ -49,8 +47,7 @@ class CatalogRelation:
         return self.tuple_bytes / len(self.columns)
 
 
-@dataclass(frozen=True)
-class IndexDef:
+class IndexDef(NamedTuple):
     relation: str
     key_order: SortOrder
     included_columns: AttrSet
@@ -100,6 +97,10 @@ def covering_indices(rel: CatalogRelation, needed: AttrSet, catalog: Catalog) ->
 
 # --- catalog loading --------------------------------------------------------
 
+#: Builds a NamedTuple of this module from the tuple of its fields, in C,
+#: without the class's Python __new__.
+_new = tuple.__new__
+
 _REL_FIELDS = {"name", "row_count", "tuple_bytes", "columns", "clustering_order", "distincts"}
 _IDX_FIELDS = {"relation", "key_order", "included_columns", "kind"}
 
@@ -123,7 +124,7 @@ def load_catalog(source) -> Catalog:
             raise _doc.fail(f"{path}.clustering_order", "attributes outside the relation's columns")
         distincts_doc = _doc.fields(rdoc.get("distincts", {}), f"{path}.distincts", columns)
         distincts = tuple(sorted(_doc.integers(distincts_doc, f"{path}.distincts", 1, rows).items()))
-        relations[name] = CatalogRelation(name, rows, width, columns, clustering, distincts)
+        relations[name] = _new(CatalogRelation, (name, rows, width, columns, clustering, distincts))
 
     indices = []
     for i, idoc in enumerate(_doc.array(doc.get("indices", []), "indices")):
@@ -140,7 +141,7 @@ def load_catalog(source) -> Catalog:
         kind = idoc.get("kind", "secondary")
         if kind not in ("clustering", "secondary"):
             raise _doc.fail(f"{path}.kind", f"expected clustering|secondary, got {kind!r}")
-        indices.append(IndexDef(rel_name, key, included, kind))
+        indices.append(_new(IndexDef, (rel_name, key, included, kind)))
 
     return Catalog(relations, tuple(indices))
 
@@ -195,78 +196,104 @@ def expr_stats(e: lx.LogicalExpr, catalog: Catalog) -> ExprStats:
 def _compute_stats(e: lx.LogicalExpr, catalog: Catalog) -> ExprStats:
     # Every width is summed in one fixed order, which fixes its last bits:
     # a join's in its right input's name order, then the left-only
-    # attributes in theirs; any other node's in name order.
-    if isinstance(e, lx.Scan):
+    # attributes in theirs; any other node's in name order.  `b if b < a
+    # else a` is min(a, b) and `b if b > a else a` max(a, b), without the
+    # cost of a call.
+    kind = type(e)
+    if kind is lx.Scan:
         rel = catalog.relation(e.relation)
         rows = rel.row_count
         cols = sorted(rel.columns)
-        # float(min(count, rows)) per column, where a column without a count
-        # has all values distinct: built in C, with no Python step per column
-        counts = map(dict(rel.distincts).get, cols, itertools.repeat(rows))
-        distinct = dict(zip(cols, map(float, map(min, counts, itertools.repeat(rows)))))
-        return ExprStats(float(rows), float(rel.tuple_bytes), distinct, dict.fromkeys(cols, rel.attr_width()))
+        distinct = dict.fromkeys(cols, float(rows))  # a column without a count has all values distinct
+        for a, count in rel.distincts:
+            if count < rows:
+                distinct[a] = float(count)
+        return _new(ExprStats, (float(rows), float(rel.tuple_bytes), distinct, dict.fromkeys(cols, rel.attr_width())))
 
-    if isinstance(e, lx.Select):
+    if kind is lx.Select:
         s = expr_stats(e.input, catalog)
-        return ExprStats(s.rows * e.selectivity, s.width, s.distinct, s.widths)
+        return _new(ExprStats, (s.rows * e.selectivity, s.width, s.distinct, s.widths))
 
-    if isinstance(e, lx.Project):
+    if kind is lx.Project:
         s = expr_stats(e.input, catalog)
         cols = e.cols
         widths = {a: w for a, w in s.widths.items() if a in cols}
         distinct = {a: d for a, d in s.distinct.items() if a in cols}
-        return ExprStats(s.rows, sum(widths.values()), distinct, widths)
+        return _new(ExprStats, (s.rows, sum(widths.values()), distinct, widths))
 
-    if isinstance(e, lx.Join):
+    if kind is lx.Join:
         ls = expr_stats(e.left, catalog)
         rs = expr_stats(e.right, catalog)
         ld, rd = ls.distinct, rs.distinct
-        if e.full_outer:
-            rows = ls.rows + rs.rows
-        else:
-            denom = 1.0
-            for a in e.join_attrs:
-                denom *= max(min(ld[a], ls.rows), min(rd[a], rs.rows), 1.0)
-            rows = max(ls.rows * rs.rows / denom, 1.0)
-        widths = {**rs.widths, **ls.widths}  # shared attributes keep the left width
+        lrows, rrows = ls.rows, rs.rows
         distinct = {**rd, **ld}
+        denom = 1.0
         for a in e.join_attrs:
-            distinct[a] = min(ld[a], rd[a])
-        return ExprStats(rows, sum(widths.values()), dict(sorted(distinct.items())), dict(sorted(widths.items())))
+            left, right = ld[a], rd[a]
+            distinct[a] = right if right < left else left
+            # max(min(left, lrows), min(right, rrows), 1.0)
+            if lrows < left:
+                left = lrows
+            if rrows < right:
+                right = rrows
+            if right > left:
+                left = right
+            denom *= 1.0 if 1.0 > left else left
+        if e.full_outer:
+            rows = lrows + rrows
+        else:
+            rows = lrows * rrows / denom
+            if 1.0 > rows:
+                rows = 1.0
+        widths = {**rs.widths, **ls.widths}  # shared attributes keep the left width
+        return _new(ExprStats, (rows, sum(widths.values()), *_by_name(distinct, widths)))
 
-    if isinstance(e, lx.GroupBy):
+    if kind is lx.GroupBy:
         s = expr_stats(e.input, catalog)
-        rows = distinct_count(e.input, e.keys, catalog)
+        rows = distinct_count(e.input, e.keys, catalog, s)
         keys = e.keys
         widths = {a: w for a, w in s.widths.items() if a in keys}
         widths[lx.AGG_ATTR] = float(e.agg_width_bytes)
-        distinct = {a: min(d, rows) for a, d in s.distinct.items() if a in keys}
+        distinct = {a: rows if rows < d else d for a, d in s.distinct.items() if a in keys}
         distinct[lx.AGG_ATTR] = rows
-        return ExprStats(rows, sum(widths.values()), dict(sorted(distinct.items())), dict(sorted(widths.items())))
+        return _new(ExprStats, (rows, sum(widths.values()), *_by_name(distinct, widths)))
 
     raise TypeError(f"not a logical expression: {e!r}")
 
 
-def distinct_count(e: lx.LogicalExpr, s: AttrSet, catalog: Catalog) -> float:
+def _by_name(distinct: dict, widths: dict) -> tuple[dict, dict]:
+    """Both dicts, which have the same keys, rebuilt in name order."""
+    names = sorted(distinct)
+    return {a: distinct[a] for a in names}, {a: widths[a] for a in names}
+
+
+def distinct_count(e: lx.LogicalExpr, s: AttrSet, catalog: Catalog, stats: ExprStats | None = None) -> float:
     """Estimated number of distinct value combinations of s in the output of e.
 
     Independence across attributes, capped at the expression's row count;
-    the empty set yields 1.
+    the empty set yields 1.  `stats` are e's statistics, if the caller holds
+    them already.
     """
     if not s:
         return 1.0
-    stats = expr_stats(e, catalog)
+    if stats is None:
+        stats = expr_stats(e, catalog)
     dmap = stats.distinct
     missing = s.difference(dmap)
     if missing:
         raise UnknownAttribute(f"attributes {sorted(missing)} not in schema of {e!r}")
-    cap = max(stats.rows, 1.0)
+    cap = stats.rows
+    if 1.0 > cap:
+        cap = 1.0
     prod = 1.0
     for a in s:
-        prod *= max(min(dmap[a], cap), 1.0)
+        d = dmap[a]  # max(min(d, cap), 1.0)
+        if cap < d:
+            d = cap
+        prod *= 1.0 if 1.0 > d else d
         if prod >= cap:
             return cap
-    return min(prod, cap)
+    return cap if cap < prod else prod
 
 
 def expr_blocks(e: lx.LogicalExpr, catalog: Catalog, cfg: BlockConfig) -> int:

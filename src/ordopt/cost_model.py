@@ -70,7 +70,7 @@ def sort_cpu_cost(rows: float, key_len: int, params: CostParams) -> CostEstimate
     """
     if rows <= 0:
         return 0.0
-    return params.cpu_per_comparison_io_equiv * rows * math.log2(max(rows, 2.0)) * key_len
+    return params.cpu_per_comparison_io_equiv * rows * math.log2(2.0 if 2.0 > rows else rows) * key_len
 
 
 def full_sort_cost(rows: float, data_blocks: float, key_len: int, params: CostParams) -> CostEstimate:
@@ -102,7 +102,10 @@ def partial_sort_cost(
     the remaining `key_len` attributes."""
     if rows <= 0 or key_len == 0:
         return 0.0
-    segments = max(min(segments, rows), 1.0)
+    if rows < segments:  # max(min(segments, rows), 1.0), without the calls
+        segments = rows
+    if 1.0 > segments:
+        segments = 1.0
     return segments * full_sort_cost(rows / segments, data_blocks / segments, key_len, params)
 
 
@@ -129,7 +132,7 @@ def sort_cost(
         return 0.0
     stats = cs.expr_stats(e, catalog)
     data_blocks = cs.blocks(stats.rows, stats.width, params.cfg)
-    segments = cs.distinct_count(e, known, catalog)
+    segments = cs.distinct_count(e, known, catalog, stats)
     return partial_sort_cost(stats.rows, data_blocks, segments, rest_len, params)
 
 

@@ -102,7 +102,11 @@ def preorder(e: LogicalExpr) -> list[LogicalExpr]:
     while stack:
         node = stack.pop()
         out.append(node)
-        stack.extend(reversed(children(node)))
+        kind = type(node)  # children(node), pushed in reverse, without a call per node
+        if kind is Join:
+            stack += (node.right, node.left)
+        elif kind is not Scan:
+            stack.append(node.input)
     return out
 
 

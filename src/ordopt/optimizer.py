@@ -151,6 +151,7 @@ def _heuristic_orders(e: lx.Join | lx.GroupBy, heuristic: str) -> set[SortOrder]
 _new_plan = tuple.__new__
 _TOTAL_COST = operator.attrgetter("total_cost")
 _NODE_COUNT = operator.attrgetter("node_count")
+_COST = operator.itemgetter(2)  # of an access path
 
 
 def _total(op: str, op_cost: float, below: float) -> float:
@@ -435,10 +436,7 @@ class _PlanLoader(_PlanBuilder):
         passes each one in a single test."""
         get = d.get if isinstance(d, dict) else None
         # a bool would pass for 0 or 1 in the comparison below
-        if get is None or not d.keys() <= _NODE_KEYS or (
-            type(get("op_cost")) is bool or type(get("total_cost")) is bool
-            or type(get("rows")) is bool or type(get("blocks")) is bool
-        ):
+        if get is None or not d.keys() <= _NODE_KEYS or bool in map(type, map(get, _OUTPUT_ONLY)):
             _doc.fields(d, _path(where), _NODE_KEYS)
             for key in _OUTPUT_ONLY:
                 if type(d.get(key)) is bool:
@@ -486,16 +484,14 @@ class _PlanLoader(_PlanBuilder):
                 raise _doc.fail(_path(where) + ".order", f"attributes {sorted(outside)} not in the input's schema")
             node = self._enforced(kids[0], want, have)
         elif isinstance(e, lx.Scan):
-            key = d.get("index_key")
-            found = [
-                p
-                for p in cm.access_paths(e, self.catalog, self.query_attrs, self.params)
-                if p[0] == op and (op == "table_scan" or list(p[1].attrs) == key)
-            ]
+            key = get("index_key")
+            paths = cm.access_paths(e, self.catalog, self.query_attrs, self.params)
+            # the table scan comes first, then the covering index scans
+            found = paths[:1] if op == "table_scan" else [p for p in paths[1:] if list(p[1].attrs) == key]
             if not found:
                 raise _doc.fail(_path(where) + ".index_key", f"no covering index of {e.relation!r} has key {key!r}")
             # Of several indices with this key the optimizer picks the cheapest.
-            _, produced, cost = min(found, key=lambda p: p[2])
+            _, produced, cost = min(found, key=_COST)
             node = self._node(op, e, produced, cost, ())
         elif op in ("merge_join", "sort_group_by"):
             attrs = _sort_attrs(e)
