@@ -72,9 +72,6 @@ class Catalog:
         except KeyError:
             raise UnknownRelation(f"unknown relation {name!r}") from None
 
-    def indices_for(self, name: str) -> tuple[IndexDef, ...]:
-        return tuple(i for i in self.indices if i.relation == name)
-
 
 def blocks(rows, tuple_bytes, cfg: BlockConfig) -> int:
     """Number of blocks occupied by `rows` tuples of the given width."""
@@ -88,11 +85,11 @@ def blocks(rows, tuple_bytes, cfg: BlockConfig) -> int:
 
 def covering_indices(rel: CatalogRelation, needed: AttrSet, catalog: Catalog) -> list[IndexDef]:
     """Secondary indices of rel whose key plus included columns cover `needed`."""
-    out = []
-    for idx in catalog.indices_for(rel.name):
-        if idx.kind == "secondary" and needed <= idx.all_attrs():
-            out.append(idx)
-    return out
+    name = rel.name
+    return [
+        idx for idx in catalog.indices
+        if idx.relation == name and idx.kind == "secondary" and needed <= idx.all_attrs()
+    ]
 
 
 # --- catalog loading --------------------------------------------------------

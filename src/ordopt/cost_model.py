@@ -168,7 +168,7 @@ def access_paths(e: lx.Scan, catalog: cs.Catalog, query_attrs, params: CostParam
     for idx in cs.covering_indices(rel, needed, catalog):
         # one width per column, summed: k * width can differ in the last bit,
         # and block counts round up
-        entry_width = sum(rel.attr_width() for _ in idx.all_attrs())
+        entry_width = sum([rel.attr_width()] * len(idx.all_attrs()))
         cost = float(cs.blocks(rel.row_count, entry_width, params.cfg))
         paths.append(("covering_index_scan", idx.key_order, cost))
     return paths
