@@ -163,6 +163,19 @@ def test_query_attrs_match_the_definition():
         assert query_attrs(query, catalog) == _reference_query_attrs(query, catalog)
 
 
+def test_preorder_lists_each_node_before_its_inputs_left_to_right():
+    """The positions are the plan document's expression ids."""
+
+    def reference(e):
+        return [e] + [n for c in lx.children(e) for n in reference(c)]
+
+    roots = [load_pair(c, q)[1].root for c, q in perfbench_workloads().FIXTURE_PAIRS]
+    for catalog_text, query_text, _ in perfbench_workloads().chain_inputs(0, 40):
+        roots.append(parse_query(query_text, load_catalog(catalog_text)).root)
+    for root in roots:
+        assert list(map(id, lx.preorder(root))) == list(map(id, reference(root)))
+
+
 def test_full_outer_join_parses():
     catalog, query = load_pair("q4_catalog.json", "q4_query.json")
     assert query.root.full_outer
