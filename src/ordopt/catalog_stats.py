@@ -9,6 +9,7 @@ count; the join-result estimate is the usual System-R style formula.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -97,6 +98,7 @@ def covering_indices(rel: CatalogRelation, needed: AttrSet, catalog: Catalog) ->
 #: Builds a NamedTuple of this module from the tuple of its fields, in C,
 #: without the class's Python __new__.
 _new = tuple.__new__
+_NAME = operator.itemgetter(0)  # of a CatalogRelation
 
 _REL_FIELDS = {"name", "row_count", "tuple_bytes", "columns", "clustering_order", "distincts"}
 _IDX_FIELDS = {"relation", "key_order", "included_columns", "kind"}
@@ -144,26 +146,27 @@ def load_catalog(source) -> Catalog:
 
 
 def catalog_to_dict(catalog: Catalog) -> dict:
+    # each entry unpacked in one step: Python 3.11 reads a NamedTuple's fields by name slowly
     return {
         "relations": [
             {
-                "name": r.name,
-                "row_count": r.row_count,
-                "tuple_bytes": r.tuple_bytes,
-                "columns": sorted(r.columns),
-                "clustering_order": list(r.clustering_order.attrs),
-                "distincts": dict(r.distincts),
+                "name": name,
+                "row_count": rows,
+                "tuple_bytes": width,
+                "columns": sorted(columns),
+                "clustering_order": list(clustering.attrs),
+                "distincts": dict(distincts),
             }
-            for r in sorted(catalog.relations.values(), key=lambda r: r.name)
+            for name, rows, width, columns, clustering, distincts in sorted(catalog.relations.values(), key=_NAME)
         ],
         "indices": [
             {
-                "relation": i.relation,
-                "key_order": list(i.key_order.attrs),
-                "included_columns": sorted(i.included_columns),
-                "kind": i.kind,
+                "relation": relation,
+                "key_order": list(key.attrs),
+                "included_columns": sorted(included),
+                "kind": kind,
             }
-            for i in catalog.indices
+            for relation, key, included, kind in catalog.indices
         ],
     }
 

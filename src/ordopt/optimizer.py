@@ -354,27 +354,31 @@ def optimize_query(
 
 def _node_fields(p: PhysicalPlan, expr_id: int) -> dict:
     """The document fields of one plan node with id `expr_id`, children left out."""
+    # unpacked in one step: Python 3.11 reads a NamedTuple's fields by name slowly
+    op, e, produced, op_cost, total, rows, blocks, children, input_order, _ = p
     d = {
-        "op": p.op,
+        "op": op,
         "expr_id": expr_id,
-        "order": list(p.produced_order.attrs),
-        "op_cost": p.op_cost,
-        "total_cost": p.total_cost,
-        "rows": p.est_rows,
-        "blocks": p.est_blocks,
+        "order": list(produced.attrs),
+        "op_cost": op_cost,
+        "total_cost": total,
+        "rows": rows,
+        "blocks": blocks,
     }
-    if not p.children:
-        d["relation"] = p.expr.relation
-    if p.op == "covering_index_scan":
-        d["index_key"] = list(p.produced_order.attrs)
-    if p.input_order is not None:  # a sort
-        d["input_order"] = list(p.input_order.attrs)
-        d["target_order"] = list(p.produced_order.attrs)
+    if not children:
+        d["relation"] = e.relation
+    if op == "covering_index_scan":
+        d["index_key"] = list(produced.attrs)
+    if input_order is not None:  # a sort
+        d["input_order"] = list(input_order.attrs)
+        d["target_order"] = list(produced.attrs)
     return d
 
 
 def _plan_node_to_dict(p: PhysicalPlan, ids: dict) -> dict:
-    return {**_node_fields(p, ids[p.expr]), "children": [_plan_node_to_dict(c, ids) for c in p.children]}
+    d = _node_fields(p, ids[p.expr])
+    d["children"] = [_plan_node_to_dict(c, ids) for c in p.children]
+    return d
 
 
 def plan_document(plan: PhysicalPlan, catalog: cs.Catalog, params: cm.CostParams, query: lx.QuerySpec) -> dict:
