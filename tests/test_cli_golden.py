@@ -61,6 +61,16 @@ FIXTURE_DIGESTS = {
     ),
 }
 
+# name -> sha256 of explain-afm
+EXPLAIN_AFM_DIGESTS = {
+    "example1": "564a1252af60373d095d1218a998a5558ea4f505d292af93b9c3fa682ca2b017",
+    "postopt": "36d93392521ebd188c32bf0f9bf4d9bf5ab841ea25cef9d5970ceab20f2a9864",
+    "q2": "d0f4d8b059dc046261211ddb01fb4009a1e0b9eeaf17fab99891fba468c066cb",
+    "q3": "4b00afd6466d0fc45199977c64668bb6efa6fc283d2992d78ac7ee5976ffc28a",
+    "q4": "f1cc26d06b211b4c668fcab2c5ddefd3dcf39c65545b99a0857c2914b7c23cc1",
+    "q5": "41251777afd288595ccf4b9d0b3005248c5075f0082af3ae965618eef55f37d7",
+}
+
 #: (catalog1 join catalog2) join (catalog1 join catalog2) over the example1
 #: catalog: equal subtrees share one expr_id and one memo entry per goal.
 SELF_JOIN_HALF = {
@@ -285,6 +295,12 @@ def _plan_digests(capsys, tmp_path, cat, qry) -> tuple[str, tuple[str, str, str]
 def test_fixture_cli_bytes(name, capsys, tmp_path):
     cat, qry = (str(fixture_path(f)) for f in FIXTURE_PAIRS[name])
     assert _plan_digests(capsys, tmp_path, cat, qry)[1] == FIXTURE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_PAIRS))
+def test_fixture_explain_afm_bytes(name, capsys):
+    cat, qry = (str(fixture_path(f)) for f in FIXTURE_PAIRS[name])
+    assert _digest(capsys, "explain-afm", "--catalog", cat, "--query", qry)[1] == EXPLAIN_AFM_DIGESTS[name]
 
 
 def test_self_join_cli_bytes(capsys, tmp_path):
