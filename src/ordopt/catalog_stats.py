@@ -119,7 +119,7 @@ def load_catalog(source) -> Catalog:
         width = _doc.integer(rdoc.get("tuple_bytes"), path + ".tuple_bytes")
         columns = frozenset(_doc.attr_list(rdoc.get("columns", []), path + ".columns", nonempty=True))
         clustering = _derived(_doc.attr_list(rdoc.get("clustering_order", []), path + ".clustering_order"))
-        if not columns.issuperset(clustering.attrs):
+        if not columns.issuperset(clustering):
             raise _doc.fail(f"{path}.clustering_order", "attributes outside the relation's columns")
         distincts_doc = _doc.fields(rdoc.get("distincts", {}), f"{path}.distincts", columns)
         distincts = tuple(sorted(_doc.integers(distincts_doc, f"{path}.distincts", 1, rows).items()))
@@ -154,7 +154,7 @@ def catalog_to_dict(catalog: Catalog) -> dict:
                 "row_count": rows,
                 "tuple_bytes": width,
                 "columns": sorted(columns),
-                "clustering_order": list(clustering.attrs),
+                "clustering_order": list(clustering),
                 "distincts": dict(distincts),
             }
             for name, rows, width, columns, clustering, distincts in sorted(catalog.relations.values(), key=_NAME)
@@ -162,7 +162,7 @@ def catalog_to_dict(catalog: Catalog) -> dict:
         "indices": [
             {
                 "relation": relation,
-                "key_order": list(key.attrs),
+                "key_order": list(key),
                 "included_columns": sorted(included),
                 "kind": kind,
             }

@@ -88,11 +88,11 @@ def _cmd_explain_afm(args) -> int:
     def show(e, depth: int) -> None:
         pad = "  " * depth
         print(pad + label(e))
-        orders = sorted(index.orders_for(e), key=lambda o: o.attrs)
+        orders = sorted(index.orders_for(e))
         if not orders:
             print(pad + "  (no favorable orders)")
         for o in orders:
-            print(pad + "  " + ",".join(o.attrs))
+            print(pad + "  " + ",".join(o))
         for c in lx.children(e):
             show(c, depth + 1)
 

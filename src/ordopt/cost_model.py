@@ -52,7 +52,7 @@ def load_params(source) -> CostParams:
     body = {**_PARAM_DEFAULTS, **_doc.fields(doc.get("cost_params", {}), "cost_params", _PARAM_DEFAULTS.keys())}
     cfg = cs.BlockConfig(
         block_bytes=_doc.integer(body["block_bytes"], "cost_params.block_bytes"),
-        memory_blocks=_doc.integer(body["memory_blocks"], "cost_params.memory_blocks"),
+        memory_blocks=_doc.integer(body["memory_blocks"], "cost_params.memory_blocks", 2),
     )
     rates = {
         key: _doc.number(body[key], f"cost_params.{key}", 0.0)
@@ -85,7 +85,7 @@ def full_sort_cost(rows: float, data_blocks: float, key_len: int, params: CostPa
     if data_blocks <= m:
         return cpu
     if m < 3:
-        raise ConfigError("external sorting needs memory_blocks >= 3 (merge fan-in M-1)")
+        raise ConfigError("cost_params.memory_blocks: external sorting needs memory_blocks >= 3 (merge fan-in M-1)")
     passes = math.ceil(math.log(data_blocks / m, m - 1))
     return data_blocks * (2 * passes + 1) + cpu
 

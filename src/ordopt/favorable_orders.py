@@ -37,7 +37,7 @@ FavorableOrderSet = frozenset  # of SortOrder; the empty order is implicit
 def restrict_orders(orders, s: AttrSet) -> FavorableOrderSet:
     """Restrict each order to its longest prefix within s, dropping empties:
     the orders that do not start with an attribute of s are skipped."""
-    return frozenset(lcp_with_set(o, s) for o in orders if o.attrs and o.attrs[0] in s)
+    return frozenset(lcp_with_set(o, s) for o in orders if o and o[0] in s)
 
 
 class OrderSource:

@@ -132,7 +132,7 @@ def query_attrs(q: QuerySpec, catalog) -> AttrSet:
     the query when it contains all attributes of its relation that appear in
     this set.
     """
-    used: set[str] = set(q.required_output_order.attrs)
+    used: set[str] = set(q.required_output_order)
     # One walk; `out` marks nodes whose output columns reach the root's
     # schema: no project or group-by lies above them.
     stack = [(q.root, True)]
@@ -154,10 +154,15 @@ def query_attrs(q: QuerySpec, catalog) -> AttrSet:
 
 # --- parsing ---------------------------------------------------------------
 
-#: Nesting guard for query expressions.  A plan can be twice as deep as its
-#: query (a sort over every operator), and search, refinement and JSON plan
-#: output recurse about twice per plan level; this keeps all of them inside
-#: the interpreter's default recursion limit of 1000.
+#: Nesting guard for query expressions, which keeps every recursion inside
+#: the interpreter's default limit of 1000 frames.  The deepest is the
+#: favorable-order pass that search and refinement start: three frames per
+#: query level (`restricted`, `orders_for`, `_compute`).  Search itself takes
+#: two per join level, and plan output one per plan level, where a plan can
+#: be twice as deep as its query (a sort over every operator).
+#: `test_search_and_refinement_fit_a_290_join_chain_in_the_default_stack`
+#: (tests/test_order_refinement.py) pins a 290-join chain through search and
+#: refinement.
 MAX_QUERY_DEPTH = 128
 
 #: Document name of each expression type; a node document's other fields are
@@ -239,4 +244,4 @@ def _node_to_dict(e: LogicalExpr) -> dict:
 
 
 def query_to_dict(q: QuerySpec) -> dict:
-    return {"expr": _node_to_dict(q.root), "order_by": list(q.required_output_order.attrs)}
+    return {"expr": _node_to_dict(q.root), "order_by": list(q.required_output_order)}

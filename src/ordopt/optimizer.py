@@ -105,7 +105,7 @@ def prune_prefixes(orders) -> set[SortOrder]:
 
     In name order, the orders that extend o directly follow it, so o is a
     prefix of another order iff it is one of the next."""
-    ranked = sorted(set(orders), key=lambda o: o.attrs)
+    ranked = sorted(set(orders))
     return {o for o, nxt in zip(ranked, ranked[1:]) if not is_prefix(o, nxt)} | set(ranked[-1:])
 
 
@@ -194,7 +194,7 @@ class _PlanBuilder:
         if is_prefix(want, have):
             return None
         known = lcp(want, have)
-        key = (plan.expr, frozenset(known.attrs), len(want.attrs) - len(known.attrs))
+        key = (plan.expr, frozenset(known), len(want) - len(known))
         cost = self._sort_costs.get(key)
         if cost is None:
             cost = self._sort_costs[key] = cm.sort_cost(*key, self.params, self.catalog)
@@ -315,16 +315,16 @@ class Optimizer(_PlanBuilder):
         building the sort: the winner's is built from it."""
         sort = self._sort(base, want, have)
         if sort is None:
-            return (base.total_cost, base.produced_order.attrs, base.node_count), base, None
+            return (base.total_cost, base.produced_order, base.node_count), base, None
         op, _, cost = sort
-        return (_total(op, cost, base.total_cost), want.attrs, base.node_count + 1), base, sort
+        return (_total(op, cost, base.total_cost), want, base.node_count + 1), base, sort
 
     def _ordered_candidates(self, e: lx.Join | lx.GroupBy, orders):
         """The merge join resp. sort-based group-by over each of `orders`,
         which every input delivers; then the hash variant over unordered
         inputs.  Each is built once per order and shared by every goal of e."""
         sort_op, hash_op = _OPS[type(e)]
-        ops = [(sort_op, io) for io in sorted(orders, key=lambda o: o.attrs)]
+        ops = [(sort_op, io) for io in sorted(orders)]
         if self.params.hashjoin_enabled:
             ops.append((hash_op, EMPTY))
         inputs = lx.children(e)
@@ -359,7 +359,7 @@ def _node_fields(p: PhysicalPlan, expr_id: int) -> dict:
     d = {
         "op": op,
         "expr_id": expr_id,
-        "order": list(produced.attrs),
+        "order": list(produced),
         "op_cost": op_cost,
         "total_cost": total,
         "rows": rows,
@@ -368,10 +368,10 @@ def _node_fields(p: PhysicalPlan, expr_id: int) -> dict:
     if not children:
         d["relation"] = e.relation
     if op == "covering_index_scan":
-        d["index_key"] = list(produced.attrs)
+        d["index_key"] = list(produced)
     if input_order is not None:  # a sort
-        d["input_order"] = list(input_order.attrs)
-        d["target_order"] = list(produced.attrs)
+        d["input_order"] = list(input_order)
+        d["target_order"] = list(produced)
     return d
 
 
@@ -477,13 +477,13 @@ class _PlanLoader(_PlanBuilder):
             delivered = kids[0].produced_order
             names = get("input_order", [])
             have = delivered.prefix(len(names)) if type(names) is list else None
-            if have is None or names != list(have.attrs):
+            if have is None or names != list(have):
                 have = _order(d, "input_order", where)
                 if not is_prefix(have, delivered):
                     raise _doc.fail(_path(where) + ".input_order", f"the input delivers {delivered}")
             want = _order(d, "order", where)
             # the distinct counts are keyed by e's output attributes
-            outside = frozenset(want.attrs).difference(cs.expr_stats(e, self.catalog).distinct)
+            outside = frozenset(want).difference(cs.expr_stats(e, self.catalog).distinct)
             if outside:
                 raise _doc.fail(_path(where) + ".order", f"attributes {sorted(outside)} not in the input's schema")
             node = self._enforced(kids[0], want, have)
@@ -491,7 +491,7 @@ class _PlanLoader(_PlanBuilder):
             key = get("index_key")
             paths = cm.access_paths(e, self.catalog, self.query_attrs, self.params)
             # the table scan comes first, then the covering index scans
-            found = paths[:1] if op == "table_scan" else [p for p in paths[1:] if list(p[1].attrs) == key]
+            found = paths[:1] if op == "table_scan" else [p for p in paths[1:] if list(p[1]) == key]
             if not found:
                 raise _doc.fail(_path(where) + ".index_key", f"no covering index of {e.relation!r} has key {key!r}")
             # Of several indices with this key the optimizer picks the cheapest.
@@ -501,7 +501,7 @@ class _PlanLoader(_PlanBuilder):
             attrs = _sort_attrs(e)
             order = kids[0].produced_order.prefix(len(attrs))
             names = get("order", [])
-            if names != list(order.attrs) or frozenset(names) != attrs or not is_prefix(order, kids[-1].produced_order):
+            if names != list(order) or frozenset(names) != attrs or not is_prefix(order, kids[-1].produced_order):
                 order = _order(d, "order", where)
                 if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
                     msg = f"expected an order of {sorted(attrs)} every input delivers"

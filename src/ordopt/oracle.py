@@ -162,10 +162,7 @@ def exact_minimal_favorable_orders(
     def close(a: float, b: float) -> bool:
         return abs(a - b) <= max(1e-9 * max(abs(a), abs(b)), 1e-12)
 
-    ford = sorted(
-        (o for o in candidates if cbp[EMPTY] + coster(EMPTY, o) - cbp[o] > 1e-9),
-        key=lambda o: o.attrs,
-    )
+    ford = sorted(o for o in candidates if cbp[EMPTY] + coster(EMPTY, o) - cbp[o] > 1e-9)
     if not ford:
         return frozenset()
 

@@ -1,111 +1,98 @@
 """Sort orders and attribute sets: the value types everything else consumes.
 
-A sort order is a duplicate-free sequence of attribute names; sort direction
-is deliberately not represented.  Attribute sets are plain frozensets of
-names.  All operations here are pure.
+A sort order is a duplicate-free tuple of attribute names; sort direction is
+deliberately not represented.  Being a tuple, an order hashes, compares,
+sorts and slices in C, and sorts like its names.  Attribute sets are plain
+frozensets of names.  All operations here are pure.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import DuplicateAttribute, NotAPrefix
 
 AttrSet = frozenset  # of attribute name strings
 
 
-@dataclass(frozen=True)
-class SortOrder:
-    """An ordered, duplicate-free sequence of attribute names."""
+class SortOrder(tuple):
+    """An ordered, duplicate-free tuple of attribute names."""
 
-    attrs: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.attrs)) != len(self.attrs):
-            raise DuplicateAttribute(f"duplicate attribute in order {self.attrs}")
-        for a in self.attrs:
-            if not a:
-                raise DuplicateAttribute("empty attribute name in sort order")
-
-    def __len__(self) -> int:
-        return len(self.attrs)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.attrs)
-
-    def __bool__(self) -> bool:
-        return bool(self.attrs)
+    def __new__(cls, attrs=()) -> "SortOrder":
+        self = tuple.__new__(cls, attrs)
+        if len(set(self)) != len(self):
+            raise DuplicateAttribute(f"duplicate attribute in order {tuple(self)}")
+        if "" in self:
+            raise DuplicateAttribute("empty attribute name in sort order")
+        return self
 
     def __str__(self) -> str:
-        return "(" + ",".join(self.attrs) + ")" if self.attrs else "eps"
+        return "(" + ",".join(self) + ")" if self else "eps"
 
     def attr_set(self) -> AttrSet:
-        return frozenset(self.attrs)
+        return frozenset(self)
 
     def prefix(self, n: int) -> "SortOrder":
-        return _derived(self.attrs[:n])
+        return _derived(self[:n])
 
 
 def _derived(attrs: tuple[str, ...]) -> SortOrder:
     """A SortOrder over a slice of an order that was already checked: a slice
     of a duplicate-free sequence of names is one too, so the check is skipped."""
-    o = object.__new__(SortOrder)
-    o.__dict__["attrs"] = attrs  # the instance dict: a frozen class refuses setattr
-    return o
+    return tuple.__new__(SortOrder, attrs)
 
 
 EMPTY = SortOrder(())
 
 
 def order(*names: str) -> SortOrder:
-    return SortOrder(tuple(names))
+    return SortOrder(names)
 
 
 def is_prefix(o1: SortOrder, o2: SortOrder) -> bool:
     """True iff o1 equals the first len(o1) elements of o2."""
-    return o2.attrs[: len(o1.attrs)] == o1.attrs
+    return o2[: len(o1)] == o1
 
 
 def lcp(o1: SortOrder, o2: SortOrder) -> SortOrder:
     """Longest common prefix of two orders."""
     n = 0
-    for a, b in zip(o1.attrs, o2.attrs):
+    for a, b in zip(o1, o2):
         if a != b:
             break
         n += 1
-    return _derived(o1.attrs[:n])
+    return _derived(o1[:n])
 
 
 def concat(o1: SortOrder, o2: SortOrder) -> SortOrder:
     """o1 followed by o2; the operands must not share attributes."""
-    return SortOrder(o1.attrs + o2.attrs)
+    return SortOrder(o1 + o2)
 
 
 def subtract(o1: SortOrder, o2: SortOrder) -> SortOrder:
     """The unique suffix s with concat(o2, s) == o1; o2 must be a prefix."""
     if not is_prefix(o2, o1):
         raise NotAPrefix(f"{o2} is not a prefix of {o1}")
-    return _derived(o1.attrs[len(o2.attrs):])
+    return _derived(o1[len(o2):])
 
 
 def lcp_with_set(o: SortOrder, s: AttrSet) -> SortOrder:
     """Longest prefix of o whose attributes all belong to s."""
     n = 0
-    for a in o.attrs:
+    for a in o:
         if a not in s:
             break
         n += 1
-    return _derived(o.attrs[:n])
+    return _derived(o[:n])
 
 
 def extend_to(o: SortOrder, s: AttrSet) -> SortOrder:
     """o followed by the attributes of s it lacks, in ascending name order: a
     permutation of s when o lies within s.  Duplicate-free by construction,
     so the check is skipped."""
-    return _derived(o.attrs + tuple(sorted(s.difference(o.attrs))))
+    return _derived(o + tuple(sorted(s.difference(o))))
 
 
 def canonical_permutation(s: AttrSet) -> SortOrder:
     """Deterministic permutation of an attribute set: ascending name order."""
-    return SortOrder(tuple(sorted(s)))
+    return SortOrder(sorted(s))

@@ -133,14 +133,14 @@ def _piece_order(sets: list[frozenset]) -> list[SortOrder]:
     while stack:
         i, j, removed = stack.pop()
         block = commons[i][j] - removed
-        perm = canonical_permutation(block).attrs
+        perm = canonical_permutation(block)
         for k in range(i, j + 1):
             prefixes[k].extend(perm)
         if i < j:
             taken = removed | block
             stack.append((i, split[i][j], taken))
             stack.append((split[i][j] + 1, j, taken))
-    return [SortOrder(tuple(p)) for p in prefixes]
+    return [SortOrder(p) for p in prefixes]
 
 
 def _is_path(tree: LabeledTree) -> bool:

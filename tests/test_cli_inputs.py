@@ -125,6 +125,14 @@ CASES = {
         "params", _set("cost_params", "memory_blocks", 2.5),
         1, "cost_params.memory_blocks:",
     ),
+    "params-memory-blocks-one": (
+        "params", _set("cost_params", "memory_blocks", 1),
+        1, "cost_params.memory_blocks: expected an integer in [2, ",
+    ),
+    "params-memory-blocks-two": (
+        "params", _set("cost_params", "memory_blocks", 2),
+        1, "cost_params.memory_blocks: external sorting needs memory_blocks >= 3",
+    ),
     "params-hashjoin-string": (
         "params", _set("cost_params", "hashjoin_enabled", "no"),
         1, "cost_params.hashjoin_enabled:",

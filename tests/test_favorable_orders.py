@@ -288,7 +288,7 @@ def _per_member_orders(index, e):
         out = set()
     for o in inputs | {EMPTY}:
         head = lcp_with_set(o, s)
-        out.add(SortOrder(head.attrs + tuple(sorted(s - head.attr_set()))))
+        out.add(SortOrder(head + tuple(sorted(s - head.attr_set()))))
     out.discard(EMPTY)
     return frozenset(out)
 

@@ -129,7 +129,7 @@ def test_query_attrs_gathers_everything():
 def _reference_query_attrs(q, catalog):
     """The definition: the output schema, the required order and every
     attribute a node names, without the aggregate column."""
-    used = set(q.required_output_order.attrs) | schema(q.root, catalog)
+    used = set(q.required_output_order) | schema(q.root, catalog)
     for node in lx.preorder(q.root):
         if isinstance(node, lx.Select):
             used |= node.touched

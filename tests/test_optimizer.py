@@ -90,7 +90,7 @@ def test_example1_joins_share_prefix():
     joins = [p for p in plan.walk() if p.op == "merge_join"]
     assert len(joins) == 2
     shared = lcp(joins[0].produced_order, joins[1].produced_order)
-    assert shared.attrs == ("make", "year")
+    assert shared == ("make", "year")
 
 
 def test_interesting_orders_examples():
@@ -279,8 +279,8 @@ def test_plan_document_writes_the_first_id_of_equal_subtrees():
 def test_deterministic_across_sessions():
     a = _optimize("q5_catalog.json", "q5_query.json")[4]
     b = _optimize("q5_catalog.json", "q5_query.json")[4]
-    assert [(p.op, p.produced_order.attrs, p.total_cost) for p in a.walk()] == [
-        (p.op, p.produced_order.attrs, p.total_cost) for p in b.walk()
+    assert [(p.op, p.produced_order, p.total_cost) for p in a.walk()] == [
+        (p.op, p.produced_order, p.total_cost) for p in b.walk()
     ]
 
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from ordopt import (
     order,
     subtract,
 )
+from ordopt.order_algebra import extend_to
 
 orders = st.lists(st.sampled_from("abcdef"), unique=True, max_size=6).map(
     lambda xs: SortOrder(tuple(xs))
@@ -69,14 +73,23 @@ def test_duplicate_attribute_rejected():
 
 @given(orders, orders, attr_sets, st.integers(0, 6))
 def test_derived_orders_equal_checked_ones(o1, o2, s, n):
-    # prefix, lcp, lcp_with_set and subtract skip the duplicate check
+    # prefix, lcp, lcp_with_set, subtract and extend_to skip the duplicate check
     common = lcp(o1, o2)
-    for derived in (o1.prefix(n), common, lcp_with_set(o1, s), subtract(o1, common)):
-        checked = SortOrder(derived.attrs)
+    derived_orders = (o1.prefix(n), common, lcp_with_set(o1, s), subtract(o1, common), extend_to(o1, s | o1.attr_set()))
+    for derived in derived_orders:
+        checked = SortOrder(derived)
         assert type(derived) is SortOrder
         assert derived == checked and hash(derived) == hash(checked)
-        assert repr(derived) == repr(checked)
+        assert repr(derived) == repr(checked) and str(derived) == str(checked)
         assert {checked: 1}[derived] == 1
+        for copied in (copy.deepcopy(derived), pickle.loads(pickle.dumps(derived))):
+            assert type(copied) is SortOrder
+            assert copied == checked and hash(copied) == hash(checked)
+    # an order sorts like its names
+    names = [tuple(o) for o in derived_orders]
+    assert [tuple(o) for o in sorted(derived_orders)] == sorted(names)
+    for a, b in zip(derived_orders, derived_orders[1:]):
+        assert (a < b) == (tuple(a) < tuple(b)) and (a <= b) == (tuple(a) <= tuple(b))
 
 
 @given(orders, orders)

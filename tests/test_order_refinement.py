@@ -91,7 +91,7 @@ def _uncut_path_order(sets):
 
     def emit(i, j, removed):
         block = commons[i][j] - removed
-        perm = canonical_permutation(block).attrs
+        perm = canonical_permutation(block)
         for k in range(i, j + 1):
             prefixes[k].extend(perm)
         if i == j:
@@ -148,7 +148,7 @@ def test_benefit_invariant_under_renaming():
             tuple(frozenset(mapping[a] for a in s) for s in tree.node_sets), tree.edges
         )
         renamed_assignment = [
-            order(*(mapping[a] for a in o.attrs)) for o in assignment
+            order(*(mapping[a] for a in o)) for o in assignment
         ]
         assert assignment_benefit(renamed_tree, renamed_assignment) == got
         # and the exact path optimum is itself invariant
@@ -186,7 +186,7 @@ def test_refinement_strictly_improves_postopt_fixture():
     plan, refined = _refined("postopt_catalog.json", "postopt_query.json")
     assert join_prefix_benefit(refined) > join_prefix_benefit(plan)
     assert refined.total_cost < plan.total_cost
-    orders = sorted(tuple(p.produced_order.attrs) for p in refined.walk() if p.op == "merge_join")
+    orders = sorted(tuple(p.produced_order) for p in refined.walk() if p.op == "merge_join")
     assert orders == [("a", "z", "b"), ("a", "z", "d"), ("a", "z", "e")]
 
 
