@@ -1,8 +1,9 @@
 """Sort orders and attribute sets: the value types everything else consumes.
 
 A sort order is a duplicate-free tuple of attribute names; sort direction is
-deliberately not represented.  Being a tuple, an order hashes, compares,
-sorts and slices in C, and sorts like its names.  Attribute sets are plain
+deliberately not represented.  Being a tuple, an order hashes, compares and
+slices in C, and sorts like the tuple of its names; a slice is a plain
+tuple, which `_derived` makes an order again.  Attribute sets are plain
 frozensets of names.  All operations here are pure.
 """
 
@@ -18,7 +19,7 @@ class SortOrder(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, attrs=()) -> "SortOrder":
+    def __new__(cls, attrs) -> "SortOrder":
         self = tuple.__new__(cls, attrs)
         if len(set(self)) != len(self):
             raise DuplicateAttribute(f"duplicate attribute in order {tuple(self)}")
