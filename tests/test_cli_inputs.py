@@ -229,6 +229,19 @@ CASES = {
         ),
         1, "plan.children[0].children[1].children[0].total_cost: expected a finite number in [0, inf], got True",
     ),
+    # children are checked before a node's output-only fields, unless one of these is a bool
+    "plan-string-rows-and-bad-child-expr-id": (
+        "plan", _all(_set("plan", "rows", "x"), _set("plan", "children", 0, "expr_id", 99)),
+        1, "plan.children[0].expr_id: expected an integer in [0, 4], got 99",
+    ),
+    "plan-negative-op-cost-and-bool-child-total-cost": (
+        "plan", _all(_set("plan", "op_cost", -1), _set("plan", "children", 0, "total_cost", True)),
+        1, "plan.children[0].total_cost: expected a finite number in [0, inf], got True",
+    ),
+    "plan-sort-input-order-and-order-not-lists": (
+        "plan", _all(_set("plan", "input_order", 5), _set("plan", "order", "abc")),
+        1, "plan.input_order: expected a list of non-empty attribute names",
+    ),
 }
 
 
