@@ -3,6 +3,11 @@ and plan documents.  Values of the wrong type are rejected, never coerced: a
 boolean is not a number, a string is not a list, numbers must be finite and
 integers at most 2**53 (beyond it, floats and so estimates lose integers).
 Every message starts with the path of the offending node.
+
+A path is a string, or a lazy pair of a parent path and a step, a field name
+or a list index: `(("plan", "children"), 0)` is `plan.children[0]`.  Every
+reader takes either form, and only `fail` spells a path out, so the paths of
+a document that passes every check are never built as text.
 """
 
 from __future__ import annotations
@@ -16,8 +21,17 @@ MAX_INT = 2**53
 _STR = frozenset([str])
 
 
-def fail(path: str, msg: str) -> ValidationError:
-    return ValidationError(f"{path}: {msg}")
+def spell(path) -> str:
+    """The text of a path; a string is its own."""
+    steps = []
+    while type(path) is tuple:
+        path, step = path
+        steps.append(f"[{step}]" if type(step) is int else f".{step}")
+    return path + "".join(reversed(steps))
+
+
+def fail(path, msg: str) -> ValidationError:
+    return ValidationError(f"{spell(path)}: {msg}")
 
 
 def read_json(source, what: str):
@@ -32,7 +46,7 @@ def read_json(source, what: str):
         raise TooLarge(f"{what} JSON is nested too deeply to read") from None
 
 
-def fields(doc, path: str, allowed) -> dict:
+def fields(doc, path, allowed) -> dict:
     """`doc` itself, if it is an object with no field outside `allowed`, a
     set or a dict's keys."""
     if not isinstance(doc, dict):
@@ -42,29 +56,20 @@ def fields(doc, path: str, allowed) -> dict:
     return doc
 
 
-def array(value, path: str) -> list:
+def array(value, path) -> list:
     if not isinstance(value, list):
         raise fail(path, f"expected a list, got {value!r}")
     return value
 
 
-def integer(value, path: str, lo: int = 1, hi: int = MAX_INT) -> int:
+def integer(value, path, lo: int = 1, hi: int = MAX_INT) -> int:
     """An integer in [lo, hi]; by default a positive one."""
     if type(value) is not int or not lo <= value <= hi:  # a bool is not an int here
         raise fail(path, f"expected an integer in [{lo}, {hi}], got {value!r}")
     return value
 
 
-def integers(values: dict, path: str, lo: int = 1, hi: int = MAX_INT) -> dict:
-    """`values` itself, if each value is an integer in [lo, hi]; the path of
-    a value is `path.<its key>`, spelled out only for an error."""
-    for key, value in values.items():
-        if type(value) is not int or not lo <= value <= hi:
-            integer(value, f"{path}.{key}", lo, hi)
-    return values
-
-
-def number(value, path: str, lo: float, hi: float = math.inf, *, lo_open: bool = False):
+def number(value, path, lo: float, hi: float = math.inf, *, lo_open: bool = False):
     """A finite number in [lo, hi], or in (lo, hi] when `lo_open`."""
     numeric = type(value) is float and math.isfinite(value) or type(value) is int and abs(value) <= MAX_INT
     if not numeric or not lo <= value <= hi or (lo_open and value == lo):
@@ -72,19 +77,19 @@ def number(value, path: str, lo: float, hi: float = math.inf, *, lo_open: bool =
     return value
 
 
-def boolean(value, path: str) -> bool:
+def boolean(value, path) -> bool:
     if not isinstance(value, bool):
         raise fail(path, f"expected a boolean, got {value!r}")
     return value
 
 
-def name(value, path: str) -> str:
+def name(value, path) -> str:
     if not isinstance(value, str) or not value:
         raise fail(path, f"expected a non-empty name, got {value!r}")
     return value
 
 
-def attr_list(value, path: str, *, nonempty: bool = False) -> tuple[str, ...]:
+def attr_list(value, path, *, nonempty: bool = False) -> tuple[str, ...]:
     """A list of distinct non-empty attribute names, in document order."""
     if type(value) is not list or not _STR.issuperset(map(type, value)) or "" in value:
         raise fail(path, "expected a list of non-empty attribute names")

@@ -118,11 +118,16 @@ def load_catalog(source) -> Catalog:
         rows = _doc.integer(rdoc.get("row_count"), path + ".row_count")
         width = _doc.integer(rdoc.get("tuple_bytes"), path + ".tuple_bytes")
         columns = frozenset(_doc.attr_list(rdoc.get("columns", []), path + ".columns", nonempty=True))
+        if lx.AGG_ATTR in columns:
+            raise _doc.fail(path + ".columns", f"{lx.AGG_ATTR!r} is reserved for the aggregate of a group-by")
         clustering = _derived(_doc.attr_list(rdoc.get("clustering_order", []), path + ".clustering_order"))
         if not columns.issuperset(clustering):
             raise _doc.fail(f"{path}.clustering_order", "attributes outside the relation's columns")
-        distincts_doc = _doc.fields(rdoc.get("distincts", {}), f"{path}.distincts", columns)
-        distincts = tuple(sorted(_doc.integers(distincts_doc, f"{path}.distincts", 1, rows).items()))
+        dpath = path + ".distincts"
+        distincts_doc = _doc.fields(rdoc.get("distincts", {}), dpath, columns)
+        for a, n in distincts_doc.items():
+            _doc.integer(n, (dpath, a), 1, rows)
+        distincts = tuple(sorted(distincts_doc.items()))
         relations[name] = _new(CatalogRelation, (name, rows, width, columns, clustering, distincts))
 
     indices = []

@@ -22,8 +22,9 @@ immutable tuples, and `_PlanBuilder._node` builds every one of them.
 A plan document is untrusted: `load_plan_document` rebuilds each node
 through the same builder, so every cost is recomputed.  It checks a node in
 one pass, in a fixed order that decides which error a document with several
-faults gets; a node exactly as ordopt writes it passes each check in a
-single test, and a node's path is spelled out only for an error.
+faults gets.  Each check is made once, by a `_doc` reader, with a lazy path
+that is spelled out only for an error; one comparison of the whole node with
+the fields its rebuilt node writes stands in for the field-by-field checks.
 """
 
 from __future__ import annotations
@@ -404,26 +405,6 @@ _NODE_KEYS = {
 }
 
 
-def _path(where) -> str:
-    """The document path of the plan node at `where`: "plan", or the pair of
-    its parent's `where` and its index among the parent's children.  Loading
-    hands these pairs down and spells a path out only for an error message."""
-    steps = []
-    while type(where) is tuple:
-        where, i = where
-        steps.append(f".children[{i}]")
-    return where + "".join(reversed(steps))
-
-
-def _order(d: dict, key: str, where) -> SortOrder:
-    """The order in field `key` of plan node `d`, empty where it is absent."""
-    try:
-        names = _doc.attr_list(d.get(key, []), key)
-    except ValidationError as exc:  # its message starts with the key: put the node's path before it
-        raise ValidationError(f"{_path(where)}.{exc}") from None
-    return _derived(names)  # attr_list has checked the names
-
-
 class _PlanLoader(_PlanBuilder):
     """Rebuilds the operator tree of a plan document through the builder, so
     every node is checked against the expression it computes and re-costed."""
@@ -434,58 +415,44 @@ class _PlanLoader(_PlanBuilder):
         self.query_attrs = lx.query_attrs(query, catalog)
 
     def load(self, d, where, e: lx.LogicalExpr, sort_ok: bool = True) -> PhysicalPlan:
-        """Rebuild plan node `d` at `where` (see `_path`), which computes e;
-        no sort sits on a sort.  The checks run in a fixed order, which picks
-        the error of a node with several faults; a node as ordopt writes it
-        passes each one in a single test."""
-        get = d.get if isinstance(d, dict) else None
-        # a bool would pass for 0 or 1 in the comparison below
-        if get is None or not d.keys() <= _NODE_KEYS or bool in map(type, map(get, _OUTPUT_ONLY)):
-            _doc.fields(d, _path(where), _NODE_KEYS)
+        """Rebuild plan node `d` at document path `where` (a lazy `_doc`
+        path), which computes e; no sort sits on a sort.  The checks run in a
+        fixed order, which picks the error of a node with several faults."""
+        get = _doc.fields(d, where, _NODE_KEYS).get
+        # a bool would pass for 0 or 1 in the whole-node comparison below
+        if bool in map(type, map(get, _OUTPUT_ONLY)):
             for key in _OUTPUT_ONLY:
-                if type(d.get(key)) is bool:
-                    _doc.number(d[key], f"{_path(where)}.{key}", 0.0)
+                if type(get(key)) is bool:
+                    _doc.number(d[key], (where, key), 0.0)
         exprs = self.exprs
-        expr_id = get("expr_id")
-        if type(expr_id) is not int or not 0 <= expr_id < len(exprs):
-            _doc.integer(expr_id, _path(where) + ".expr_id", 0, len(exprs) - 1)
+        expr_id = _doc.integer(get("expr_id"), (where, "expr_id"), 0, len(exprs) - 1)
         computed = exprs[expr_id]
         if computed is not e and computed != e:
-            raise _doc.fail(_path(where) + ".expr_id", f"node {expr_id} is not the expression computed here")
+            raise _doc.fail((where, "expr_id"), f"node {expr_id} is not the expression computed here")
         op = get("op")
         is_sort = sort_ok and op in _SORTS
         if not is_sort and op not in _OPS[type(e)]:
-            raise _doc.fail(_path(where) + ".op", f"expected one of {', '.join(_OPS[type(e)])}, got {op!r}")
-        docs = get("children", [])
-        if type(docs) is not list:
-            _doc.array(docs, _path(where) + ".children")
+            raise _doc.fail((where, "op"), f"expected one of {', '.join(_OPS[type(e)])}, got {op!r}")
+        below = (where, "children")
+        docs = _doc.array(get("children", []), below)
         inputs = (e,) if is_sort else lx.children(e)
         if len(docs) != len(inputs):
-            raise _doc.fail(_path(where) + ".children", f"expected {len(inputs)} input plans, got {len(docs)}")
-        # direct calls add no interpreter frame per level, unlike a comprehension
+            raise _doc.fail(below, f"expected {len(inputs)} input plans, got {len(docs)}")
+        # map adds no interpreter frame per level, unlike a comprehension; a
+        # node has at most two inputs
         sub = not is_sort
-        if not docs:
-            kids = ()
-        elif len(docs) == 1:
-            kids = (self.load(docs[0], (where, 0), inputs[0], sub),)
-        else:  # a join's two inputs
-            kids = (self.load(docs[0], (where, 0), inputs[0], sub), self.load(docs[1], (where, 1), inputs[1], sub))
+        kids = tuple(map(self.load, docs, ((below, 0), (below, 1)), inputs, (sub, sub)))
 
-        # An order the inputs deliver is a prefix of the first input's, and
-        # so a checked one; any other value gets the checks in full.
         if is_sort:
             delivered = kids[0].produced_order
-            names = get("input_order", [])
-            have = delivered.prefix(len(names)) if type(names) is list else None
-            if have is None or names != list(have):
-                have = _order(d, "input_order", where)
-                if not is_prefix(have, delivered):
-                    raise _doc.fail(_path(where) + ".input_order", f"the input delivers {delivered}")
-            want = _order(d, "order", where)
+            have = _derived(_doc.attr_list(get("input_order", []), (where, "input_order")))
+            if not is_prefix(have, delivered):
+                raise _doc.fail((where, "input_order"), f"the input delivers {delivered}")
+            want = _derived(_doc.attr_list(get("order", []), (where, "order")))
             # the distinct counts are keyed by e's output attributes
             outside = frozenset(want).difference(cs.expr_stats(e, self.catalog).distinct)
             if outside:
-                raise _doc.fail(_path(where) + ".order", f"attributes {sorted(outside)} not in the input's schema")
+                raise _doc.fail((where, "order"), f"attributes {sorted(outside)} not in the input's schema")
             node = self._enforced(kids[0], want, have)
         elif isinstance(e, lx.Scan):
             key = get("index_key")
@@ -493,19 +460,15 @@ class _PlanLoader(_PlanBuilder):
             # the table scan comes first, then the covering index scans
             found = paths[:1] if op == "table_scan" else [p for p in paths[1:] if list(p[1]) == key]
             if not found:
-                raise _doc.fail(_path(where) + ".index_key", f"no covering index of {e.relation!r} has key {key!r}")
+                raise _doc.fail((where, "index_key"), f"no covering index of {e.relation!r} has key {key!r}")
             # Of several indices with this key the optimizer picks the cheapest.
             _, produced, cost = min(found, key=_COST)
             node = self._node(op, e, produced, cost, ())
         elif op in ("merge_join", "sort_group_by"):
             attrs = _sort_attrs(e)
-            order = kids[0].produced_order.prefix(len(attrs))
-            names = get("order", [])
-            if names != list(order) or frozenset(names) != attrs or not is_prefix(order, kids[-1].produced_order):
-                order = _order(d, "order", where)
-                if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
-                    msg = f"expected an order of {sorted(attrs)} every input delivers"
-                    raise _doc.fail(_path(where) + ".order", msg)
+            order = _derived(_doc.attr_list(get("order", []), (where, "order")))
+            if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
+                raise _doc.fail((where, "order"), f"expected an order of {sorted(attrs)} every input delivers")
             node = self._operator(op, e, kids, order)
         else:  # the order of any other operator is derived, and checked below
             node = self._operator(op, e, kids)
@@ -513,14 +476,13 @@ class _PlanLoader(_PlanBuilder):
         rebuilt = _node_fields(node, expr_id)
         rebuilt["children"] = docs
         if d != rebuilt:  # not exactly as ordopt writes this node: check field by field
-            path = _path(where)
             for key, value in d.items():
                 if key in _OUTPUT_ONLY:
-                    _doc.number(value, f"{path}.{key}", 0.0)
+                    _doc.number(value, (where, key), 0.0)
                 elif key not in rebuilt:
-                    raise _doc.fail(f"{path}.{key}", f"a {node.op} node has no such field")
+                    raise _doc.fail((where, key), f"a {node.op} node has no such field")
                 elif value != rebuilt[key]:
-                    raise _doc.fail(f"{path}.{key}", f"expected {rebuilt[key]!r}, got {value!r}")
+                    raise _doc.fail((where, key), f"expected {rebuilt[key]!r}, got {value!r}")
         return node
 
 

@@ -280,7 +280,8 @@ def refine_plan(
     For each join: the longest prefix shared with some input favorable order
     stays; the remaining (free) attributes are reordered by the tree
     approximation so adjacent joins agree on longer prefixes.  Enforcers are
-    re-derived and the whole plan re-costed; the original plan wins ties.
+    re-derived and the whole plan re-costed; the rebuilt plan is returned
+    unless it costs more than the original, so it wins ties.
     """
     trees = _join_trees(plan)
     if not any(edges for _, edges in trees):

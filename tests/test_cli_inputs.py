@@ -104,6 +104,15 @@ CASES = {
         "catalog", _set("relations", 0, "columns", [["x"], "a"]),
         1, "relations[0].columns:",
     ),
+    # the synthetic aggregate column of a group-by is no catalog column
+    "catalog-column-reserved-agg": (
+        "catalog", _set("relations", 0, "columns", 5, "__agg__"),
+        1, "relations[0].columns: '__agg__' is reserved",
+    ),
+    "catalog-distinct-count-zero": (
+        "catalog", _set("relations", 0, "distincts", "make", 0),
+        1, "relations[0].distincts.make: expected an integer in [1, 2000000], got 0",
+    ),
     "catalog-relations-not-a-list": ("catalog", _set("relations", 5), 1, "relations:"),
     "catalog-included-not-a-list": (
         "catalog", _set("indices", 0, "included_columns", 5),
