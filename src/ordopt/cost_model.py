@@ -119,19 +119,21 @@ def enforce_cost(
     """Cost of producing order `want` on the result of e given that order
     `have` already holds: only the common prefix of the two orders helps."""
     known = lcp(want, have)
-    return sort_cost(e, known.attr_set(), len(want) - len(known), params, catalog)
+    stats = cs.expr_stats(e, catalog)
+    data_blocks = cs.blocks(stats.rows, stats.width, params.cfg)
+    return sort_cost(e, known.attr_set(), len(want) - len(known), params, catalog, data_blocks)
 
 
 def sort_cost(
-    e: lx.LogicalExpr, known: AttrSet, rest_len: int, params: CostParams, catalog: cs.Catalog
+    e: lx.LogicalExpr, known: AttrSet, rest_len: int, params: CostParams, catalog: cs.Catalog, data_blocks: int
 ) -> CostEstimate:
-    """Cost of sorting e's result on `rest_len` more attributes when it is
-    grouped on the attributes `known` already, in one independent segment per
-    distinct value of them.  The cost reads nothing else, so callers cache it."""
+    """Cost of sorting e's result, `data_blocks` blocks, on `rest_len` more
+    attributes when it is grouped on the attributes `known` already, in one
+    independent segment per distinct value of them.  The cost reads nothing
+    else, so callers cache it by (e, known, rest_len)."""
     if not rest_len:
         return 0.0
     stats = cs.expr_stats(e, catalog)
-    data_blocks = cs.blocks(stats.rows, stats.width, params.cfg)
     segments = cs.distinct_count(e, known, catalog, stats)
     return partial_sort_cost(stats.rows, data_blocks, segments, rest_len, params)
 

@@ -4,11 +4,18 @@ ingestion from query files.
 Join predicates are conjunctive equalities; equated attribute pairs carry a
 single shared name, so a join is fully described by its attribute set.  Join
 order is taken as given by the query file.
+
+Expressions are hash-consed: a constructor returns the node already built
+from the same class and fields, if one is alive, so equal expressions are one
+object.  Identity is therefore equality, and nodes hash and compare by
+identity, in C: the memo, statistics and favorable-order tables of search key
+on the node itself.  The intern table holds its nodes weakly, so an
+expression lives exactly as long as something else refers to it.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import weakref
 from dataclasses import dataclass
 
 from . import _doc
@@ -18,64 +25,110 @@ from .order_algebra import AttrSet, SortOrder
 #: Name of the synthetic column holding aggregate results below a group-by.
 AGG_ATTR = "__agg__"
 
+#: The intern table: a weak reference to every live node, keyed by its class,
+#: its field values and then the types of its number and flag fields, so that
+#: `0` and `False`, or `1` and `1.0`, which compare and hash alike but print
+#: differently, never share a node.  A node's children are interned before
+#: it, so its key hashes in O(1) and never recurses.  Not locked: build
+#: expressions from one thread.
+_interned: dict[tuple, _Entry] = {}
+
+
+class _Entry(weakref.ref):
+    """The table's reference to a node, which drops its entry when the node
+    dies.  It adds no `__new__` or `__init__`, so it is built in C."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    if _interned.get(entry.key) is entry:  # else a new node took the key
+        del _interned[entry.key]
+
+
+def _intern(key: tuple):
+    """The live node of `key`, a class and its field values (see `_interned`),
+    or a new one."""
+    entry = _interned.get(key)
+    if entry is not None:
+        node = entry()
+        if node is not None:
+            return node
+    cls = key[0]
+    node = object.__new__(cls)
+    for put, value in zip(cls._put, key[1:]):
+        put(node, value)
+    entry = _interned[key] = _Entry(node, _forget)
+    entry.key = key
+    return node
+
 
 class _Expr:
-    """Base of the expression nodes.  A node hashes the tuple of its fields,
-    as a frozen dataclass does, but once, at construction: nodes are built
-    bottom-up, so each hash is O(1) and hashing a deep tree does not recurse.
-    The value sits in a slot, outside the fields, vars(), eq and repr."""
+    """Base of the expression nodes: immutable, interned, and equal only to
+    themselves.  A subclass's `__slots__` are its fields, in order; its
+    constructor interns them through `_intern`.  `copy.deepcopy` and
+    `pickle` give back the node itself, or the one equal node alive in the
+    loading process."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
 
-    def __post_init__(self) -> None:
-        # vars() holds exactly the fields, in field order
-        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
+    def __init_subclass__(cls):
+        # the slot setters, which bypass __setattr__, for _intern
+        cls._put = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), tuple(vars(self).values())
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # pickle rebuilds through the constructor, which interns
+        return type(self), self._values()
+
+    def __deepcopy__(self, memo):
+        return self
 
 
-def _expr_class(cls):
-    """`cls` as a frozen dataclass with the stored hash of `_Expr`."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = _Expr.__hash__
-    return cls
-
-
-@_expr_class
 class Scan(_Expr):
-    relation: str
+    __slots__ = ("relation",)
+
+    def __new__(cls, relation: str):
+        return _intern((cls, relation))
 
 
-@_expr_class
 class Select(_Expr):
-    input: "LogicalExpr"
-    selectivity: float
-    touched: AttrSet
+    __slots__ = ("input", "selectivity", "touched")
+
+    def __new__(cls, input: LogicalExpr, selectivity: float, touched: AttrSet):
+        return _intern((cls, input, selectivity, touched, type(selectivity)))
 
 
-@_expr_class
 class Project(_Expr):
-    input: "LogicalExpr"
-    cols: AttrSet
+    __slots__ = ("input", "cols")
+
+    def __new__(cls, input: LogicalExpr, cols: AttrSet):
+        return _intern((cls, input, cols))
 
 
-@_expr_class
 class Join(_Expr):
-    left: "LogicalExpr"
-    right: "LogicalExpr"
-    join_attrs: AttrSet
-    full_outer: bool = False
+    __slots__ = ("left", "right", "join_attrs", "full_outer")
+
+    def __new__(cls, left: LogicalExpr, right: LogicalExpr, join_attrs: AttrSet, full_outer: bool = False):
+        return _intern((cls, left, right, join_attrs, full_outer, type(full_outer)))
 
 
-@_expr_class
 class GroupBy(_Expr):
-    input: "LogicalExpr"
-    keys: AttrSet
-    agg_width_bytes: int
+    __slots__ = ("input", "keys", "agg_width_bytes")
+
+    def __new__(cls, input: LogicalExpr, keys: AttrSet, agg_width_bytes: int):
+        return _intern((cls, input, keys, agg_width_bytes, type(agg_width_bytes)))
 
 
 LogicalExpr = Scan | Select | Project | Join | GroupBy
@@ -166,9 +219,9 @@ def query_attrs(q: QuerySpec, catalog) -> AttrSet:
 MAX_QUERY_DEPTH = 128
 
 #: Document name of each expression type; a node document's other fields are
-#: the fields of its dataclass.
+#: the fields of its class.
 _OP_NAMES = {Scan: "scan", Select: "select", Project: "project", Join: "join", GroupBy: "group_by"}
-_NODE_FIELDS = {op: {"op", *(f.name for f in dataclasses.fields(t))} for t, op in _OP_NAMES.items()}
+_NODE_FIELDS = {op: {"op", *t.__slots__} for t, op in _OP_NAMES.items()}
 
 
 def _parse_node(doc, catalog, path: str, depth: int = 1) -> tuple[LogicalExpr, AttrSet]:
@@ -234,7 +287,7 @@ def parse_query(source, catalog) -> QuerySpec:
 
 def _node_to_dict(e: LogicalExpr) -> dict:
     d = {"op": _OP_NAMES[type(e)]}
-    for name, value in vars(e).items():
+    for name, value in zip(e.__slots__, e._values()):
         if type(value) in _OP_NAMES:
             value = _node_to_dict(value)
         elif isinstance(value, frozenset):

@@ -13,18 +13,24 @@ plan loader alike.
 
 Search ranks the candidates of a goal before building their sorts: a sort's
 cost is known without its node, so only the winner's sort is built, from the
-price its candidate already holds.  The operators below the sorts are built
-once per query and shared by every goal of their expression, since their
-inputs are memoized goals: the scans of each access path, and each merge
-join, sort-based group-by and hash operator per input order.  Plan nodes are
-immutable tuples, and `_PlanBuilder._node` builds every one of them.
+price its candidate already holds.  A join's or group-by's candidate orders
+read the goal's required order only through its prefix on their attributes,
+so they are derived and sorted once per (expression, prefix), and every goal
+that shares the prefix takes that list.  The operators below the sorts are
+built once per query and shared by every goal of their expression, since
+their inputs are memoized goals: the scans of each access path, and each
+merge join, sort-based group-by and hash operator per input order.  Plan
+nodes are immutable tuples, and `_PlanBuilder._node` builds every one of
+them.  Expressions are interned (`logical_expr`), so every table here keys
+on the expression node itself, hashed and compared by identity.
 
 A plan document is untrusted: `load_plan_document` rebuilds each node
 through the same builder, so every cost is recomputed.  It checks a node in
 one pass, in a fixed order that decides which error a document with several
 faults gets.  Each check is made once, by a `_doc` reader, with a lazy path
 that is spelled out only for an error; one comparison of the whole node with
-the fields its rebuilt node writes stands in for the field-by-field checks.
+the fields its rebuilt node writes stands in for the field-by-field checks,
+which run only when it fails, and which also name a field the node lacks.
 """
 
 from __future__ import annotations
@@ -198,7 +204,7 @@ class _PlanBuilder:
         key = (plan.expr, frozenset(known), len(want) - len(known))
         cost = self._sort_costs.get(key)
         if cost is None:
-            cost = self._sort_costs[key] = cm.sort_cost(*key, self.params, self.catalog)
+            cost = self._sort_costs[key] = cm.sort_cost(*key, self.params, self.catalog, plan.est_blocks)
         return ("partial_sort" if known else "full_sort"), known, cost
 
     def _enforced(self, plan: PhysicalPlan, want: SortOrder, have: SortOrder | None = None) -> PhysicalPlan:
@@ -266,6 +272,8 @@ class Optimizer(_PlanBuilder):
         # operators built once and shared by every goal of their expression
         self._scans: dict[lx.Scan, list[PhysicalPlan]] = {}
         self._shared: dict[tuple[str, lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
+        # sorted candidate orders per (join or group-by, prefix of want on its sort attributes)
+        self._orders: dict[tuple[lx.LogicalExpr, SortOrder], list[SortOrder]] = {}
         self._query_attrs = lx.query_attrs(query, catalog)
         if order_source is None:
             order_source = fo.FavorableOrderIndex(catalog, self._query_attrs)
@@ -294,10 +302,17 @@ class Optimizer(_PlanBuilder):
             (op,) = _OPS[type(e)]
             bases = [self._operator(op, e, (self._goal(e.input, want),))]
         elif self.heuristic == "favorable":
-            # computed here, not in the generator, so the favorable-order pass starts a frame higher
-            bases = self._ordered_candidates(e, interesting_orders(e, want, self._source))
+            # The candidates read `want` only through its prefix on the sort
+            # attributes, so goals that share it share one ranked list.  Looked
+            # up here, not in a helper or the generator, so the favorable-order
+            # pass starts no deeper.
+            by_prefix = (e, lcp_with_set(want, _sort_attrs(e)))
+            orders = self._orders.get(by_prefix)
+            if orders is None:
+                orders = self._orders[by_prefix] = sorted(interesting_orders(e, want, self._source))
+            bases = self._ordered_candidates(e, orders)
         else:
-            bases = self._ordered_candidates(e, _heuristic_orders(e, self.heuristic))
+            bases = self._ordered_candidates(e, sorted(_heuristic_orders(e, self.heuristic)))
 
         # Rank the candidates in order, before building their sorts; min keeps
         # the first of equal keys.  map adds no interpreter frame, unlike a
@@ -320,12 +335,13 @@ class Optimizer(_PlanBuilder):
         op, _, cost = sort
         return (_total(op, cost, base.total_cost), want, base.node_count + 1), base, sort
 
-    def _ordered_candidates(self, e: lx.Join | lx.GroupBy, orders):
-        """The merge join resp. sort-based group-by over each of `orders`,
-        which every input delivers; then the hash variant over unordered
-        inputs.  Each is built once per order and shared by every goal of e."""
+    def _ordered_candidates(self, e: lx.Join | lx.GroupBy, orders: list[SortOrder]):
+        """The merge join resp. sort-based group-by over each of `orders`, a
+        sorted list, which every input delivers; then the hash variant over
+        unordered inputs.  Each is built once per order and shared by every
+        goal of e."""
         sort_op, hash_op = _OPS[type(e)]
-        ops = [(sort_op, io) for io in sorted(orders)]
+        ops = [(sort_op, io) for io in orders]
         if self.params.hashjoin_enabled:
             ops.append((hash_op, EMPTY))
         inputs = lx.children(e)
@@ -403,6 +419,8 @@ _OUTPUT_ONLY = ("op_cost", "total_cost", "rows", "blocks")
 _NODE_KEYS = {
     "op", "expr_id", "order", "children", "relation", "index_key", "input_order", "target_order", *_OUTPUT_ONLY
 }
+#: The fields a sort node must have; the output-only ones may be left out.
+_SORT_FIELDS = ("op", "expr_id", "order", "input_order", "target_order", "children")
 
 
 class _PlanLoader(_PlanBuilder):
@@ -427,7 +445,7 @@ class _PlanLoader(_PlanBuilder):
         exprs = self.exprs
         expr_id = _doc.integer(get("expr_id"), (where, "expr_id"), 0, len(exprs) - 1)
         computed = exprs[expr_id]
-        if computed is not e and computed != e:
+        if computed is not e:
             raise _doc.fail((where, "expr_id"), f"node {expr_id} is not the expression computed here")
         op = get("op")
         is_sort = sort_ok and op in _SORTS
@@ -476,6 +494,10 @@ class _PlanLoader(_PlanBuilder):
         rebuilt = _node_fields(node, expr_id)
         rebuilt["children"] = docs
         if d != rebuilt:  # not exactly as ordopt writes this node: check field by field
+            # a sort the input makes redundant rebuilds as its input, with other fields
+            for key in (_SORT_FIELDS if is_sort else rebuilt):
+                if key not in d and key not in _OUTPUT_ONLY:
+                    raise _doc.fail((where, key), f"a {op} node needs this field")
             for key, value in d.items():
                 if key in _OUTPUT_ONLY:
                     _doc.number(value, (where, key), 0.0)

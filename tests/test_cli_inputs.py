@@ -67,6 +67,16 @@ def _set(*path_and_value):
     return mutate
 
 
+def _del(*path):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+
+    return mutate
+
+
 def _all(*mutations):
     def mutate(doc):
         for m in mutations:
@@ -246,6 +256,24 @@ CASES = {
     "plan-negative-op-cost-and-bool-child-total-cost": (
         "plan", _all(_set("plan", "op_cost", -1), _set("plan", "children", 0, "total_cost", True)),
         1, "plan.children[0].total_cost: expected a finite number in [0, inf], got True",
+    ),
+    "plan-scan-relation-missing": (
+        "plan", _del("plan", "children", 0, "children", 0, "children", 0, "children", 0, "relation"),
+        1, "plan.children[0].children[0].children[0].children[0].relation: a table_scan node needs this field",
+    ),
+    "plan-scan-order-missing": (
+        "plan", _del("plan", "children", 0, "children", 0, "children", 0, "children", 0, "order"),
+        1, "plan.children[0].children[0].children[0].children[0].order: a table_scan node needs this field",
+    ),
+    "plan-scan-children-missing": (
+        "plan", _del("plan", "children", 0, "children", 0, "children", 0, "children", 0, "children"),
+        1, "plan.children[0].children[0].children[0].children[0].children: a table_scan node needs this field",
+    ),
+    "plan-sort-target-order-missing": (
+        "plan", _del("plan", "target_order"), 1, "plan.target_order: a partial_sort node needs this field",
+    ),
+    "plan-sort-input-order-missing": (
+        "plan", _del("plan", "input_order"), 1, "plan.input_order: a partial_sort node needs this field",
     ),
     "plan-sort-input-order-and-order-not-lists": (
         "plan", _all(_set("plan", "input_order", 5), _set("plan", "order", "abc")),

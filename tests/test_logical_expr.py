@@ -1,6 +1,7 @@
 import copy
-import dataclasses
+import gc
 import json
+import pickle
 
 import pytest
 
@@ -18,7 +19,7 @@ from ordopt import (
     schema,
 )
 
-from conftest import load_pair, perfbench_workloads
+from conftest import fixture_path, load_pair, perfbench_workloads
 
 
 def test_schema_rules():
@@ -182,24 +183,78 @@ def test_full_outer_join_parses():
     assert query.required_output_order == EMPTY
 
 
-def test_hash_is_the_field_tuple_hash_and_stays_out_of_the_fields():
-    j = lx.Join(lx.Scan("a"), lx.Scan("b"), frozenset(["x"]))
-    assert hash(j) == hash((j.left, j.right, j.join_attrs, False))
-    assert copy.deepcopy(j) == j and hash(copy.deepcopy(j)) == hash(j)
-    assert list(vars(j)) == [f.name for f in dataclasses.fields(j)] == ["left", "right", "join_attrs", "full_outer"]
-    assert repr(j) == "Join(left=Scan(relation='a'), right=Scan(relation='b'), join_attrs=frozenset({'x'}), full_outer=False)"
-
-
-def test_hash_of_a_deep_expression_does_not_recurse():
+def test_hashing_a_deep_expression_does_not_recurse():
     def chain():
         e = lx.Scan("r")
         for _ in range(5000):
             e = lx.Select(e, 0.5, frozenset())
         return e
 
-    a, b = chain(), chain()
-    assert a is not b
-    assert hash(a) == hash(b)
+    a = chain()
+    assert {a: 1}[chain()] == 1
+
+
+def test_two_parses_of_one_query_give_the_identical_root():
+    for catalog_name, query_name in perfbench_workloads().FIXTURE_PAIRS:
+        catalog, query = load_pair(catalog_name, query_name)
+        again = parse_query(json.dumps(query_to_dict(query)), load_catalog(fixture_path(catalog_name).read_text()))
+        assert again.root is query.root
+        assert again == query
+
+
+def test_deepcopy_and_pickle_give_back_the_same_node():
+    _, query = load_pair("q5_catalog.json", "q5_query.json")
+    for node in lx.preorder(query.root):
+        assert copy.deepcopy(node) is node
+        assert copy.copy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+
+
+def test_assigning_a_field_raises():
+    j = lx.Join(lx.Scan("a"), lx.Scan("b"), frozenset(["x"]))
+    for name in ("left", "full_outer", "surprise"):
+        with pytest.raises(AttributeError):
+            setattr(j, name, lx.Scan("c"))
+        with pytest.raises(AttributeError):
+            delattr(j, name)
+    assert j.left is lx.Scan("a") and not j.full_outer
+
+
+def test_repr_is_unchanged():
+    j = lx.Join(lx.Scan("a"), lx.Scan("b"), frozenset(["x"]))
+    assert repr(j) == "Join(left=Scan(relation='a'), right=Scan(relation='b'), join_attrs=frozenset({'x'}), full_outer=False)"
+    g = lx.GroupBy(lx.Project(lx.Select(j, 0.5, frozenset()), frozenset(["x"])), frozenset(["x"]), 8)
+    assert repr(g) == (
+        "GroupBy(input=Project(input=Select(input=" + repr(j) + ", selectivity=0.5, touched=frozenset()), "
+        "cols=frozenset({'x'})), keys=frozenset({'x'}), agg_width_bytes=8)"
+    )
+
+
+def test_numbers_and_flags_of_different_types_never_share_a_node():
+    """They compare and hash alike, but a plan document prints each as given."""
+    a, b, x = lx.Scan("a"), lx.Scan("b"), frozenset(["x"])
+    pairs = [
+        (lx.Join(a, b, x, False), lx.Join(a, b, x, 0)),
+        (lx.Join(a, b, x, True), lx.Join(a, b, x, 1)),
+        (lx.Select(a, 1.0, x), lx.Select(a, 1, x)),
+        (lx.GroupBy(a, x, 1), lx.GroupBy(a, x, True)),
+    ]
+    for first, second in pairs:
+        assert first is not second and first != second
+        assert repr(first) != repr(second)
+    assert lx.Join(a, b, x) is lx.Join(a, b, x, False)
+
+
+def test_the_intern_table_forgets_dropped_queries():
+    gc.collect()
+    before = len(lx._interned)
+    queries = []
+    for catalog_text, query_text, _ in perfbench_workloads().chain_inputs(0, 200):
+        queries.append(parse_query(query_text, load_catalog(catalog_text)))
+    assert len(lx._interned) > before + 200
+    del queries
+    gc.collect()
+    assert len(lx._interned) == before
 
 
 def test_parsing_a_chain_walks_each_schema_once(monkeypatch):

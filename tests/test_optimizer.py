@@ -17,6 +17,7 @@ from ordopt import (
     interesting_orders,
     is_prefix,
     lcp,
+    lcp_with_set,
     load_catalog,
     load_plan_document,
     optimize_query,
@@ -361,9 +362,9 @@ def test_search_builds_each_node_once_and_costs_each_sort_once(hashjoin, nodes, 
         built.append(None)
         return plain_node(self, *args, **kwargs)
 
-    def counting_cost(e, known, rest_len, params, catalog):
+    def counting_cost(e, known, rest_len, params, catalog, data_blocks):
         costed.append((e, known, rest_len))
-        return plain_cost(e, known, rest_len, params, catalog)
+        return plain_cost(e, known, rest_len, params, catalog, data_blocks)
 
     def counting_sort(self, *args):
         priced.append(None)
@@ -382,6 +383,29 @@ def test_search_builds_each_node_once_and_costs_each_sort_once(hashjoin, nodes, 
     assert (len(built), len(costed)) == (nodes, sorts)
     assert len(priced) == len(ranked) == _CANDIDATES[hashjoin]
     assert any(p.op == "merge_join" for p in plan.walk())
+
+
+@pytest.mark.parametrize("case,calls", [("postopt", 5), ("chain64", 101)])
+def test_search_ranks_candidate_orders_once_per_requirement_prefix(case, calls, monkeypatch):
+    """`interesting_orders` reads a goal's required order only through its
+    prefix on the join attributes resp. grouping keys, so search calls it once
+    per (expression, prefix): pinned on the postopt fixture and a 64-join
+    chain (193 calls before the list was cached)."""
+    from ordopt import optimizer
+
+    catalog, query = _long_chain(64) if case == "chain64" else load_pair("postopt_catalog.json", "postopt_query.json")
+    seen = []
+    plain = optimizer.interesting_orders
+
+    def counting(e, want, source):
+        seen.append((e, lcp_with_set(want, optimizer._sort_attrs(e))))
+        return plain(e, want, source)
+
+    monkeypatch.setattr(optimizer, "interesting_orders", counting)
+    plan = optimize_query(catalog, CostParams(), query)
+    assert len(seen) == len(set(seen)) == calls
+    monkeypatch.setattr(optimizer, "interesting_orders", plain)
+    assert plan == optimize_query(catalog, CostParams(), query)
 
 
 @pytest.mark.parametrize("cat,qry", FIXTURE_PAIRS)
