@@ -74,7 +74,7 @@ class _Expr:
 
     def __init_subclass__(cls):
         # the slot setters, which bypass __setattr__, for _intern
-        cls._put = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+        cls._put = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
