@@ -1,8 +1,6 @@
 """ordopt: sort-order-aware cost-based query optimization plus a simulated
 external sort that exploits partially sorted input."""
 
-import logging
-
 from .catalog_stats import (
     BlockConfig,
     Catalog,
@@ -95,7 +93,3 @@ from .order_refinement import (
 )
 
 __version__ = "0.1.0"
-
-# A library leaves its log records to the application's handlers; without
-# this one, Python's last-resort handler prints warnings to stderr.
-logging.getLogger(__name__).addHandler(logging.NullHandler())

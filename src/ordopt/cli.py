@@ -1,6 +1,8 @@
 """Command-line surface: optimize, refine, explain-afm, sort, bench.
 
-Exit codes: 0 success, 1 validation/usage errors, 2 guard violations.
+Exit codes: 0 success, 1 validation/usage errors, 2 guard violations, 141
+when the reader of stdout stops early (`| head`), as for a writer killed by
+SIGPIPE.
 All randomness is seed-driven; identical invocations print identical bytes.
 """
 
@@ -10,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 
 from . import catalog_stats as cs
@@ -252,9 +255,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    except BrokenPipeError:
+        # The reader stopped early: not an error.  Output still buffered goes
+        # to devnull, so the flush at exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except TooLarge as exc:
         print(f"ordopt: guard violation: {exc}", file=sys.stderr)
         return 2

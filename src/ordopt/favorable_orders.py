@@ -2,8 +2,9 @@
 by fully sorting an unordered result.
 
 The sets are approximate, computed bottom-up in one pass over the expression
-tree; `oracle.exact_minimal_favorable_orders` computes the exact minimal sets
-of small schemas to judge them.
+tree: a loop over the nodes in reverse preorder, each node's set made from
+its children's, with no recursion.  `oracle.exact_minimal_favorable_orders`
+computes the exact minimal sets of small schemas to judge them.
 
 Every consumer of a set (the pass itself at the parent join or group-by,
 plan search, refinement) reads only the prefixes of its orders within one
@@ -14,21 +15,18 @@ by whoever holds the index.
 
 from __future__ import annotations
 
-import logging
-
 from . import catalog_stats as cs
 from . import logical_expr as lx
 from .order_algebra import (
     EMPTY,
     AttrSet,
     SortOrder,
+    _derived,
     extend_to,
-    lcp_with_set,
 )
 
-log = logging.getLogger(__name__)
-
-#: Nodes whose favorable-order set grows past this are logged, not pruned.
+#: A set larger than this is neither pruned nor reported by the pass;
+#: perfbench's `favorable_orders.sets_over_flag` counts them.
 SET_SIZE_FLAG = 64
 
 FavorableOrderSet = frozenset  # of SortOrder; the empty order is implicit
@@ -36,8 +34,18 @@ FavorableOrderSet = frozenset  # of SortOrder; the empty order is implicit
 
 def restrict_orders(orders, s: AttrSet) -> FavorableOrderSet:
     """Restrict each order to its longest prefix within s, dropping empties:
-    the orders that do not start with an attribute of s are skipped."""
-    return frozenset(lcp_with_set(o, s) for o in orders if o and o[0] in s)
+    the orders that do not start with an attribute of s are skipped.  One
+    loop step per order; only the distinct prefixes become SortOrders."""
+    prefixes = set()
+    for o in orders:
+        n = 0
+        for a in o:
+            if a not in s:
+                break
+            n += 1
+        if n:
+            prefixes.add(o[:n])
+    return frozenset(map(_derived, prefixes))
 
 
 class OrderSource:
@@ -60,7 +68,7 @@ class OrderSource:
 
     def usable(self, e: lx.Join | lx.GroupBy, s: AttrSet) -> FavorableOrderSet:
         """The union of e's inputs' sets restricted to s: the prefixes a merge
-        join or group-by on s can use.  `_compute` avoids it, a frame per level."""
+        join or group-by on s can use."""
         inputs = lx.children(e)
         return frozenset().union(*map(self.restricted, inputs, [s] * len(inputs)))
 
@@ -72,7 +80,9 @@ def as_order_source(source) -> OrderSource:
 
 
 def _extensions(heads, s: AttrSet) -> set[SortOrder]:
-    """The empty order and each head, extended to a full permutation of s."""
+    """The empty order and each head, extended to a full permutation of s.
+    An extension depends only on the prefix of an order within s, so the
+    heads are restricted sets and each distinct prefix is extended once."""
     out = {extend_to(h, s) for h in heads | {EMPTY}}
     out.discard(EMPTY)  # the extension of anything over an empty s
     return out
@@ -96,42 +106,42 @@ class FavorableOrderIndex(OrderSource):
         self._cache = {}
 
     def orders_for(self, e: lx.LogicalExpr) -> FavorableOrderSet:
-        cached = self._cache.get(e)
-        if cached is not None:
-            return cached
-        orders = self._compute(e)
-        if len(orders) > SET_SIZE_FLAG:
-            log.warning("favorable-order set of %s has %d members", type(e).__name__, len(orders))
-        self._cache[e] = orders
-        return orders
+        """e's set.  A miss computes every node of e's subtree not yet cached,
+        children first (reverse preorder), so no call recurses."""
+        cache = self._cache
+        got = cache.get(e)
+        if got is not None:
+            return got
+        restricted = self.restricted
+        for node in reversed(lx.preorder(e)):
+            if node in cache:
+                continue
+            kind = type(node)
+            if kind is lx.Join:
+                s = node.join_attrs
+                heads = restricted(node.left, s) | restricted(node.right, s)
+                got = cache[node.left].union(cache[node.right], _extensions(heads, s))
+            elif kind is lx.Scan:
+                got = self._scan_orders(node)
+            elif kind is lx.Select:
+                got = cache[node.input]
+            elif kind is lx.Project:
+                got = restricted(node.input, node.cols)
+            elif kind is lx.GroupBy:
+                got = frozenset(_extensions(restricted(node.input, node.keys), node.keys))
+            else:
+                raise TypeError(f"not a logical expression: {node!r}")
+            cache[node] = got
+        return cache[e]
 
-    def _compute(self, e: lx.LogicalExpr) -> FavorableOrderSet:
-        if isinstance(e, lx.Scan):
-            rel = self.catalog.relation(e.relation)
-            out = {rel.clustering_order}
-            needed = self.query_attrs & rel.columns
-            for idx in cs.covering_indices(rel, needed, self.catalog):
-                out.add(idx.key_order)
-            out.discard(EMPTY)
-            return frozenset(out)
-
-        if isinstance(e, lx.Select):
-            return self.orders_for(e.input)
-
-        if isinstance(e, lx.Project):
-            return self.restricted(e.input, e.cols)
-
-        # An extension depends only on the prefix of an order within the
-        # attribute set, so each distinct prefix is extended once.
-        if isinstance(e, lx.Join):
-            s = e.join_attrs
-            out = _extensions(self.restricted(e.left, s) | self.restricted(e.right, s), s)
-            return frozenset(out.union(self.orders_for(e.left), self.orders_for(e.right)))
-
-        if isinstance(e, lx.GroupBy):
-            return frozenset(_extensions(self.restricted(e.input, e.keys), e.keys))
-
-        raise TypeError(f"not a logical expression: {e!r}")
+    def _scan_orders(self, e: lx.Scan) -> FavorableOrderSet:
+        rel = self.catalog.relation(e.relation)
+        out = {rel.clustering_order}
+        needed = self.query_attrs & rel.columns
+        for idx in cs.covering_indices(rel, needed, self.catalog):
+            out.add(idx.key_order)
+        out.discard(EMPTY)
+        return frozenset(out)
 
 
 def index_for_query(q: lx.QuerySpec, catalog: cs.Catalog) -> FavorableOrderIndex:

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 import ordopt
 from ordopt.cli import main
 
-from conftest import fixture_path
+from conftest import fixture_path, perfbench_workloads
 
 
 def _run(capsys, *argv):
@@ -222,12 +223,32 @@ def test_successful_run_writes_nothing_to_stderr():
         "import sys\n"
         "from ordopt import favorable_orders as fo\n"
         "from ordopt.cli import main\n"
-        "fo.SET_SIZE_FLAG = 2  # log a warning for every larger order set\n"
+        "fo.SET_SIZE_FLAG = 2  # no set is reported, however small the flag\n"
         f"sys.exit(main({argv!r}))\n"
     )
-    src = str(pathlib.Path(ordopt.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), timeout=120)
     assert done.returncode == 0
     assert "merge_join" in done.stdout
     assert done.stderr == ""
+
+
+def _child_env():
+    src = str(pathlib.Path(ordopt.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_a_reader_that_stops_early_is_not_an_error(tmp_path):
+    """`ordopt explain-afm ... | head -1` on an output longer than the pipe
+    buffer: the write fails with EPIPE, and the exit is SIGPIPE's 141 with
+    nothing on stderr, not an error."""
+    catalog, query, _ = perfbench_workloads().chain_instance(random.Random(0), 64, False)
+    (tmp_path / "catalog.json").write_text(catalog)
+    (tmp_path / "query.json").write_text(query)
+    argv = [sys.executable, "-m", "ordopt.cli", "explain-afm",
+            "--catalog", str(tmp_path / "catalog.json"), "--query", str(tmp_path / "query.json")]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as proc:
+        assert proc.stdout.readline().startswith(b"group_by ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (141, b"")

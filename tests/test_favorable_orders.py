@@ -1,6 +1,10 @@
+import logging
 import random
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ordopt.favorable_orders as fo
 import ordopt.logical_expr as lx
@@ -21,6 +25,7 @@ from ordopt.oracle import OracleGuard, brute_best_plan, exact_minimal_favorable_
 from ordopt.order_algebra import lcp_with_set
 
 from conftest import load_pair, random_catalog_and_join, random_chain_query
+from test_order_algebra import attr_sets, orders
 
 
 def _example1_index():
@@ -129,26 +134,63 @@ def test_restrict_orders_examples():
     )
 
 
+@given(st.frozensets(orders, max_size=8), attr_sets)
+def test_restrict_orders_is_the_set_of_nonempty_longest_prefixes(some_orders, s):
+    got = restrict_orders(some_orders, s)
+    assert got == {lcp_with_set(o, s) for o in some_orders} - {EMPTY}
+    assert all(type(o) is SortOrder for o in got)
+
+
 def test_join_set_size_bound_and_lcp_call_count(monkeypatch):
+    """A join's set has at most two members per input order, plus one, and
+    computing it takes at most one step of `restrict_orders`' loop (one
+    longest prefix within the join attributes) per input order.  The steps
+    are counted by feeding that loop through a counting iterator."""
     rng = random.Random(3)
+    real = fo.restrict_orders
+    steps = [0]
+
+    def counting(orders, s):
+        def each():
+            for o in orders:
+                steps[0] += 1
+                yield o
+
+        return real(each(), s)
+
     for _ in range(30):
         catalog, query, _ = random_catalog_and_join(rng)
         join = query.root
         index = FavorableOrderIndex(catalog, lx.schema(join, catalog))
         left = index.orders_for(join.left)
         right = index.orders_for(join.right)
-        calls = [0]
-        real = fo.lcp_with_set
-
-        def counting(o, s):
-            calls[0] += 1
-            return real(o, s)
-
-        monkeypatch.setattr(fo, "lcp_with_set", counting)
-        got = index._compute(join)  # children already cached; count this node only
-        monkeypatch.setattr(fo, "lcp_with_set", real)
+        steps[0] = 0
+        monkeypatch.setattr(fo, "restrict_orders", counting)
+        got = index.orders_for(join)  # children already cached; count this node only
+        monkeypatch.setattr(fo, "restrict_orders", real)
         assert len(got) <= 2 * (len(left) + len(right)) + 1
-        assert calls[0] <= len(left) + len(right) + 1
+        assert steps[0] <= len(left) + len(right) + 1
+
+
+def test_the_pass_does_not_recurse_on_a_chain_three_times_the_recursion_limit():
+    """The chain is built as expressions, beneath the parser's depth guard."""
+    catalog = load_catalog(
+        {
+            "relations": [
+                {"name": f"r{i}", "row_count": 100, "tuple_bytes": 8, "columns": ["a", "b", "c"],
+                 "clustering_order": ["c"] if i % 2 else []}
+                for i in range(3)
+            ]
+        }
+    )
+    joins = 3 * sys.getrecursionlimit()
+    e = lx.Scan("r0")
+    for i in range(1, joins + 1):
+        e = lx.Join(e, lx.Scan(f"r{i % 3}"), frozenset("ab" if i % 2 else "bc"))
+    index = FavorableOrderIndex(catalog, frozenset("abc"))
+    got = index.orders_for(e)
+    assert order("c") in got and order("a", "b") in got
+    assert index.orders_for(e.left.left) <= got
 
 
 def _single_relation_catalog(clustering, indices):
@@ -210,16 +252,14 @@ def test_exact_minimal_orders_guard():
         exact_minimal_favorable_orders(lx.Scan("wide"), catalog, CostParams())
 
 
-def test_large_order_sets_flagged_not_pruned(monkeypatch, caplog):
-    import logging
-
+def test_large_order_sets_neither_logged_nor_pruned(monkeypatch, caplog):
     monkeypatch.setattr(fo, "SET_SIZE_FLAG", 2)
     catalog, query = load_pair("example1_catalog.json", "example1_query.json")
-    with caplog.at_level(logging.WARNING, logger="ordopt.favorable_orders"):
+    with caplog.at_level(logging.DEBUG, logger="ordopt"):
         index = index_for_query(query, catalog)
         got = index.orders_for(query.root)
     assert len(got) > 2  # nothing was pruned
-    assert any("favorable-order set" in rec.message for rec in caplog.records)
+    assert caplog.records == []
 
 
 def test_empty_order_never_stored():

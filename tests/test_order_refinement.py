@@ -21,6 +21,8 @@ from ordopt import (
     tree_approx,
 )
 
+from ordopt.order_refinement import _Rebuilder
+
 from conftest import load_pair, random_chain_query, random_labeled_path, random_labeled_tree
 
 
@@ -311,6 +313,22 @@ def test_refined_fixture_plan_is_sound():
     plan = optimize_query(catalog, params, query)
     refined = refine_plan(plan, query, catalog, params, index_for_query(query, catalog))
     assert_plan_sound(refined, query, catalog)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the rebuilder passes a wanted order through selects, so q5's sorts land on the unfiltered scans",
+)
+def test_a_rebuild_that_changes_no_join_order_keeps_the_plan_cost():
+    """Rebuilding q5's plan with no join order changed should price it as
+    search did (39128.58).  It gives 39170.37: each select's full sort, on
+    400,000 and 300,000 rows, becomes a partial sort of the 1,000,000-row
+    scan below it."""
+    catalog, query = load_pair("q5_catalog.json", "q5_query.json")
+    params = CostParams()
+    plan = optimize_query(catalog, params, query)
+    rebuilt = _Rebuilder(catalog, params, {}).rebuild(plan, query.required_output_order)
+    assert rebuilt.total_cost == plan.total_cost
 
 
 @pytest.mark.parametrize("heuristic", ["favorable", "arbitrary"])
