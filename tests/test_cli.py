@@ -214,6 +214,11 @@ def test_guard_violation_exits_2(capsys, tmp_path):
     assert "guard" in err
 
 
+def _child_env():
+    src = str(pathlib.Path(ordopt.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_successful_run_writes_nothing_to_stderr():
     # In a fresh interpreter: pytest's own logging handlers would swallow a
     # record that Python's last-resort handler prints to stderr.
@@ -230,11 +235,6 @@ def test_successful_run_writes_nothing_to_stderr():
     assert done.returncode == 0
     assert "merge_join" in done.stdout
     assert done.stderr == ""
-
-
-def _child_env():
-    src = str(pathlib.Path(ordopt.__file__).parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_a_reader_that_stops_early_is_not_an_error(tmp_path):

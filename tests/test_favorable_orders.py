@@ -158,6 +158,7 @@ def test_join_set_size_bound_and_lcp_call_count(monkeypatch):
 
         return real(each(), s)
 
+    monkeypatch.setattr(fo, "restrict_orders", counting)
     for _ in range(30):
         catalog, query, _ = random_catalog_and_join(rng)
         join = query.root
@@ -165,9 +166,7 @@ def test_join_set_size_bound_and_lcp_call_count(monkeypatch):
         left = index.orders_for(join.left)
         right = index.orders_for(join.right)
         steps[0] = 0
-        monkeypatch.setattr(fo, "restrict_orders", counting)
         got = index.orders_for(join)  # children already cached; count this node only
-        monkeypatch.setattr(fo, "restrict_orders", real)
         assert len(got) <= 2 * (len(left) + len(right)) + 1
         assert steps[0] <= len(left) + len(right) + 1
 
