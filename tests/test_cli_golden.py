@@ -172,6 +172,24 @@ HEURISTIC_DIGESTS = {
     ),
 }
 
+# name -> sha256 of the `bench b3` CSV, with default params and then with
+# HASH_PARAMS: one favorable-order index serves all four heuristics and
+# refinement
+BENCH_B3_DIGESTS = {
+    "example1": (
+        "da580a350029f45288f5465b0addf274b075d89c0523df2c7d997c79232b8d70",
+        "714704e0740448ecdbdee311c07d9bcf23a408960f92ce2b5c042a1b0eb29033",
+    ),
+    "postopt": ("9429f9ab1937c177a1ed9482ee3e19465d956bddeffe38aa08456b4d42e5ef85",) * 2,
+    "q2": ("3ffed969df6ac0cde0a3e00b994a7fd98d0811a8d6187f8f14452412b100c714",) * 2,
+    "q3": (
+        "80d7cd54afc082728877c135360799585341e3b4ed41f70ab78032532f599145",
+        "5c596c958bf62682fce279e3841fd85785b903b96dc32bdc1bc74d53dde58146",
+    ),
+    "q4": ("e6b1c1c0fc8c5c0be2f6b8b8588b1e1d91b5603694ee80cfda7fb26ee6de12cf",) * 2,
+    "q5": ("994f24f5595092e609449a25f0171a1f4585cad2abf199eeb3186a68ebff07f0",) * 2,
+}
+
 #: Two join trees over the postopt catalog, separated by a group-by: a lower
 #: 2-join chain whose joins refinement can align, and a lone top join.
 TWO_TREE_CHAIN = {
@@ -358,6 +376,18 @@ def test_fixture_heuristic_bytes(name, capsys, tmp_path):
         assert "hash_join" in ops["favorable", True]
     if name == "q3":
         assert "hash_group_by" in ops["arbitrary", True]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_PAIRS))
+def test_fixture_bench_b3_bytes(name, capsys, tmp_path):
+    cat, qry = (str(fixture_path(f)) for f in FIXTURE_PAIRS[name])
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(HASH_PARAMS))
+    got = tuple(
+        _digest(capsys, "bench", "b3", "--catalog", cat, "--query", qry, *extra)[1]
+        for extra in ((), ("--params", str(params)))
+    )
+    assert got == BENCH_B3_DIGESTS[name]
 
 
 def test_two_join_trees_refine_bytes(capsys, tmp_path):
