@@ -52,7 +52,6 @@ from .logical_expr import (
     parse_query,
     query_attrs,
     query_to_dict,
-    schema,
 )
 from .optimizer import (
     HEURISTICS,

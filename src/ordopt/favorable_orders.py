@@ -48,15 +48,62 @@ def restrict_orders(orders, s: AttrSet) -> FavorableOrderSet:
     return frozenset(map(_derived, prefixes))
 
 
-class OrderSource:
-    """Favorable-order sets of one query's subexpressions, from the callable
-    `orders_for` or a subclass's method of that name, and their restrictions
-    to attribute sets, each computed once per (expression, attribute set)."""
+def _extensions(heads, s: AttrSet) -> set[SortOrder]:
+    """The empty order and each head, extended to a full permutation of s.
+    An extension depends only on the prefix of an order within s, so the
+    heads are restricted sets and each distinct prefix is extended once."""
+    out = {extend_to(h, s) for h in heads | {EMPTY}}
+    out.discard(EMPTY)  # the extension of anything over an empty s
+    return out
 
-    def __init__(self, orders_for=None):
-        if orders_for is not None:
-            self.orders_for = orders_for
+
+class FavorableOrderIndex:
+    """Per-node favorable orders for one query, computed bottom-up and cached,
+    and their restrictions to attribute sets, cached per (expression,
+    attribute set).  A subclass that overrides `orders_for` substitutes other
+    sets (exact ones, say) for search and refinement alike.
+
+    Scans contribute their clustering order and the keys of secondary indices
+    that cover the query; selections pass orders through; projections cut
+    orders to surviving prefixes; joins keep their inputs' orders; joins and
+    group-bys extend their inputs' usable prefixes to full permutations of
+    the join attributes resp. grouping keys (leftover attributes in
+    deterministic name order).
+    """
+
+    def __init__(self, catalog: cs.Catalog, query_attrs: AttrSet):
+        self.catalog = catalog
+        self.query_attrs = query_attrs
+        self._cache = {}
         self._restricted = {}
+
+    def orders_for(self, e: lx.LogicalExpr) -> FavorableOrderSet:
+        """e's set.  A miss computes every node of e's subtree not yet cached,
+        children first (reverse preorder), so no call recurses."""
+        cache = self._cache
+        got = cache.get(e)
+        if got is not None:
+            return got
+        usable = self.usable
+        for node in reversed(lx.preorder(e)):
+            if node in cache:
+                continue
+            kind = type(node)
+            if kind is lx.Join:
+                s = node.join_attrs
+                got = cache[node.left].union(cache[node.right], _extensions(usable(node, s), s))
+            elif kind is lx.Scan:
+                got = self._scan_orders(node)
+            elif kind is lx.Select:
+                got = cache[node.input]
+            elif kind is lx.Project:
+                got = self.restricted(node.input, node.cols)
+            elif kind is lx.GroupBy:
+                got = frozenset(_extensions(usable(node, node.keys), node.keys))
+            else:
+                raise TypeError(f"not a logical expression: {node!r}")
+            cache[node] = got
+        return cache[e]
 
     def restricted(self, e: lx.LogicalExpr, s: AttrSet) -> FavorableOrderSet:
         """restrict_orders(self.orders_for(e), s), cached."""
@@ -71,68 +118,6 @@ class OrderSource:
         join or group-by on s can use."""
         inputs = lx.children(e)
         return frozenset().union(*map(self.restricted, inputs, [s] * len(inputs)))
-
-
-def as_order_source(source) -> OrderSource:
-    """`source` itself if it is an OrderSource (a FavorableOrderIndex, say),
-    else the callable `source` wrapped in one."""
-    return source if isinstance(source, OrderSource) else OrderSource(source)
-
-
-def _extensions(heads, s: AttrSet) -> set[SortOrder]:
-    """The empty order and each head, extended to a full permutation of s.
-    An extension depends only on the prefix of an order within s, so the
-    heads are restricted sets and each distinct prefix is extended once."""
-    out = {extend_to(h, s) for h in heads | {EMPTY}}
-    out.discard(EMPTY)  # the extension of anything over an empty s
-    return out
-
-
-class FavorableOrderIndex(OrderSource):
-    """Per-node favorable orders for one query, computed bottom-up and cached.
-
-    Scans contribute their clustering order and the keys of secondary indices
-    that cover the query; selections pass orders through; projections cut
-    orders to surviving prefixes; joins keep their inputs' orders; joins and
-    group-bys extend their inputs' usable prefixes to full permutations of
-    the join attributes resp. grouping keys (leftover attributes in
-    deterministic name order).
-    """
-
-    def __init__(self, catalog: cs.Catalog, query_attrs: AttrSet):
-        super().__init__()
-        self.catalog = catalog
-        self.query_attrs = query_attrs
-        self._cache = {}
-
-    def orders_for(self, e: lx.LogicalExpr) -> FavorableOrderSet:
-        """e's set.  A miss computes every node of e's subtree not yet cached,
-        children first (reverse preorder), so no call recurses."""
-        cache = self._cache
-        got = cache.get(e)
-        if got is not None:
-            return got
-        restricted = self.restricted
-        for node in reversed(lx.preorder(e)):
-            if node in cache:
-                continue
-            kind = type(node)
-            if kind is lx.Join:
-                s = node.join_attrs
-                heads = restricted(node.left, s) | restricted(node.right, s)
-                got = cache[node.left].union(cache[node.right], _extensions(heads, s))
-            elif kind is lx.Scan:
-                got = self._scan_orders(node)
-            elif kind is lx.Select:
-                got = cache[node.input]
-            elif kind is lx.Project:
-                got = restricted(node.input, node.cols)
-            elif kind is lx.GroupBy:
-                got = frozenset(_extensions(restricted(node.input, node.keys), node.keys))
-            else:
-                raise TypeError(f"not a logical expression: {node!r}")
-            cache[node] = got
-        return cache[e]
 
     def _scan_orders(self, e: lx.Scan) -> FavorableOrderSet:
         rel = self.catalog.relation(e.relation)

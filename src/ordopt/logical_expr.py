@@ -163,21 +163,6 @@ def preorder(e: LogicalExpr) -> list[LogicalExpr]:
     return out
 
 
-def schema(e: LogicalExpr, catalog) -> AttrSet:
-    """The attribute set of the output of e."""
-    if isinstance(e, Scan):
-        return catalog.relation(e.relation).columns
-    if isinstance(e, Select):
-        return schema(e.input, catalog)
-    if isinstance(e, Project):
-        return e.cols
-    if isinstance(e, Join):
-        return schema(e.left, catalog) | schema(e.right, catalog)
-    if isinstance(e, GroupBy):
-        return e.keys | frozenset([AGG_ATTR])
-    raise TypeError(f"not a logical expression: {e!r}")
-
-
 def query_attrs(q: QuerySpec, catalog) -> AttrSet:
     """Every attribute the query references anywhere.
 

@@ -124,16 +124,14 @@ def _sort_attrs(e: lx.Join | lx.GroupBy) -> AttrSet:
 def interesting_orders(
     e: lx.Join | lx.GroupBy,
     required: SortOrder,
-    source,
+    index: fo.FavorableOrderIndex,
 ) -> set[SortOrder]:
     """Candidate input orders for a merge join or a sort-based group-by:
-    usable prefixes of the inputs' favorable orders plus the downstream
-    requirement, prefix-pruned, then extended to full permutations of the
-    join attributes resp. grouping keys.  `source` is a
-    `favorable_orders.OrderSource` or any callable from an expression to its
-    favorable orders."""
+    usable prefixes of the inputs' favorable orders in `index` plus the
+    downstream requirement, prefix-pruned, then extended to full permutations
+    of the join attributes resp. grouping keys."""
     s = _sort_attrs(e)
-    t = fo.as_order_source(source).usable(e, s) | {lcp_with_set(required, s)}
+    t = index.usable(e, s) | {lcp_with_set(required, s)}
     return {extend_to(o, s) for o in prune_prefixes(t)}
 
 
@@ -248,11 +246,11 @@ class Optimizer(_PlanBuilder):
     """The plan search for one query over one catalog, with a memo of the
     best plan per goal.
 
-    `order_source` maps a subexpression to the favorable orders assumed for
-    it; it defaults to the bottom-up approximate sets and can be replaced
-    (e.g. by exact favorable orders) without touching the search.  It is a
-    `favorable_orders.OrderSource`, such as a `FavorableOrderIndex` whose
-    restricted sets refinement then reuses, or any callable.
+    `order_source` is the `favorable_orders.FavorableOrderIndex` of the
+    favorable orders assumed for each subexpression, whose restricted sets
+    refinement can then reuse.  It defaults to a fresh index of the bottom-up
+    approximate sets; a subclass can substitute others (e.g. exact favorable
+    orders) without touching the search.
     """
 
     def __init__(
@@ -275,9 +273,7 @@ class Optimizer(_PlanBuilder):
         # sorted candidate orders per (join or group-by, prefix of want on its sort attributes)
         self._orders: dict[tuple[lx.LogicalExpr, SortOrder], list[SortOrder]] = {}
         self._query_attrs = lx.query_attrs(query, catalog)
-        if order_source is None:
-            order_source = fo.FavorableOrderIndex(catalog, self._query_attrs)
-        self._source = fo.as_order_source(order_source)
+        self._source = fo.FavorableOrderIndex(catalog, self._query_attrs) if order_source is None else order_source
 
     def optimize(self) -> PhysicalPlan:
         """The cheapest plan of the query that delivers its required order."""
@@ -303,9 +299,7 @@ class Optimizer(_PlanBuilder):
             bases = [self._operator(op, e, (self._goal(e.input, want),))]
         elif self.heuristic == "favorable":
             # The candidates read `want` only through its prefix on the sort
-            # attributes, so goals that share it share one ranked list.  Looked
-            # up here, not in a helper or the generator, so the favorable-order
-            # pass starts no deeper.
+            # attributes, so goals that share it share one ranked list.
             by_prefix = (e, lcp_with_set(want, _sort_attrs(e)))
             orders = self._orders.get(by_prefix)
             if orders is None:
@@ -456,10 +450,9 @@ class _PlanLoader(_PlanBuilder):
         inputs = (e,) if is_sort else lx.children(e)
         if len(docs) != len(inputs):
             raise _doc.fail(below, f"expected {len(inputs)} input plans, got {len(docs)}")
-        # map adds no interpreter frame per level, unlike a comprehension; a
-        # node has at most two inputs
-        sub = not is_sort
-        kids = tuple(map(self.load, docs, ((below, 0), (below, 1)), inputs, (sub, sub)))
+        kids = []
+        for i, (kid_doc, kid_expr) in enumerate(zip(docs, inputs)):
+            kids.append(self.load(kid_doc, (below, i), kid_expr, not is_sort))
 
         if is_sort:
             delivered = kids[0].produced_order

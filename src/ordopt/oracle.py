@@ -146,7 +146,7 @@ def exact_minimal_favorable_orders(
     query; by default the expression is treated as the whole query.
     """
     guard = guard or OracleGuard()
-    attrs = lx.schema(e, catalog)
+    attrs = frozenset(cs.expr_stats(e, catalog).distinct)  # keyed by e's output attributes
     if len(attrs) > guard.max_attrs:
         raise TooLarge(f"schema of {len(attrs)} attributes exceeds guard {guard.max_attrs}")
     if query_attrs is None:

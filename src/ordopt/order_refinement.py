@@ -274,8 +274,8 @@ def refine_plan(
 ) -> PhysicalPlan:
     """Rework the free-attribute suffixes of a plan's merge-join orders.
 
-    `favorable_index` is a `favorable_orders.OrderSource`, such as the
-    `FavorableOrderIndex` the optimizer searched with.
+    `favorable_index` is the query's `favorable_orders.FavorableOrderIndex`,
+    such as the one the optimizer searched with.
 
     For each join: the longest prefix shared with some input favorable order
     stays; the remaining (free) attributes are reordered by the tree

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import ordopt.logical_expr as lx
-from ordopt import CostParams, OracleGuard, QuerySpec, SortOrder, load_catalog, load_params, parse_query
+from ordopt import CostParams, OracleGuard, QuerySpec, SortOrder, expr_stats, load_catalog, load_params, parse_query
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -26,6 +26,11 @@ def load_pair(catalog_name: str, query_name: str):
     catalog = load_catalog(fixture_path(catalog_name).read_text())
     query = parse_query(fixture_path(query_name).read_text(), catalog)
     return catalog, query
+
+
+def schema(e, catalog):
+    """The output attributes of e: the keys of its distinct counts."""
+    return frozenset(expr_stats(e, catalog).distinct)
 
 
 @pytest.fixture(scope="session")
@@ -78,7 +83,7 @@ def random_catalog_and_join(rng: random.Random):
         return e
 
     join = lx.Join(side("r1"), side("r2"), frozenset(shared), False)
-    sch = sorted(lx.schema(join, catalog))
+    sch = sorted(schema(join, catalog))
     req = tuple(rng.sample(sch, rng.randint(1, min(3, len(sch))))) if rng.random() < 0.7 else ()
     query = QuerySpec(join, SortOrder(req))
     params = load_params(
@@ -116,13 +121,13 @@ def random_chain_query(rng: random.Random, n_rels: int = 3):
     catalog = load_catalog({"relations": rels, "indices": []})
     expr = lx.Scan("c0")
     for i in range(1, n_rels):
-        left_schema = lx.schema(expr, catalog)
+        left_schema = schema(expr, catalog)
         common = sorted(left_schema & frozenset(rels[i]["columns"]))
         if not common:
             return None
         s = frozenset(rng.sample(common, rng.randint(1, len(common))))
         expr = lx.Join(expr, lx.Scan(f"c{i}"), s, rng.random() < 0.3)
-    sch = sorted(lx.schema(expr, catalog))
+    sch = sorted(schema(expr, catalog))
     req = tuple(rng.sample(sch, rng.randint(0, 2)))
     query = QuerySpec(expr, SortOrder(req))
     params = load_params({"cost_params": {"block_bytes": 1024, "memory_blocks": 32}})

@@ -10,6 +10,7 @@ import time
 from ordopt import (
     BlockConfig,
     CostParams,
+    FavorableOrderIndex,
     OracleGuard,
     SortSpec,
     assignment_benefit,
@@ -22,6 +23,7 @@ from ordopt import (
     join_prefix_benefit,
     optimize_query,
     path_order,
+    query_attrs,
     reference_sort,
     refine_plan,
     sort_mrs,
@@ -181,25 +183,29 @@ def test_criterion_7_heuristic_ordering():
     _report(7, ok, "; ".join(details))
 
 
+class _ExactOrders(FavorableOrderIndex):
+    """The exact minimal favorable orders in place of the bottom-up sets."""
+
+    def __init__(self, catalog, params, query, guard):
+        super().__init__(catalog, query_attrs(query, catalog))
+        self.params = params
+        self.guard = guard
+
+    def orders_for(self, e):
+        if e not in self._cache:
+            self._cache[e] = exact_minimal_favorable_orders(
+                e, self.catalog, self.params, self.guard, query_attrs=self.query_attrs
+            )
+        return self._cache[e]
+
+
 def test_criterion_8_exact_favorable_orders_optimal():
     rng = random.Random(1008)
     guard = OracleGuard()
     worst = 0.0
     for _ in range(200):
         catalog, query, params = random_catalog_and_join(rng)
-        import ordopt.logical_expr as lx
-
-        attrs = lx.query_attrs(query, catalog)
-        cache = {}
-
-        def source(e):
-            if e not in cache:
-                cache[e] = exact_minimal_favorable_orders(
-                    e, catalog, params, guard, query_attrs=attrs
-                )
-            return cache[e]
-
-        plan = optimize_query(catalog, params, query, order_source=source)
+        plan = optimize_query(catalog, params, query, order_source=_ExactOrders(catalog, params, query, guard))
         brute = brute_best_plan(query.root, query.required_output_order, catalog, params, guard)
         rel = abs(plan.total_cost - brute) / max(abs(brute), 1e-12)
         worst = max(worst, rel)

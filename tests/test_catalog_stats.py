@@ -18,7 +18,7 @@ from ordopt import (
     parse_query,
 )
 
-from conftest import load_pair, perfbench_workloads, random_catalog_and_join
+from conftest import load_pair, perfbench_workloads, random_catalog_and_join, schema
 
 
 def test_blocks_examples():
@@ -69,7 +69,7 @@ def test_distinct_count_monotone_and_capped():
     for _ in range(50):
         catalog, query, _ = random_catalog_and_join(rng)
         e = query.root
-        attrs = sorted(lx.schema(e, catalog))
+        attrs = sorted(schema(e, catalog))
         s1 = frozenset(rng.sample(attrs, rng.randint(0, len(attrs))))
         s2 = s1 | frozenset(rng.sample(attrs, rng.randint(0, len(attrs))))
         d1 = distinct_count(e, s1, catalog)
@@ -236,7 +236,7 @@ def _assert_stats_match_reference(catalog, root):
         assert list(dict(got.distinct).items()) == list(want.distinct), e
         assert list(dict(got.widths).items()) == list(want.widths), e
         assert all(map(math.isfinite, (got.rows, got.width)))
-        for attrs in (frozenset(), lx.schema(e, catalog), frozenset(sorted(lx.schema(e, catalog))[:2])):
+        for attrs in (frozenset(), schema(e, catalog), frozenset(sorted(schema(e, catalog))[:2])):
             assert distinct_count(e, attrs, catalog) == ref.distinct_count(e, attrs)
 
 

@@ -24,7 +24,7 @@ from ordopt import (
 )
 from ordopt.cost_model import hash_join_cost, merge_join_cost
 
-from conftest import load_pair, random_catalog_and_join
+from conftest import load_pair, random_catalog_and_join, schema
 
 
 def _params(mem=10000, cpu=1e-6):
@@ -115,7 +115,7 @@ def test_partial_never_costs_more_than_full():
     for _ in range(200):
         catalog, query, params = random_catalog_and_join(rng)
         e = query.root
-        attrs = sorted(lx.schema(e, catalog))
+        attrs = sorted(schema(e, catalog))
         have, want = _random_order_pair(rng, attrs)
         full = enforce_cost(e, EMPTY, want, params, catalog)
         part = enforce_cost(e, have, want, params, catalog)
@@ -128,7 +128,7 @@ def test_longer_known_prefix_never_costs_more():
     for _ in range(200):
         catalog, query, params = random_catalog_and_join(rng)
         e = query.root
-        attrs = sorted(lx.schema(e, catalog))
+        attrs = sorted(schema(e, catalog))
         want = SortOrder(tuple(rng.sample(attrs, rng.randint(1, len(attrs)))))
         cut1 = rng.randint(0, len(want))
         cut2 = rng.randint(cut1, len(want))

@@ -24,7 +24,7 @@ from ordopt import (
 from ordopt.oracle import OracleGuard, brute_best_plan, exact_minimal_favorable_orders
 from ordopt.order_algebra import lcp_with_set
 
-from conftest import load_pair, random_catalog_and_join, random_chain_query
+from conftest import load_pair, random_catalog_and_join, random_chain_query, schema
 from test_order_algebra import attr_sets, orders
 
 
@@ -162,7 +162,7 @@ def test_join_set_size_bound_and_lcp_call_count(monkeypatch):
     for _ in range(30):
         catalog, query, _ = random_catalog_and_join(rng)
         join = query.root
-        index = FavorableOrderIndex(catalog, lx.schema(join, catalog))
+        index = FavorableOrderIndex(catalog, schema(join, catalog))
         left = index.orders_for(join.left)
         right = index.orders_for(join.right)
         steps[0] = 0
@@ -265,7 +265,7 @@ def test_empty_order_never_stored():
     rng = random.Random(19)
     for _ in range(20):
         catalog, query, _ = random_catalog_and_join(rng)
-        index = FavorableOrderIndex(catalog, lx.schema(query.root, catalog))
+        index = FavorableOrderIndex(catalog, schema(query.root, catalog))
         for node in lx.preorder(query.root):
             assert EMPTY not in index.orders_for(node)
 
@@ -307,7 +307,7 @@ def _property_queries(rng):
             continue
         catalog, query, _ = got
         if rng.random() < 0.5:
-            sch = sorted(lx.schema(query.root, catalog))
+            sch = sorted(schema(query.root, catalog))
             keys = frozenset(rng.sample(sch, rng.randint(1, len(sch))))
             query = QuerySpec(lx.GroupBy(query.root, keys, 8), EMPTY)
         out.append((catalog, query))
