@@ -22,7 +22,7 @@ from . import favorable_orders as fo
 from . import logical_expr as lx
 from . import optimizer as opt
 from . import order_refinement as refine
-from .errors import OrdoptError, ParseError, TooLarge, ValidationError
+from .errors import ConfigError, OrdoptError, ParseError, TooLarge, ValidationError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,9 +128,12 @@ def _run_sort(args, algo: str, segment_rows: int):
         file_backed=getattr(args, "file_backed", False),  # bench a3 has no --file-backed
     )
     runner = extsort.sort_mrs if algo == "mrs" else extsort.sort_srs
-    out, met = runner(stream, spec)
-    for _ in out:
-        pass
+    try:
+        out, met = runner(stream, spec)
+        for _ in out:
+            pass
+    except ConfigError as exc:  # raised only once a sort spills: too few blocks to merge
+        raise ConfigError(f"--mem-blocks: {exc}") from None
     return met
 
 
@@ -190,6 +193,17 @@ def _cmd_bench_b3(args) -> int:
     return 0
 
 
+def _add_sort_flags(p: _Parser, **rows) -> None:
+    """The flags `sort` and `bench a3` share; `rows` sets --rows's default or requires it."""
+    p.add_argument("--rows", type=int, **rows)
+    p.add_argument("--keys", type=int, default=2)
+    p.add_argument("--payload", type=int, default=200)
+    p.add_argument("--mem-blocks", type=int, default=64)
+    p.add_argument("--block-bytes", type=int, default=4096)
+    p.add_argument("--prefix-len", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+
+
 def _add_query_flags(p: _Parser) -> None:
     p.add_argument("--catalog", required=True, help="catalog JSON file")
     p.add_argument("--query", required=True, help="query JSON file")
@@ -217,15 +231,9 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_explain_afm)
 
     p = sub.add_parser("sort", help="run the simulated external sort")
-    p.add_argument("--rows", type=int, required=True)
+    _add_sort_flags(p, required=True)
     p.add_argument("--segment-rows", type=int, default=1)
-    p.add_argument("--keys", type=int, default=2)
-    p.add_argument("--payload", type=int, default=200)
-    p.add_argument("--mem-blocks", type=int, default=64)
-    p.add_argument("--block-bytes", type=int, default=4096)
-    p.add_argument("--prefix-len", type=int, default=1)
     p.add_argument("--algo", choices=("srs", "mrs"), required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--file-backed", action="store_true",
                    help="spill runs to real temp files instead of simulating")
     p.add_argument("--json", action="store_true")
@@ -235,13 +243,7 @@ def build_parser() -> _Parser:
     bench_sub = p.add_subparsers(dest="bench_command", required=True, parser_class=_Parser)
 
     a3 = bench_sub.add_parser("a3", help="segment-size sweep of srs vs mrs (CSV)")
-    a3.add_argument("--rows", type=int, default=100000)
-    a3.add_argument("--keys", type=int, default=2)
-    a3.add_argument("--payload", type=int, default=200)
-    a3.add_argument("--mem-blocks", type=int, default=64)
-    a3.add_argument("--block-bytes", type=int, default=4096)
-    a3.add_argument("--prefix-len", type=int, default=1)
-    a3.add_argument("--seed", type=int, default=0)
+    _add_sort_flags(a3, default=100000)
     a3.set_defaults(run=_cmd_bench_a3)
 
     b3 = bench_sub.add_parser("b3", help="plan cost per heuristic for one query (CSV)")
