@@ -116,8 +116,9 @@ class FavorableOrderIndex:
     def usable(self, e: lx.Join | lx.GroupBy, s: AttrSet) -> FavorableOrderSet:
         """The union of e's inputs' sets restricted to s: the prefixes a merge
         join or group-by on s can use."""
-        inputs = lx.children(e)
-        return frozenset().union(*map(self.restricted, inputs, [s] * len(inputs)))
+        if type(e) is lx.Join:
+            return self.restricted(e.left, s) | self.restricted(e.right, s)
+        return self.restricted(e.input, s)
 
     def _scan_orders(self, e: lx.Scan) -> FavorableOrderSet:
         rel = self.catalog.relation(e.relation)
