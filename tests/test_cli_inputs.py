@@ -335,10 +335,6 @@ def test_unreadable_file_exits_1(flag, content, message, capsys, tmp_path):
         (["bench", "a3", "--rows", "-3"], "--rows must be >= 1"),
         (["bench", "a3", "--rows", "200", "--payload", "100", "--mem-blocks", "2"],
          "--mem-blocks: external merging needs memory_blocks >= 3"),
-        (["sort", "--rows", "3000", "--algo", "srs", "--mem-blocks", "2", "--block-bytes", "1024"],
-         "--mem-blocks: external merging needs memory_blocks >= 3"),
-        (["sort", "--rows", "3000", "--algo", "mrs", "--segment-rows", "3000", "--mem-blocks", "2",
-          "--block-bytes", "1024"], "--mem-blocks: external merging needs memory_blocks >= 3"),
         (["bench", "a3", "--rows", "10", "--keys", "1"], "--prefix-len must be in [0, --keys)"),
         (["bench", "a3", "--rows", "10", "--keys", "0"], "--keys must be >= 1"),
         (["sort", "--rows", "10", "--algo", "mrs", "--keys", "1"], "--prefix-len must be in [0, --keys)"),
@@ -352,6 +348,10 @@ def test_unreadable_file_exits_1(flag, content, message, capsys, tmp_path):
         (["bench", "a3", "--rows", "10", "--payload", "0"], "--payload must be >= 1"),
         (["bench", "a3", "--rows", "10", "--mem-blocks", "1"], "--mem-blocks must be >= 2"),
         (["bench", "a3", "--rows", "10", "--block-bytes", "0"], "--block-bytes must be >= 1"),
+        (["sort", "--rows", "3000", "--algo", "srs", "--mem-blocks", "2", "--block-bytes", "1024"],
+         "--mem-blocks: external merging needs memory_blocks >= 3"),
+        (["sort", "--rows", "3000", "--algo", "mrs", "--segment-rows", "3000", "--mem-blocks", "2",
+          "--block-bytes", "1024"], "--mem-blocks: external merging needs memory_blocks >= 3"),
     ],
 )
 def test_bad_bench_flags_write_no_csv(argv, message, capsys):
