@@ -423,3 +423,26 @@ def test_refined_plan_with_hash_joins_bytes(capsys, tmp_path):
         [["a04", "a00"], ["a03", "a09", "a11"], ["a07"], ["a08", "a01", "a11"]],
         [["a04", "a00"], ["a03", "a11", "a09"], ["a07"], ["a08", "a11", "a01"]],
     ]
+
+
+#: `ordopt sort` without --json: one `key=value` line per counter, in key
+#: order.  The mrs comparison counts are those of Python 3.10-3.12, whose
+#: built-in sort compares as `test_golden_counters` (test_extsort.py) expects.
+SORT_TEXT = {
+    "srs": (
+        ("--rows", "3000", "--algo", "srs", "--mem-blocks", "4", "--block-bytes", "1024"),
+        "comparisons=19251\npositions_inspected=19251\nrun_blocks_read=586\nrun_blocks_written=586\n"
+        "runs_generated=1\ntuples_in_before_first_out=3000\n",
+    ),
+    "mrs": (
+        ("--rows", "3000", "--algo", "mrs", "--segment-rows", "500", "--mem-blocks", "4", "--block-bytes", "1024"),
+        "comparisons=32944\npositions_inspected=32944\nrun_blocks_read=1648\nrun_blocks_written=1648\n"
+        "runs_generated=73\ntuples_in_before_first_out=500\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(SORT_TEXT))
+def test_sort_text_bytes(algo, capsys):
+    argv, text = SORT_TEXT[algo]
+    assert _digest(capsys, "sort", *argv)[0] == text

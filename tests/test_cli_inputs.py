@@ -77,6 +77,23 @@ def _del(*path):
     return mutate
 
 
+def _wrap(*path, **node):
+    """Put the query expression at `path` under a new `node`."""
+
+    def mutate(doc):
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = {**node, "input": holder[path[-1]]}
+
+    return mutate
+
+
+def _lift_root_input(doc):
+    """Replace the plan's root with its (only) input."""
+    doc["plan"] = doc["plan"]["children"][0]
+
+
 def _all(*mutations):
     def mutate(doc):
         for m in mutations:
@@ -124,6 +141,21 @@ CASES = {
         1, "relations[0].distincts.make: expected an integer in [1, 2000000], got 0",
     ),
     "catalog-relations-not-a-list": ("catalog", _set("relations", 5), 1, "relations:"),
+    "catalog-duplicate-relation": (
+        "catalog", _set("relations", 3, {"name": "catalog1", "row_count": 1, "tuple_bytes": 1, "columns": ["a"]}),
+        1, "relations[3]: duplicate relation 'catalog1'",
+    ),
+    "catalog-duplicate-column": (
+        "catalog", _set("relations", 0, "columns", 5, "make"), 1, "relations[0].columns: duplicate attribute",
+    ),
+    "catalog-index-column-outside-the-relation": (
+        "catalog", _set("indices", 1, {"relation": "rating", "key_order": ["make"], "included_columns": ["zz"]}),
+        1, "indices[1]: index attributes outside the relation's columns",
+    ),
+    "catalog-index-kind-bogus": (
+        "catalog", _set("indices", 1, {"relation": "rating", "key_order": ["make"], "kind": "bogus"}),
+        1, "indices[1].kind: expected clustering|secondary, got 'bogus'",
+    ),
     "catalog-included-not-a-list": (
         "catalog", _set("indices", 0, "included_columns", 5),
         1, "indices[0].included_columns:",
@@ -170,6 +202,29 @@ CASES = {
         2, "cost estimate",
     ),
     "query-selectivity-bool": ("query", _nested_selects(1, selectivity=True), 1, "expr.selectivity:"),
+    "query-unknown-relation-below-a-join": (
+        "query", _set("expr", "left", "left", "relation", "zz"), 1, "expr.left.left: unknown relation 'zz'",
+    ),
+    "query-join-attribute-outside-the-left-schema": (
+        "query", _set("expr", "left", "join_attrs", ["make", "breakdowns"]),
+        1, "expr.left.join_attrs: attributes ['breakdowns'] not in left schema",
+    ),
+    "query-join-attribute-outside-the-right-schema": (
+        "query", _set("expr", "join_attrs", ["make", "sellreason"]),
+        1, "expr.join_attrs: attributes ['sellreason'] not in right schema",
+    ),
+    "query-touched-outside-the-input": (
+        "query", _wrap("expr", "left", op="select", touched=["zz"]),
+        1, "expr.left.touched: attributes ['zz'] not in input schema",
+    ),
+    "query-cols-outside-the-input": (
+        "query", _wrap("expr", op="project", cols=["make", "zz"]),
+        1, "expr.cols: attributes ['zz'] not in input schema",
+    ),
+    "query-keys-outside-the-input": (
+        "query", _wrap("expr", "right", op="group_by", keys=["zz"]),
+        1, "expr.right.keys: attributes ['zz'] not in input schema",
+    ),
     "query-nested-900": ("query", _nested_selects(900), 2, "query"),
     "query-nested-2000": ("query", _nested_selects(2000), 2, "query"),
     "plan-total-cost-zero": ("plan", _set("plan", "total_cost", 0), 0, None),
@@ -177,6 +232,10 @@ CASES = {
         "plan", _set("plan", "op", "bogus"), 1, "plan.op: expected one of merge_join, hash_join, got 'bogus'",
     ),
     "plan-children-not-a-list": ("plan", _set("plan", "children", 5), 1, "plan.children: expected a list, got 5"),
+    "plan-sort-with-two-inputs": (
+        "plan", _set("plan", "children", 1, {}), 1, "plan.children: expected 1 input plans, got 2",
+    ),
+    "plan-root-sort-dropped": ("plan", _lift_root_input, 1, "plan: delivers (make,year), not the query's order_by"),
     "plan-merge-join-on-a-scan": (
         "plan", _set("plan", "children", 0, "children", 0, "expr_id", 2),
         1, "plan.children[0].children[0].expr_id: node 2 is not the expression computed here",

@@ -197,6 +197,12 @@ def test_produced_order_soundness(cat, qry):
     assert_plan_sound(plan, query, catalog)
 
 
+def test_unknown_heuristic_is_rejected():
+    catalog, query = load_pair("example1_catalog.json", "example1_query.json")
+    with pytest.raises(ValidationError, match="unknown heuristic 'greedy'; expected one of "):
+        Optimizer(catalog, CostParams(), query, heuristic="greedy")
+
+
 def test_exhaustive_guard():
     cols = list("abcdefg")
     catalog = load_catalog(

@@ -162,6 +162,8 @@ def test_benefit_invariant_under_renaming():
 
 
 def test_labeled_tree_validation():
+    with pytest.raises(ValidationError, match=r"bad edge \(0, 2\)"):
+        LabeledTree((frozenset(), frozenset()), ((0, 2),))  # no node 2
     with pytest.raises(ValidationError):
         LabeledTree((frozenset(), frozenset()), ())  # disconnected
     with pytest.raises(ValidationError):
