@@ -110,20 +110,20 @@ def load_catalog(source) -> Catalog:
 
     relations: dict[str, CatalogRelation] = {}
     for i, rdoc in enumerate(_doc.array(doc.get("relations", []), "relations")):
-        path = f"relations[{i}]"
+        path = ("relations", i)
         _doc.fields(rdoc, path, _REL_FIELDS)
-        name = _doc.name(rdoc.get("name"), path + ".name")
+        name = _doc.name(rdoc.get("name"), (path, "name"))
         if name in relations:
             raise _doc.fail(path, f"duplicate relation {name!r}")
-        rows = _doc.integer(rdoc.get("row_count"), path + ".row_count")
-        width = _doc.integer(rdoc.get("tuple_bytes"), path + ".tuple_bytes")
-        columns = frozenset(_doc.attr_list(rdoc.get("columns", []), path + ".columns", nonempty=True))
+        rows = _doc.integer(rdoc.get("row_count"), (path, "row_count"))
+        width = _doc.integer(rdoc.get("tuple_bytes"), (path, "tuple_bytes"))
+        columns = frozenset(_doc.attr_list(rdoc.get("columns", []), (path, "columns"), nonempty=True))
         if lx.AGG_ATTR in columns:
-            raise _doc.fail(path + ".columns", f"{lx.AGG_ATTR!r} is reserved for the aggregate of a group-by")
-        clustering = _derived(_doc.attr_list(rdoc.get("clustering_order", []), path + ".clustering_order"))
+            raise _doc.fail((path, "columns"), f"{lx.AGG_ATTR!r} is reserved for the aggregate of a group-by")
+        clustering = _derived(_doc.attr_list(rdoc.get("clustering_order", []), (path, "clustering_order")))
         if not columns.issuperset(clustering):
-            raise _doc.fail(f"{path}.clustering_order", "attributes outside the relation's columns")
-        dpath = path + ".distincts"
+            raise _doc.fail((path, "clustering_order"), "attributes outside the relation's columns")
+        dpath = (path, "distincts")
         distincts_doc = _doc.fields(rdoc.get("distincts", {}), dpath, columns)
         for a, n in distincts_doc.items():
             _doc.integer(n, (dpath, a), 1, rows)
@@ -132,19 +132,19 @@ def load_catalog(source) -> Catalog:
 
     indices = []
     for i, idoc in enumerate(_doc.array(doc.get("indices", []), "indices")):
-        path = f"indices[{i}]"
+        path = ("indices", i)
         _doc.fields(idoc, path, _IDX_FIELDS)
-        rel_name = _doc.name(idoc.get("relation"), path + ".relation")
+        rel_name = _doc.name(idoc.get("relation"), (path, "relation"))
         if rel_name not in relations:
-            raise UnknownRelation(f"{path}: unknown relation {rel_name!r}")
+            raise UnknownRelation(f"{_doc.spell(path)}: unknown relation {rel_name!r}")
         rel = relations[rel_name]
-        key = _derived(_doc.attr_list(idoc.get("key_order", []), path + ".key_order", nonempty=True))
-        included = frozenset(_doc.attr_list(idoc.get("included_columns", []), path + ".included_columns"))
+        key = _derived(_doc.attr_list(idoc.get("key_order", []), (path, "key_order"), nonempty=True))
+        included = frozenset(_doc.attr_list(idoc.get("included_columns", []), (path, "included_columns")))
         if not (key.attr_set() | included) <= rel.columns:
             raise _doc.fail(path, "index attributes outside the relation's columns")
         kind = idoc.get("kind", "secondary")
         if kind not in ("clustering", "secondary"):
-            raise _doc.fail(f"{path}.kind", f"expected clustering|secondary, got {kind!r}")
+            raise _doc.fail((path, "kind"), f"expected clustering|secondary, got {kind!r}")
         indices.append(_new(IndexDef, (rel_name, key, included, kind)))
 
     return Catalog(relations, tuple(indices))

@@ -193,16 +193,16 @@ def query_attrs(q: QuerySpec, catalog) -> AttrSet:
 # --- parsing ---------------------------------------------------------------
 
 #: Nesting guard for query expressions, which keeps every recursion inside
-#: the interpreter's default limit of 1000 frames.  The deepest is plan
-#: search: two frames per join level (`Optimizer._goal` and the
-#: `_ordered_candidates` generator).  Plan output takes one or two per plan
-#: level, where a plan can be twice as deep as its query (a sort over every
-#: operator).  The favorable-order pass does not recurse.  Search plus
-#: refinement reach 494 joins on Python 3.10, 3.11 and 3.13, but 373 on
-#: 3.12.1, whose separate C recursion limit stops search first, about 755
-#: Python frames deep.
-#: `test_search_and_refinement_fit_a_290_join_chain_in_the_default_stack`
-#: (tests/test_order_refinement.py) pins a 290-join chain through search and
+#: the interpreter's default limit of 1000 frames.  Plan search and
+#: refinement's rebuild take one frame per join level: they reach 987 joins
+#: on Python 3.10 and 3.11, 989 on 3.13.0 and 747 on 3.12.1, whose separate
+#: C recursion limit stops search first.  Plan output takes one or two per
+#: plan level, where a plan can be twice as deep as its query (a sort over
+#: every operator), and `json.dumps` itself stops at 497 nested plan levels
+#: on 3.10 and 3.11 (748 on 3.12.1), about 240 joins.  The favorable-order
+#: pass does not recurse.
+#: `test_search_and_refinement_fit_a_550_join_chain_in_the_default_stack`
+#: (tests/test_order_refinement.py) pins a 550-join chain through search and
 #: refinement.
 MAX_QUERY_DEPTH = 128
 
@@ -212,7 +212,7 @@ _OP_NAMES = {Scan: "scan", Select: "select", Project: "project", Join: "join", G
 _NODE_FIELDS = {op: {"op", *t.__slots__} for t, op in _OP_NAMES.items()}
 
 
-def _parse_node(doc, catalog, path: str, depth: int = 1) -> tuple[LogicalExpr, AttrSet]:
+def _parse_node(doc, catalog, path, depth: int = 1) -> tuple[LogicalExpr, AttrSet]:
     """The expression of `doc` and its output schema, which the checks of the
     node above read, so parsing stays linear in the size of the query."""
     if depth > MAX_QUERY_DEPTH:
@@ -225,40 +225,40 @@ def _parse_node(doc, catalog, path: str, depth: int = 1) -> tuple[LogicalExpr, A
     _doc.fields(doc, path, _NODE_FIELDS[op])
 
     if op == "scan":
-        rel = _doc.name(doc.get("relation"), path + ".relation")
+        rel = _doc.name(doc.get("relation"), (path, "relation"))
         if not catalog.has_relation(rel):
-            raise UnknownRelation(f"{path}: unknown relation {rel!r}")
+            raise UnknownRelation(f"{_doc.spell(path)}: unknown relation {rel!r}")
         return Scan(rel), catalog.relation(rel).columns
 
     if op == "join":
-        left, left_schema = _parse_node(doc.get("left"), catalog, path + ".left", depth + 1)
-        right, right_schema = _parse_node(doc.get("right"), catalog, path + ".right", depth + 1)
-        attrs = frozenset(_doc.attr_list(doc.get("join_attrs"), path + ".join_attrs", nonempty=True))
-        _require_within(attrs, left_schema, path + ".join_attrs", "left schema")
-        _require_within(attrs, right_schema, path + ".join_attrs", "right schema")
-        full_outer = _doc.boolean(doc.get("full_outer", False), path + ".full_outer")
+        left, left_schema = _parse_node(doc.get("left"), catalog, (path, "left"), depth + 1)
+        right, right_schema = _parse_node(doc.get("right"), catalog, (path, "right"), depth + 1)
+        attrs = frozenset(_doc.attr_list(doc.get("join_attrs"), (path, "join_attrs"), nonempty=True))
+        _require_within(attrs, left_schema, (path, "join_attrs"), "left schema")
+        _require_within(attrs, right_schema, (path, "join_attrs"), "right schema")
+        full_outer = _doc.boolean(doc.get("full_outer", False), (path, "full_outer"))
         return Join(left, right, attrs, full_outer), left_schema | right_schema
 
-    node, node_schema = _parse_node(doc.get("input"), catalog, path + ".input", depth + 1)
+    node, node_schema = _parse_node(doc.get("input"), catalog, (path, "input"), depth + 1)
     if op == "select":
-        sel = _doc.number(doc.get("selectivity", 1.0), path + ".selectivity", 0.0, 1.0, lo_open=True)
-        touched = frozenset(_doc.attr_list(doc.get("touched", []), path + ".touched"))
-        _require_within(touched, node_schema, path + ".touched")
+        sel = _doc.number(doc.get("selectivity", 1.0), (path, "selectivity"), 0.0, 1.0, lo_open=True)
+        touched = frozenset(_doc.attr_list(doc.get("touched", []), (path, "touched")))
+        _require_within(touched, node_schema, (path, "touched"))
         return Select(node, float(sel), touched), node_schema
 
     if op == "project":
-        cols = frozenset(_doc.attr_list(doc.get("cols"), path + ".cols", nonempty=True))
-        _require_within(cols, node_schema, path + ".cols")
+        cols = frozenset(_doc.attr_list(doc.get("cols"), (path, "cols"), nonempty=True))
+        _require_within(cols, node_schema, (path, "cols"))
         return Project(node, cols), cols
 
     # group_by
-    keys = frozenset(_doc.attr_list(doc.get("keys", []), path + ".keys"))
-    _require_within(keys, node_schema, path + ".keys")
-    width = _doc.integer(doc.get("agg_width_bytes", 8), path + ".agg_width_bytes")
+    keys = frozenset(_doc.attr_list(doc.get("keys", []), (path, "keys")))
+    _require_within(keys, node_schema, (path, "keys"))
+    width = _doc.integer(doc.get("agg_width_bytes", 8), (path, "agg_width_bytes"))
     return GroupBy(node, keys, width), keys | frozenset([AGG_ATTR])
 
 
-def _require_within(attrs: AttrSet, available: AttrSet, path: str, where: str = "input schema") -> None:
+def _require_within(attrs: AttrSet, available: AttrSet, path, where: str = "input schema") -> None:
     missing = attrs - available
     if missing:
         raise _doc.fail(path, f"attributes {sorted(missing)} not in {where}")

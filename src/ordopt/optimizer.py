@@ -2,27 +2,28 @@
 
 For every goal the candidates are: native access paths with a (partial) sort
 enforcer on top where their order falls short, a full sort over the cheapest
-unordered plan, and for joins and group-bys one merge join resp. sort-based
-group-by per candidate order, then the hash variant.  Both accept any order of
-their attributes (join attributes resp. grouping keys) that every input
-delivers, so one path makes both: the candidates are the usable prefixes of
-the inputs' favorable orders plus the downstream requirement, each extended to
-a full permutation of those attributes, or a heuristic's fixed orders.  `_OPS`
-names the operators that compute each kind of expression, for search and the
-plan loader alike.
+unordered plan, and the (operator, input order) pairs of `Optimizer._choices`:
+a select or project over its input's plan for the goal's order, or for joins
+and group-bys one merge join resp. sort-based group-by per candidate order,
+then the hash variant.  Both accept any order of their attributes (join
+attributes resp. grouping keys) that every input delivers, so one path makes
+both: the candidates are the usable prefixes of the inputs' favorable orders
+plus the downstream requirement, each extended to a full permutation of those
+attributes, or a heuristic's fixed orders.  `_OPS` names the operators that
+compute each kind of expression, for search and the plan loader alike.
 
 Search ranks the candidates of a goal before building their sorts: a sort's
 cost is known without its node, so only the winner's sort is built, from the
-price its candidate already holds.  A join's or group-by's candidate orders
-read the goal's required order only through its prefix on their attributes,
-so they are derived and sorted once per (expression, prefix), and every goal
-that shares the prefix takes that list.  The operators below the sorts are
-built once per query and shared by every goal of their expression, since
-their inputs are memoized goals: the scans of each access path, and each
-merge join, sort-based group-by and hash operator per input order.  Plan
-nodes are immutable tuples, and `_PlanBuilder._node` builds every one of
-them.  Expressions are interned (`logical_expr`), so every table here keys
-on the expression node itself, hashed and compared by identity.
+price its candidate already holds.  A join's or group-by's pairs read the
+goal's required order only through its prefix on their attributes, so they
+are derived and sorted once per (expression, prefix), for every heuristic.
+One loop in `Optimizer._goal` builds each pair's operator once per query,
+over its inputs' memoized goals, and every goal of its expression shares it;
+it calls `_goal` through `map`, so search takes one interpreter frame per
+join level.  Scans build their access paths once.  Plan nodes are immutable
+tuples, and `_PlanBuilder._node` builds every one of them.  Expressions are
+interned (`logical_expr`), so every table here keys on the expression node
+itself, hashed and compared by identity.
 
 A plan document is untrusted: `load_plan_document` rebuilds each node
 through the same builder, so every cost is recomputed.  It checks a node in
@@ -267,11 +268,12 @@ class Optimizer(_PlanBuilder):
         self.query = query
         self.heuristic = heuristic
         self.memo: dict[tuple[lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
-        # operators built once and shared by every goal of their expression
+        # operators built once and shared by every goal of their expression:
+        # a scan's access paths, any other operator per input order
         self._scans: dict[lx.Scan, list[PhysicalPlan]] = {}
         self._shared: dict[tuple[str, lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
-        # sorted candidate orders per (join or group-by, prefix of want on its sort attributes)
-        self._orders: dict[tuple[lx.LogicalExpr, SortOrder], list[SortOrder]] = {}
+        # `_choices` per (join or group-by, prefix of want on its sort attributes)
+        self._orders: dict[tuple[lx.LogicalExpr, SortOrder], list[tuple[str, SortOrder]]] = {}
         self._query_attrs = lx.query_attrs(query, catalog)
         self._source = fo.FavorableOrderIndex(catalog, self._query_attrs) if order_source is None else order_source
 
@@ -294,26 +296,23 @@ class Optimizer(_PlanBuilder):
             if bases is None:
                 paths = cm.access_paths(e, self.catalog, self._query_attrs, self.params)
                 bases = self._scans[e] = [self._node(kind, e, produced, cost, ()) for kind, produced, cost in paths]
-        elif isinstance(e, (lx.Select, lx.Project)):
-            (op,) = _OPS[type(e)]
-            bases = [self._operator(op, e, (self._goal(e.input, want),))]
-        elif self.heuristic == "favorable":
-            # The candidates read `want` only through its prefix on the sort
-            # attributes, so goals that share it share one ranked list.
-            by_prefix = (e, lcp_with_set(want, _sort_attrs(e)))
-            orders = self._orders.get(by_prefix)
-            if orders is None:
-                orders = self._orders[by_prefix] = sorted(interesting_orders(e, want, self._source))
-            bases = self._ordered_candidates(e, orders)
+            cands = [self._candidate(base, want) for base in bases]
         else:
-            bases = self._ordered_candidates(e, sorted(_heuristic_orders(e, self.heuristic)))
-
-        # Rank the candidates in order, before building their sorts; min keeps
-        # the first of equal keys.  map adds no interpreter frame, unlike a
-        # comprehension, while `bases` recurses into the inputs' goals.
-        cands = list(map(self._candidate, bases, itertools.repeat(want)))
+            # Build each operator once, over its inputs' goals, and rank it
+            # right after, so the first overflowing candidate names itself.
+            # map adds no interpreter frame per level, unlike a comprehension.
+            cands = []
+            inputs = lx.children(e)
+            for op, io in self._choices(e, want):
+                shared = (op, e, io)
+                node = self._shared.get(shared)
+                if node is None:
+                    kids = tuple(map(self._goal, inputs, [io] * len(inputs)))
+                    node = self._shared[shared] = self._operator(op, e, kids, io)
+                cands.append(self._candidate(node, want))
         if want:
             cands.append(self._candidate(self._goal(e, EMPTY), want, EMPTY))
+        # min keeps the first of equal keys
         _, base, sort = min(cands, key=lambda c: c[0])
         plan = self._sorted(base, want, sort)
         self.memo[key] = plan
@@ -329,24 +328,24 @@ class Optimizer(_PlanBuilder):
         op, _, cost = sort
         return (_total(op, cost, base.total_cost), want, base.node_count + 1), base, sort
 
-    def _ordered_candidates(self, e: lx.Join | lx.GroupBy, orders: list[SortOrder]):
-        """The merge join resp. sort-based group-by over each of `orders`, a
-        sorted list, which every input delivers; then the hash variant over
-        unordered inputs.  Each is built once per order and shared by every
-        goal of e."""
-        sort_op, hash_op = _OPS[type(e)]
-        ops = [(sort_op, io) for io in orders]
-        if self.params.hashjoin_enabled:
-            ops.append((hash_op, EMPTY))
-        inputs = lx.children(e)
-        for op, io in ops:
-            key = (op, e, io)
-            node = self._shared.get(key)
-            if node is None:
-                # map adds no interpreter frame per level, unlike a comprehension
-                kids = tuple(map(self._goal, inputs, [io] * len(inputs)))
-                node = self._shared[key] = self._operator(op, e, kids, io)
-            yield node
+    def _choices(self, e: lx.LogicalExpr, want: SortOrder):
+        """The (operator, input order) pairs that may compute e, no scan, in
+        ranking order: a select or project over its input's plan for `want`;
+        a merge join resp. sort-based group-by per sorted candidate order,
+        then the hash variant over unordered inputs.  Those read `want` only
+        through its prefix on the sort attributes, so goals share the list."""
+        if isinstance(e, (lx.Select, lx.Project)):
+            return ((_OPS[type(e)][0], want),)
+        by_prefix = (e, lcp_with_set(want, _sort_attrs(e)))
+        choices = self._orders.get(by_prefix)
+        if choices is None:
+            favorable = self.heuristic == "favorable"
+            orders = interesting_orders(e, want, self._source) if favorable else _heuristic_orders(e, self.heuristic)
+            sort_op, hash_op = _OPS[type(e)]
+            choices = self._orders[by_prefix] = [(sort_op, io) for io in sorted(orders)]
+            if self.params.hashjoin_enabled:
+                choices.append((hash_op, EMPTY))
+        return choices
 
 
 def optimize_query(

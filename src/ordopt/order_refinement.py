@@ -254,8 +254,8 @@ class _Rebuilder(_PlanBuilder):
         self.new_orders = new_orders  # id(plan node) -> SortOrder
 
     def rebuild(self, p: PhysicalPlan, want: SortOrder) -> PhysicalPlan:
-        if p.op in _SORTS:
-            return self.rebuild(p.children[0], want)
+        while p.op in _SORTS:  # dropped: `_enforced` re-derives the sorts the rebuilt plan needs
+            p = p.children[0]
         if not p.children:  # access paths: reuse verbatim, re-enforce on top
             return self._enforced(p, want)
         order = self.new_orders.get(id(p), p.produced_order)

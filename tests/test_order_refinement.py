@@ -334,17 +334,19 @@ def test_a_rebuild_that_changes_no_join_order_keeps_the_plan_cost():
 
 
 @pytest.mark.parametrize("heuristic", ["favorable", "arbitrary"])
-def test_search_and_refinement_fit_a_290_join_chain_in_the_default_stack(heuristic):
-    """Plan search recurses two interpreter frames per join level, and
-    refinement's rebuild one per plan level; the favorable-order pass does
-    not recurse.  At CPython's default limit of 1000 they reach 494 joins
-    outside pytest (475 under it on 3.11), except on 3.12.1, whose C
-    recursion limit stops search at 373.  The chain is built as expressions,
+def test_search_and_refinement_fit_a_550_join_chain_in_the_default_stack(heuristic):
+    """Plan search recurses one interpreter frame per join level (`_goal`
+    calls itself through `map`), and so does refinement's rebuild; the
+    favorable-order pass does not recurse.  At CPython's default limit of
+    1000 they reach 987 joins outside pytest on 3.10.13 and 3.11.7 and 989 on
+    3.13.0, but 747 on 3.12.1, whose C recursion limit stops search first.
+    Two frames per level stop them at 494 joins (373 on 3.12.1), so 550
+    fails then on every interpreter.  The chain is built as expressions,
     beneath the parser's depth guard, and each call gets a fresh
     favorable-order index, so the pass runs at the depth of search and of
     refinement in turn.  On the arbitrary plan refinement reorders a join
     and keeps the rebuilt plan."""
-    joins = 290
+    joins = 550
     rels = [
         {"name": f"r{i}", "row_count": 1000 * (1 + i % 3), "tuple_bytes": 64,
          "columns": ["a", "b", "c"], "clustering_order": ["c"] if i % 2 else []}
