@@ -446,3 +446,49 @@ SORT_TEXT = {
 def test_sort_text_bytes(algo, capsys):
     argv, text = SORT_TEXT[algo]
     assert _digest(capsys, "sort", *argv)[0] == text
+
+
+#: Two covering indices of r share the key (b, c), the first one wider and
+#: dearer; a third has r's clustering order as its key.  Search and the plan
+#: loader both take the cheaper of the two (b, c) indices.
+SHARED_KEY_CATALOG = {
+    "relations": [
+        _rel("r", 40000, 64, ["a"], a=40000, b=2000, c=500, d=100),
+        _rel("s", 8000, 48, ["b", "c"], b=2000, c=400, e=8000),
+        _rel("t", 20000, 32, [], a=20000, c=500),
+    ],
+    "indices": [
+        {"relation": "r", "key_order": ["b", "c"], "included_columns": ["a", "d"], "kind": "secondary"},
+        {"relation": "r", "key_order": ["a"], "included_columns": ["b", "c"], "kind": "secondary"},
+        {"relation": "r", "key_order": ["b", "c"], "included_columns": ["a"], "kind": "secondary"},
+    ],
+}
+SHARED_KEY_QUERY = {
+    "expr": {
+        "op": "project",
+        "cols": ["a", "b", "c"],
+        "input": _join(_join(_scan("r"), _scan("s"), "b", "c"), _scan("t"), "a", "c"),
+    },
+    "order_by": ["a"],
+}
+#: sha256 of optimize --refine --json (which refine --plan --json reproduces) and of bench b3
+SHARED_KEY_DIGESTS = (
+    "afe72e3e95a570da282628a0da923fcbd70ac3a4345bc2912bc90ce1847fe4a6",
+    "7f27d47d8a1f4236c5a6ee5059459a340741b1e3418bd2bbc60783cfbca4cc13",
+)
+
+
+def test_indices_sharing_a_key_bytes(capsys, tmp_path):
+    files = []
+    for name, doc in (("catalog", SHARED_KEY_CATALOG), ("query", SHARED_KEY_QUERY)):
+        files += [f"--{name}", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    plan_json, digest = _digest(capsys, "optimize", *files, "--refine", "--json")
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(plan_json)
+    _, again = _digest(capsys, "refine", "--plan", str(plan_file), "--json")
+    _, b3 = _digest(capsys, "bench", "b3", *files)
+    assert (digest, b3) == SHARED_KEY_DIGESTS and again == digest
+    scans = [n for n in _plan_nodes(plan_json) if n["op"] == "covering_index_scan"]
+    # the (b, c) index without d: 40000 entries of 3 * 16 bytes
+    assert [(n["index_key"], n["op_cost"]) for n in scans] == [(["b", "c"], 469.0)]
