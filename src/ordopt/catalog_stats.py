@@ -16,7 +16,7 @@ from typing import NamedTuple
 from . import _doc
 from . import logical_expr as lx
 from .errors import ConfigError, TooLarge, UnknownAttribute, UnknownRelation
-from .order_algebra import EMPTY, AttrSet, SortOrder, _derived
+from .order_algebra import EMPTY, AttrSet, SortOrder, _derived, is_prefix
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,10 @@ def load_catalog(source) -> Catalog:
         kind = idoc.get("kind", "secondary")
         if kind not in ("clustering", "secondary"):
             raise _doc.fail((path, "kind"), f"expected clustering|secondary, got {kind!r}")
+        # a clustering index is the relation's own order: its scan is the table scan
+        if kind == "clustering" and not is_prefix(key, rel.clustering_order):
+            prefix_of = f"the clustering_order {list(rel.clustering_order)} of {rel_name!r}"
+            raise _doc.fail((path, "key_order"), f"a clustering index's key must be a prefix of {prefix_of}")
         indices.append(_new(IndexDef, (rel_name, key, included, kind)))
 
     return Catalog(relations, tuple(indices))

@@ -37,6 +37,8 @@ def _read(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ParseError(f"{path}: {exc.strerror}") from None
 
 
 def _load_common(args):

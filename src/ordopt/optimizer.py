@@ -1,16 +1,17 @@
 """Memoizing cost-based plan search over (expression, required order) goals.
 
-For every goal the candidates are: native access paths with a (partial) sort
-enforcer on top where their order falls short, a full sort over the cheapest
-unordered plan, and the (operator, input order) pairs of `Optimizer._choices`:
-a select or project over its input's plan for the goal's order, or for joins
-and group-bys one merge join resp. sort-based group-by per candidate order,
-then the hash variant.  Both accept any order of their attributes (join
-attributes resp. grouping keys) that every input delivers, so one path makes
-both: the candidates are the usable prefixes of the inputs' favorable orders
-plus the downstream requirement, each extended to a full permutation of those
-attributes, or a heuristic's fixed orders.  `_OPS` names the operators that
-compute each kind of expression, for search and the plan loader alike.
+For every goal the candidates are a full sort over the cheapest unordered
+plan and the (operator, order) pairs of `Optimizer._choices`, with a (partial)
+sort on top where their order falls short: a scan's access paths, the keys of
+its one access-path table; a select or project over its input's plan for the
+goal's order; for joins and group-bys one merge join resp. sort-based group-by
+per candidate order, then the hash variant.  Both accept any order of their
+attributes (join attributes resp. grouping keys) that every input delivers,
+so one path makes both: the candidates are the usable prefixes of the inputs'
+favorable orders plus the downstream requirement, each extended to a full
+permutation of those attributes, or a heuristic's fixed orders.  `_OPS` names
+the operators that compute each kind of expression, for search and the plan
+loader alike.
 
 Search ranks the candidates of a goal before building their sorts: a sort's
 cost is known without its node, so only the winner's sort is built, from the
@@ -20,10 +21,9 @@ are derived and sorted once per (expression, prefix), for every heuristic.
 One loop in `Optimizer._goal` builds each pair's operator once per query,
 over its inputs' memoized goals, and every goal of its expression shares it;
 it calls `_goal` through `map`, so search takes one interpreter frame per
-join level.  Scans build their access paths once.  Plan nodes are immutable
-tuples, and `_PlanBuilder._node` builds every one of them.  Expressions are
-interned (`logical_expr`), so every table here keys on the expression node
-itself, hashed and compared by identity.
+join level.  Plan nodes are immutable tuples, and `_PlanBuilder._node` builds
+every one of them.  Expressions are interned (`logical_expr`), so every table
+here keys on the expression node itself, hashed and compared by identity.
 
 A plan document is untrusted: `load_plan_document` rebuilds each node
 through the same builder, so every cost is recomputed.  It checks a node in
@@ -157,7 +157,6 @@ def _heuristic_orders(e: lx.Join | lx.GroupBy, heuristic: str) -> set[SortOrder]
 _new_plan = tuple.__new__
 _TOTAL_COST = operator.attrgetter("total_cost")
 _NODE_COUNT = operator.attrgetter("node_count")
-_COST = operator.itemgetter(2)  # of an access path
 
 
 def _total(op: str, op_cost: float, below: float) -> float:
@@ -169,16 +168,31 @@ def _total(op: str, op_cost: float, below: float) -> float:
 
 
 class _PlanBuilder:
-    """Builds and costs plan nodes over one catalog and set of cost
-    parameters; the optimizer, refinement and the plan loader build with it.
-    `_node` builds every node and `_sort` prices every sort; the caches hold
-    for that catalog and those parameters only, so they live on the instance."""
+    """Builds and costs plan nodes over one catalog, set of cost parameters
+    and query, whose attributes `query_attrs` decide the indices that cover a
+    scan; the optimizer, refinement and the plan loader build with it.  `_node`
+    builds every node, `_sort` prices every sort and `_access_paths` holds
+    each scan's table; the caches hold for those inputs only."""
 
-    def __init__(self, catalog: cs.Catalog, params: cm.CostParams):
+    def __init__(self, catalog: cs.Catalog, params: cm.CostParams, query_attrs: AttrSet):
         self.catalog = catalog
         self.params = params
+        self.query_attrs = query_attrs
         self._sizes: dict[lx.LogicalExpr, tuple[float, int]] = {}
         self._sort_costs: dict[tuple[lx.LogicalExpr, AttrSet, int], float] = {}
+        self._paths: dict[lx.Scan, dict[tuple[str, SortOrder], float]] = {}
+
+    def _access_paths(self, e: lx.Scan) -> dict[tuple[str, SortOrder], float]:
+        """(kind, produced order) -> cost of e's access paths, in their order;
+        of indices with one key it keeps the first cheapest, in that one's place."""
+        table = self._paths.get(e)
+        if table is None:
+            table = self._paths[e] = {}
+            for kind, produced, cost in cm.access_paths(e, self.catalog, self.query_attrs, self.params):
+                if cost < table.get((kind, produced), math.inf):
+                    table.pop((kind, produced), None)
+                    table[kind, produced] = cost
+        return table
 
     def _node(self, op, e, produced, op_cost, children, input_order=None) -> PhysicalPlan:
         size = self._sizes.get(e)
@@ -206,14 +220,9 @@ class _PlanBuilder:
             cost = self._sort_costs[key] = cm.sort_cost(*key, self.params, self.catalog, plan.est_blocks)
         return ("partial_sort" if known else "full_sort"), known, cost
 
-    def _enforced(self, plan: PhysicalPlan, want: SortOrder, have: SortOrder | None = None) -> PhysicalPlan:
-        """`plan` itself if it delivers `want`, else the sort `_sort` prices
-        on top of it."""
-        return self._sorted(plan, want, self._sort(plan, want, have))
-
     def _sorted(self, plan: PhysicalPlan, want: SortOrder, sort) -> PhysicalPlan:
-        """`plan` itself if `sort` is None, else the sort to `want` that
-        `sort`, as `_sort` returns it, prices on top of it."""
+        """`plan` itself if `sort` is None, else the sort to `want` that `sort`,
+        as `_sort` returns it, prices on top of it; every sort is placed here."""
         if sort is None:
             return plan
         op, known, cost = sort
@@ -221,11 +230,14 @@ class _PlanBuilder:
 
     def _operator(self, op, e, kids, order: SortOrder = EMPTY) -> PhysicalPlan:
         """Operator `op` computing e over `kids`, the plans of e's inputs, with
-        its order and own cost.  A merge join or sort-based group-by produces
-        `order`, which its inputs must deliver; select and project pass their
-        input's order on (up to a project's first dropped column); hash
-        operators produce none.  Only merge join (per input tuple) and hash
-        operators (per input block) cost anything."""
+        its order and own cost.  An access path (no kids), a merge join or a
+        sort-based group-by produces `order`, which a join's or group-by's
+        inputs must deliver; select and project pass their input's order on
+        (up to a project's first dropped column); hash operators produce none.
+        Access paths cost what their table says, merge joins per input tuple
+        and hash operators per input block; the others cost nothing."""
+        if not kids:
+            return self._node(op, e, order, self._access_paths(e)[op, order], ())
         first, last = kids[0], kids[-1]
         cost = 0.0
         if op == "select":
@@ -264,18 +276,15 @@ class Optimizer(_PlanBuilder):
     ):
         if heuristic not in HEURISTICS:
             raise ValidationError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
-        super().__init__(catalog, params)
+        super().__init__(catalog, params, lx.query_attrs(query, catalog))
         self.query = query
         self.heuristic = heuristic
         self.memo: dict[tuple[lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
-        # operators built once and shared by every goal of their expression:
-        # a scan's access paths, any other operator per input order
-        self._scans: dict[lx.Scan, list[PhysicalPlan]] = {}
+        # operators built once per (op, expression, order), for every goal
         self._shared: dict[tuple[str, lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
         # `_choices` per (join or group-by, prefix of want on its sort attributes)
         self._orders: dict[tuple[lx.LogicalExpr, SortOrder], list[tuple[str, SortOrder]]] = {}
-        self._query_attrs = lx.query_attrs(query, catalog)
-        self._source = fo.FavorableOrderIndex(catalog, self._query_attrs) if order_source is None else order_source
+        self._source = fo.FavorableOrderIndex(catalog, self.query_attrs) if order_source is None else order_source
 
     def optimize(self) -> PhysicalPlan:
         """The cheapest plan of the query that delivers its required order."""
@@ -291,36 +300,28 @@ class Optimizer(_PlanBuilder):
         if done is not None:
             return done
 
-        if isinstance(e, lx.Scan):
-            bases = self._scans.get(e)
-            if bases is None:
-                paths = cm.access_paths(e, self.catalog, self._query_attrs, self.params)
-                bases = self._scans[e] = [self._node(kind, e, produced, cost, ()) for kind, produced, cost in paths]
-            cands = [self._candidate(base, want) for base in bases]
-        else:
-            # Build each operator once, over its inputs' goals, and rank it
-            # right after, so the first overflowing candidate names itself.
-            # map adds no interpreter frame per level, unlike a comprehension.
-            cands = []
-            inputs = lx.children(e)
-            for op, io in self._choices(e, want):
-                shared = (op, e, io)
-                node = self._shared.get(shared)
-                if node is None:
-                    kids = tuple(map(self._goal, inputs, [io] * len(inputs)))
-                    node = self._shared[shared] = self._operator(op, e, kids, io)
-                cands.append(self._candidate(node, want))
+        # Build each operator once, over its inputs' goals, and rank it right
+        # after, so the first overflowing candidate names itself.  map adds
+        # no interpreter frame per level, unlike a comprehension.
+        cands = []
+        inputs = lx.children(e)
+        for op, io in self._choices(e, want):
+            shared = (op, e, io)
+            node = self._shared.get(shared)
+            if node is None:
+                kids = tuple(map(self._goal, inputs, [io] * len(inputs)))
+                node = self._shared[shared] = self._operator(op, e, kids, io)
+            cands.append(self._candidate(node, want))
         if want:
             cands.append(self._candidate(self._goal(e, EMPTY), want, EMPTY))
         # min keeps the first of equal keys
         _, base, sort = min(cands, key=lambda c: c[0])
-        plan = self._sorted(base, want, sort)
-        self.memo[key] = plan
+        plan = self.memo[key] = self._sorted(base, want, sort)
         return plan
 
     def _candidate(self, base: PhysicalPlan, want: SortOrder, have: SortOrder | None = None):
-        """(tie-break key, base, sort) of the plan `_enforced(base, want,
-        have)` would build, where `sort` is what `_sort` prices, without
+        """(tie-break key, base, sort) of the plan `_sorted(base, want, sort)`
+        builds, where `sort` is what `_sort(base, want, have)` prices, without
         building the sort: the winner's is built from it."""
         sort = self._sort(base, want, have)
         if sort is None:
@@ -329,11 +330,13 @@ class Optimizer(_PlanBuilder):
         return (_total(op, cost, base.total_cost), want, base.node_count + 1), base, sort
 
     def _choices(self, e: lx.LogicalExpr, want: SortOrder):
-        """The (operator, input order) pairs that may compute e, no scan, in
-        ranking order: a select or project over its input's plan for `want`;
-        a merge join resp. sort-based group-by per sorted candidate order,
+        """The (operator, order) pairs that may compute e, in ranking order: a
+        scan's access-path table; a select or project over its input's plan
+        for `want`; a merge join resp. sort-based group-by per sorted order,
         then the hash variant over unordered inputs.  Those read `want` only
         through its prefix on the sort attributes, so goals share the list."""
+        if isinstance(e, lx.Scan):
+            return self._access_paths(e)
         if isinstance(e, (lx.Select, lx.Project)):
             return ((_OPS[type(e)][0], want),)
         by_prefix = (e, lcp_with_set(want, _sort_attrs(e)))
@@ -421,9 +424,8 @@ class _PlanLoader(_PlanBuilder):
     every node is checked against the expression it computes and re-costed."""
 
     def __init__(self, catalog: cs.Catalog, params: cm.CostParams, query: lx.QuerySpec):
-        super().__init__(catalog, params)
+        super().__init__(catalog, params, lx.query_attrs(query, catalog))
         self.exprs = lx.preorder(query.root)
-        self.query_attrs = lx.query_attrs(query, catalog)
 
     def load(self, d, where, e: lx.LogicalExpr, sort_ok: bool = True) -> PhysicalPlan:
         """Rebuild plan node `d` at document path `where` (a lazy `_doc`
@@ -463,17 +465,14 @@ class _PlanLoader(_PlanBuilder):
             outside = frozenset(want).difference(cs.expr_stats(e, self.catalog).distinct)
             if outside:
                 raise _doc.fail((where, "order"), f"attributes {sorted(outside)} not in the input's schema")
-            node = self._enforced(kids[0], want, have)
+            node = self._sorted(kids[0], want, self._sort(kids[0], want, have))
         elif isinstance(e, lx.Scan):
             key = get("index_key")
-            paths = cm.access_paths(e, self.catalog, self.query_attrs, self.params)
-            # the table scan comes first, then the covering index scans
-            found = paths[:1] if op == "table_scan" else [p for p in paths[1:] if list(p[1]) == key]
+            # the one table scan, or the covering index scan in the order of its key
+            found = [o for kind, o in self._access_paths(e) if kind == op and (op == "table_scan" or list(o) == key)]
             if not found:
                 raise _doc.fail((where, "index_key"), f"no covering index of {e.relation!r} has key {key!r}")
-            # Of several indices with this key the optimizer picks the cheapest.
-            _, produced, cost = min(found, key=_COST)
-            node = self._node(op, e, produced, cost, ())
+            node = self._operator(op, e, (), found[0])
         elif op in ("merge_join", "sort_group_by"):
             attrs = _sort_attrs(e)
             order = _derived(_doc.attr_list(get("order", []), (where, "order")))

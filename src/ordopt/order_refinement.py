@@ -249,20 +249,20 @@ def join_prefix_benefit(plan: PhysicalPlan) -> int:
 
 
 class _Rebuilder(_PlanBuilder):
-    def __init__(self, catalog, params, new_orders):
-        super().__init__(catalog, params)
+    def __init__(self, catalog, params, query_attrs, new_orders):
+        super().__init__(catalog, params, query_attrs)
         self.new_orders = new_orders  # id(plan node) -> SortOrder
 
     def rebuild(self, p: PhysicalPlan, want: SortOrder) -> PhysicalPlan:
-        while p.op in _SORTS:  # dropped: `_enforced` re-derives the sorts the rebuilt plan needs
+        while p.op in _SORTS:  # dropped: the sorts the rebuilt plan needs are re-derived below
             p = p.children[0]
-        if not p.children:  # access paths: reuse verbatim, re-enforce on top
-            return self._enforced(p, want)
-        order = self.new_orders.get(id(p), p.produced_order)
-        inner = {"merge_join": order, "sort_group_by": order, "select": want, "project": want}.get(p.op, EMPTY)
-        # map adds no interpreter frame per level, unlike a comprehension
-        kids = tuple(map(self.rebuild, p.children, [inner] * len(p.children)))
-        return self._enforced(self._operator(p.op, p.expr, kids, order), want)
+        if p.children:  # access paths are reused verbatim
+            order = self.new_orders.get(id(p), p.produced_order)
+            inner = {"merge_join": order, "sort_group_by": order, "select": want, "project": want}.get(p.op, EMPTY)
+            # map adds no interpreter frame per level, unlike a comprehension
+            kids = tuple(map(self.rebuild, p.children, [inner] * len(p.children)))
+            p = self._operator(p.op, p.expr, kids, order)
+        return self._sorted(p, want, self._sort(p, want))
 
 
 def refine_plan(
@@ -306,5 +306,6 @@ def refine_plan(
 
     if not new_orders:
         return plan
-    rebuilt = _Rebuilder(catalog, params, new_orders).rebuild(plan, query.required_output_order)
+    rebuilder = _Rebuilder(catalog, params, favorable_index.query_attrs, new_orders)
+    rebuilt = rebuilder.rebuild(plan, query.required_output_order)
     return rebuilt if rebuilt.total_cost <= plan.total_cost else plan

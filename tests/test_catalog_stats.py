@@ -116,6 +116,13 @@ def test_catalog_validation_errors():
         load_catalog(bad)
 
 
+def test_a_clustering_index_on_a_prefix_of_the_clustering_order_loads():
+    """The other keys are rejected (`tests/test_cli_inputs.py`)."""
+    rel = {"name": "r", "row_count": 10, "tuple_bytes": 8, "columns": ["a", "b"], "clustering_order": ["a", "b"]}
+    index = {"relation": "r", "key_order": ["a"], "kind": "clustering"}
+    assert load_catalog({"relations": [rel], "indices": [index]}).indices[0].kind == "clustering"
+
+
 def test_group_by_stats_include_aggregate_column():
     catalog, query = load_pair("tpch_catalog.json", "q3_query.json")
     stats = expr_stats(query.root, catalog)

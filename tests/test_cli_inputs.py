@@ -338,6 +338,11 @@ CASES = {
         "plan", _all(_set("plan", "input_order", 5), _set("plan", "order", "abc")),
         1, "plan.input_order: expected a list of non-empty attribute names",
     ),
+    # rating is stored in no order, so an index on make cannot be its clustering index
+    "catalog-clustering-index-off-the-clustering-order": (
+        "catalog", _set("indices", 1, {"relation": "rating", "key_order": ["make"], "kind": "clustering"}),
+        1, "indices[1].key_order: a clustering index's key must be a prefix of the clustering_order [] of 'rating'",
+    ),
 }
 
 
@@ -372,11 +377,23 @@ def test_bad_document_exits_cleanly(case, capsys, tmp_path):
         ("--query", b"\xff\xfe{", "{file}: not UTF-8 text"),
         ("--plan", b"\xff\xfe{", "{file}: not UTF-8 text"),
         ("--plan", b"{not json", "malformed plan JSON"),
+        ("--catalog", None, "{file}: No such file or directory"),
+        ("--catalog", "dir", "{file}: Is a directory"),
+        ("--query", None, "{file}: No such file or directory"),
+        ("--query", "dir", "{file}: Is a directory"),
+        ("--params", None, "{file}: No such file or directory"),
+        ("--params", "dir", "{file}: Is a directory"),
+        ("--plan", None, "{file}: No such file or directory"),
+        ("--plan", "dir", "{file}: Is a directory"),
     ],
 )
 def test_unreadable_file_exits_1(flag, content, message, capsys, tmp_path):
+    """`content` None leaves the file missing, "dir" makes it a directory."""
     bad = tmp_path / "bad.json"
-    bad.write_bytes(content)
+    if content == "dir":
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
     if flag == "--plan":
         argv = ["refine", "--plan", bad]
     else:

@@ -12,7 +12,6 @@ from ordopt import (
     Optimizer,
     TooLarge,
     ValidationError,
-    access_paths,
     enforce_cost,
     index_for_query,
     interesting_orders,
@@ -301,10 +300,9 @@ def test_deterministic_across_sessions():
 def test_node_count_of_a_deep_plan_is_stored():
     catalog, _ = load_pair("example1_catalog.json", "example1_query.json")
     params = CostParams()
-    builder = _PlanBuilder(catalog, params)
+    builder = _PlanBuilder(catalog, params, frozenset())
     e = lx.Scan("rating")
-    kind, produced, cost = access_paths(e, catalog, frozenset(), params)[0]
-    plan = builder._node(kind, e, produced, cost, ())
+    plan = builder._operator("table_scan", e, (), catalog.relation("rating").clustering_order)
     for _ in range(4999):
         e = lx.Select(e, 1.0, frozenset())
         plan = builder._operator("select", e, (plan,))
@@ -315,12 +313,11 @@ def test_node_count_of_a_deep_plan_is_stored():
 def test_sort_group_by_reads_its_sorted_input_for_free():
     catalog, _ = load_pair("example1_catalog.json", "example1_query.json")
     params = CostParams()
-    builder = _PlanBuilder(catalog, params)
+    builder = _PlanBuilder(catalog, params, frozenset())
     e = lx.Scan("rating")
-    kind, produced, cost = access_paths(e, catalog, frozenset(), params)[0]
-    scan = builder._node(kind, e, produced, cost, ())
+    scan = builder._operator("table_scan", e, (), catalog.relation("rating").clustering_order)
     make = order("make")
-    sorted_scan = builder._enforced(scan, make)
+    sorted_scan = builder._sorted(scan, make, builder._sort(scan, make))
     plan = builder._operator("sort_group_by", lx.GroupBy(e, frozenset(["make"]), 8), (sorted_scan,), make)
     assert (plan.op_cost, plan.total_cost, plan.produced_order) == (0.0, sorted_scan.total_cost, make)
 

@@ -329,7 +329,8 @@ def test_a_rebuild_that_changes_no_join_order_keeps_the_plan_cost():
     catalog, query = load_pair("q5_catalog.json", "q5_query.json")
     params = CostParams()
     plan = optimize_query(catalog, params, query)
-    rebuilt = _Rebuilder(catalog, params, {}).rebuild(plan, query.required_output_order)
+    rebuilder = _Rebuilder(catalog, params, lx.query_attrs(query, catalog), {})
+    rebuilt = rebuilder.rebuild(plan, query.required_output_order)
     assert rebuilt.total_cost == plan.total_cost
 
 
