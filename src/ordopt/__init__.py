@@ -7,11 +7,11 @@ from .catalog_stats import (
     CatalogRelation,
     IndexDef,
     blocks,
-    covering_indices,
     distinct_count,
     expr_blocks,
     expr_stats,
     load_catalog,
+    scan_paths,
 )
 from .cost_model import (
     CostParams,

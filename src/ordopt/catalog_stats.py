@@ -84,13 +84,20 @@ def blocks(rows, tuple_bytes, cfg: BlockConfig) -> int:
     return math.ceil(size)
 
 
-def covering_indices(rel: CatalogRelation, needed: AttrSet, catalog: Catalog) -> list[IndexDef]:
-    """Secondary indices of rel whose key plus included columns cover `needed`."""
-    name = rel.name
-    return [
-        idx for idx in catalog.indices
-        if idx.relation == name and idx.kind == "secondary" and needed <= idx.all_attrs()
-    ]
+def scan_paths(rel: CatalogRelation, query_attrs: AttrSet, catalog: Catalog) -> list[tuple[str, SortOrder, float]]:
+    """The access paths of a scan of rel, (kind, produced order, bytes per
+    row): the table scan, then each secondary index of rel whose key and
+    included columns cover the query's attributes of rel, at one column
+    width per indexed column, summed (k * width can differ in the last bit)."""
+    needed = rel.columns.intersection(query_attrs)
+    width = rel.attr_width()
+    paths = [("table_scan", rel.clustering_order, rel.tuple_bytes)]
+    for idx in catalog.indices:
+        if idx.relation == rel.name and idx.kind == "secondary":  # before all_attrs, which builds a set
+            attrs = idx.all_attrs()
+            if needed <= attrs:
+                paths.append(("covering_index_scan", idx.key_order, sum([width] * len(attrs))))
+    return paths
 
 
 # --- catalog loading --------------------------------------------------------

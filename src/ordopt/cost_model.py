@@ -119,8 +119,7 @@ def enforce_cost(
     """Cost of producing order `want` on the result of e given that order
     `have` already holds: only the common prefix of the two orders helps."""
     known = lcp(want, have)
-    stats = cs.expr_stats(e, catalog)
-    data_blocks = cs.blocks(stats.rows, stats.width, params.cfg)
+    data_blocks = cs.expr_blocks(e, catalog, params.cfg)
     return sort_cost(e, known.attr_set(), len(want) - len(known), params, catalog, data_blocks)
 
 
@@ -151,27 +150,19 @@ def hash_group_cost(input_blocks: float, params: CostParams) -> CostEstimate:
     return params.hash_per_block_io_equiv * input_blocks
 
 
-def access_paths(e: lx.Scan, catalog: cs.Catalog, query_attrs, params: CostParams):
-    """Physical access paths for a scan: (kind, produced order, cost).
-
-    The heap scan delivers the clustering order at one read per data block; a
-    covering secondary index delivers its key order at one read per entry
-    block, with entry width derived from the indexed columns.
-    """
+def access_paths(
+    e: lx.Scan, catalog: cs.Catalog, query_attrs, params: CostParams
+) -> dict[tuple[str, SortOrder], CostEstimate]:
+    """(kind, produced order) -> cost of e's access paths, those
+    `cs.scan_paths` lists, in its order: one read per block of rows of the
+    path's width, the table's data blocks or an index's entry blocks.  Of
+    several indices with one key the table keeps the first cheapest, in that
+    one's place, so ranking its entries first-of-equal picks the same path."""
     rel = catalog.relation(e.relation)
-    paths = [
-        (
-            "table_scan",
-            rel.clustering_order,
-            float(cs.blocks(rel.row_count, rel.tuple_bytes, params.cfg)),
-        )
-    ]
-    needed = frozenset(query_attrs) & rel.columns
-    for idx in cs.covering_indices(rel, needed, catalog):
-        # one width per column, summed: k * width can differ in the last bit,
-        # and block counts round up
-        entry_width = sum([rel.attr_width()] * len(idx.all_attrs()))
-        cost = float(cs.blocks(rel.row_count, entry_width, params.cfg))
-        paths.append(("covering_index_scan", idx.key_order, cost))
-    return paths
-
+    table: dict[tuple[str, SortOrder], CostEstimate] = {}
+    for kind, produced, width in cs.scan_paths(rel, query_attrs, catalog):
+        cost = float(cs.blocks(rel.row_count, width, params.cfg))
+        if cost < table.get((kind, produced), math.inf):
+            table.pop((kind, produced), None)
+            table[kind, produced] = cost
+    return table

@@ -63,12 +63,13 @@ class FavorableOrderIndex:
     attribute set).  A subclass that overrides `orders_for` substitutes other
     sets (exact ones, say) for search and refinement alike.
 
-    Scans contribute their clustering order and the keys of secondary indices
-    that cover the query; selections pass orders through; projections cut
-    orders to surviving prefixes; joins keep their inputs' orders; joins and
-    group-bys extend their inputs' usable prefixes to full permutations of
-    the join attributes resp. grouping keys (leftover attributes in
-    deterministic name order).
+    Scans contribute the orders of their access paths (`cs.scan_paths`, the
+    table of search's scan candidates): the clustering order and the keys of
+    secondary indices that cover the query.  Selections pass orders through;
+    projections cut orders to surviving prefixes; joins keep their inputs'
+    orders; joins and group-bys extend their inputs' usable prefixes to full
+    permutations of the join attributes resp. grouping keys (leftover
+    attributes in deterministic name order).
     """
 
     def __init__(self, catalog: cs.Catalog, query_attrs: AttrSet):
@@ -90,8 +91,7 @@ class FavorableOrderIndex:
                 continue
             kind = type(node)
             if kind is lx.Join:
-                s = node.join_attrs
-                got = cache[node.left].union(cache[node.right], _extensions(usable(node, s), s))
+                got = cache[node.left].union(cache[node.right], _extensions(usable(node), node.join_attrs))
             elif kind is lx.Scan:
                 got = self._scan_orders(node)
             elif kind is lx.Select:
@@ -99,7 +99,7 @@ class FavorableOrderIndex:
             elif kind is lx.Project:
                 got = self.restricted(node.input, node.cols)
             elif kind is lx.GroupBy:
-                got = frozenset(_extensions(usable(node, node.keys), node.keys))
+                got = frozenset(_extensions(usable(node), node.keys))
             else:
                 raise TypeError(f"not a logical expression: {node!r}")
             cache[node] = got
@@ -113,21 +113,19 @@ class FavorableOrderIndex:
             got = self._restricted[key] = restrict_orders(self.orders_for(e), s)
         return got
 
-    def usable(self, e: lx.Join | lx.GroupBy, s: AttrSet) -> FavorableOrderSet:
-        """The union of e's inputs' sets restricted to s: the prefixes a merge
-        join or group-by on s can use."""
+    def usable(self, e: lx.Join | lx.GroupBy) -> FavorableOrderSet:
+        """The union of e's inputs' sets restricted to e's join attributes
+        resp. grouping keys: the prefixes its merge join or sort-based
+        group-by can use."""
+        s = lx.sort_attrs(e)
         if type(e) is lx.Join:
             return self.restricted(e.left, s) | self.restricted(e.right, s)
         return self.restricted(e.input, s)
 
     def _scan_orders(self, e: lx.Scan) -> FavorableOrderSet:
-        rel = self.catalog.relation(e.relation)
-        out = {rel.clustering_order}
-        needed = self.query_attrs & rel.columns
-        for idx in cs.covering_indices(rel, needed, self.catalog):
-            out.add(idx.key_order)
-        out.discard(EMPTY)
-        return frozenset(out)
+        """The non-empty orders of e's access paths (`cs.scan_paths`)."""
+        paths = cs.scan_paths(self.catalog.relation(e.relation), self.query_attrs, self.catalog)
+        return frozenset(o for _, o, _ in paths if o)
 
 
 def index_for_query(q: lx.QuerySpec, catalog: cs.Catalog) -> FavorableOrderIndex:

@@ -148,6 +148,12 @@ def children(e: LogicalExpr) -> tuple[LogicalExpr, ...]:
     return (e.input,)
 
 
+def sort_attrs(e: Join | GroupBy) -> AttrSet:
+    """The attributes a merge join or sort-based group-by sorts its inputs
+    on: the join attributes resp. grouping keys."""
+    return e.join_attrs if type(e) is Join else e.keys
+
+
 def preorder(e: LogicalExpr) -> list[LogicalExpr]:
     """Nodes in preorder; positions serve as stable node ids in plan files."""
     out: list[LogicalExpr] = []

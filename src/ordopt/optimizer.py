@@ -117,11 +117,6 @@ def prune_prefixes(orders) -> set[SortOrder]:
     return {o for o, nxt in zip(ranked, ranked[1:]) if not is_prefix(o, nxt)} | set(ranked[-1:])
 
 
-def _sort_attrs(e: lx.Join | lx.GroupBy) -> AttrSet:
-    """The attributes a merge join or sort-based group-by sorts its inputs on."""
-    return e.join_attrs if isinstance(e, lx.Join) else e.keys
-
-
 def interesting_orders(
     e: lx.Join | lx.GroupBy,
     required: SortOrder,
@@ -131,20 +126,21 @@ def interesting_orders(
     usable prefixes of the inputs' favorable orders in `index` plus the
     downstream requirement, prefix-pruned, then extended to full permutations
     of the join attributes resp. grouping keys."""
-    s = _sort_attrs(e)
-    t = index.usable(e, s) | {lcp_with_set(required, s)}
+    s = lx.sort_attrs(e)
+    t = index.usable(e) | {lcp_with_set(required, s)}
     return {extend_to(o, s) for o in prune_prefixes(t)}
 
 
 def _heuristic_orders(e: lx.Join | lx.GroupBy, heuristic: str) -> set[SortOrder]:
-    attrs = _sort_attrs(e)
+    attrs = lx.sort_attrs(e)
     if heuristic == "arbitrary":
         return {canonical_permutation(attrs)}
     if heuristic == "postgres":
+        # no attributes (a global aggregate): the one empty order, as for the others
         return {
             concat(SortOrder((a,)), canonical_permutation(attrs - {a}))
             for a in sorted(attrs)
-        }
+        } or {EMPTY}
     # exhaustive: Optimizer.__init__ admits no other heuristic
     if len(attrs) > EXHAUSTIVE_MAX_ATTRS:
         raise TooLarge(
@@ -183,15 +179,10 @@ class _PlanBuilder:
         self._paths: dict[lx.Scan, dict[tuple[str, SortOrder], float]] = {}
 
     def _access_paths(self, e: lx.Scan) -> dict[tuple[str, SortOrder], float]:
-        """(kind, produced order) -> cost of e's access paths, in their order;
-        of indices with one key it keeps the first cheapest, in that one's place."""
+        """e's `cm.access_paths` table, (kind, produced order) -> cost, cached."""
         table = self._paths.get(e)
         if table is None:
-            table = self._paths[e] = {}
-            for kind, produced, cost in cm.access_paths(e, self.catalog, self.query_attrs, self.params):
-                if cost < table.get((kind, produced), math.inf):
-                    table.pop((kind, produced), None)
-                    table[kind, produced] = cost
+            table = self._paths[e] = cm.access_paths(e, self.catalog, self.query_attrs, self.params)
         return table
 
     def _node(self, op, e, produced, op_cost, children, input_order=None) -> PhysicalPlan:
@@ -261,9 +252,10 @@ class Optimizer(_PlanBuilder):
 
     `order_source` is the `favorable_orders.FavorableOrderIndex` of the
     favorable orders assumed for each subexpression, whose restricted sets
-    refinement can then reuse.  It defaults to a fresh index of the bottom-up
-    approximate sets; a subclass can substitute others (e.g. exact favorable
-    orders) without touching the search.
+    refinement can then reuse, and whose `query_attrs` decide the indices
+    that cover a scan.  It defaults to `favorable_orders.index_for_query`, a
+    fresh index of the bottom-up approximate sets; a subclass can substitute
+    others (e.g. exact favorable orders) without touching the search.
     """
 
     def __init__(
@@ -276,7 +268,8 @@ class Optimizer(_PlanBuilder):
     ):
         if heuristic not in HEURISTICS:
             raise ValidationError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
-        super().__init__(catalog, params, lx.query_attrs(query, catalog))
+        source = fo.index_for_query(query, catalog) if order_source is None else order_source
+        super().__init__(catalog, params, source.query_attrs)
         self.query = query
         self.heuristic = heuristic
         self.memo: dict[tuple[lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
@@ -284,7 +277,7 @@ class Optimizer(_PlanBuilder):
         self._shared: dict[tuple[str, lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
         # `_choices` per (join or group-by, prefix of want on its sort attributes)
         self._orders: dict[tuple[lx.LogicalExpr, SortOrder], list[tuple[str, SortOrder]]] = {}
-        self._source = fo.FavorableOrderIndex(catalog, self.query_attrs) if order_source is None else order_source
+        self._source = source
 
     def optimize(self) -> PhysicalPlan:
         """The cheapest plan of the query that delivers its required order."""
@@ -339,7 +332,7 @@ class Optimizer(_PlanBuilder):
             return self._access_paths(e)
         if isinstance(e, (lx.Select, lx.Project)):
             return ((_OPS[type(e)][0], want),)
-        by_prefix = (e, lcp_with_set(want, _sort_attrs(e)))
+        by_prefix = (e, lcp_with_set(want, lx.sort_attrs(e)))
         choices = self._orders.get(by_prefix)
         if choices is None:
             favorable = self.heuristic == "favorable"
@@ -474,7 +467,7 @@ class _PlanLoader(_PlanBuilder):
                 raise _doc.fail((where, "index_key"), f"no covering index of {e.relation!r} has key {key!r}")
             node = self._operator(op, e, (), found[0])
         elif op in ("merge_join", "sort_group_by"):
-            attrs = _sort_attrs(e)
+            attrs = lx.sort_attrs(e)
             order = _derived(_doc.attr_list(get("order", []), (where, "order")))
             if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
                 raise _doc.fail((where, "order"), f"expected an order of {sorted(attrs)} every input delivers")

@@ -55,7 +55,7 @@ class BrutePlanner:
         cands: list[float] = []
 
         if isinstance(node, lx.Scan):
-            for _, produced, cost in cm.access_paths(node, catalog, self.query_attrs, params):
+            for (_, produced), cost in cm.access_paths(node, catalog, self.query_attrs, params).items():
                 cands.append(cost + cm.enforce_cost(node, produced, want, params, catalog))
         elif isinstance(node, (lx.Select, lx.Project)):
             cands.append(self.cost(node.input, want))

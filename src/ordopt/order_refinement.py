@@ -291,7 +291,7 @@ def refine_plan(
     # with an input favorable order is its common prefix with that order's
     # restriction to the attributes.
     def head(j: PhysicalPlan) -> SortOrder:
-        usable = favorable_index.usable(j.expr, j.expr.join_attrs)
+        usable = favorable_index.usable(j.expr)
         return j.produced_order.prefix(max((len(lcp(j.produced_order, q)) for q in usable), default=0))
 
     # Each tree of adjacent joins is solved separately.

@@ -10,12 +10,12 @@ from ordopt import (
     UnknownAttribute,
     ValidationError,
     blocks,
-    covering_indices,
     distinct_count,
     expr_stats,
     load_catalog,
     order,
     parse_query,
+    scan_paths,
 )
 
 from conftest import load_pair, perfbench_workloads, random_catalog_and_join, schema
@@ -79,13 +79,16 @@ def test_distinct_count_monotone_and_capped():
         assert d2 <= max(rows, 1.0) + 1e-12
 
 
-def test_covering_indices():
+def test_scan_paths():
     catalog, query = load_pair("tpch_catalog.json", "q2_query.json")
     rel = catalog.relation("lineitem")
-    hit = covering_indices(rel, frozenset(["suppkey", "partkey"]), catalog)
-    assert [i.key_order for i in hit] == [order("suppkey")]
-    assert covering_indices(rel, frozenset(["suppkey", "orderkey"]), catalog) == []
-    assert len(covering_indices(rel, frozenset(), catalog)) == 1
+    table = ("table_scan", order("orderkey", "linenumber"), 112)
+    # the index on (suppkey) includes linestatus, partkey and quantity: four
+    # of lineitem's six columns, at 112 / 6 bytes each
+    index = ("covering_index_scan", order("suppkey"), sum([112 / 6] * 4))
+    assert scan_paths(rel, frozenset(["suppkey", "partkey"]), catalog) == [table, index]
+    assert scan_paths(rel, frozenset(["suppkey", "orderkey"]), catalog) == [table]
+    assert scan_paths(rel, frozenset(), catalog) == [table, index]
 
 
 def test_catalog_validation_errors():

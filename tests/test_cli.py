@@ -167,6 +167,52 @@ def test_bench_b3_csv(capsys):
     assert norm["arbitrary"] >= 100.0
 
 
+@pytest.mark.parametrize("order_by", [[], ["__agg__"]])
+def test_bench_b3_on_a_global_aggregate(capsys, tmp_path, order_by):
+    """A group-by with no keys: every heuristic, postgres's included, has the
+    one empty order to offer."""
+    query = {
+        "expr": {
+            "op": "group_by",
+            "input": {
+                "op": "join",
+                "left": {"op": "scan", "relation": "r1"},
+                "right": {"op": "scan", "relation": "r2"},
+                "join_attrs": ["c3", "c4"],
+            },
+            "keys": [],
+        },
+        "order_by": order_by,
+    }
+    qryf = tmp_path / "qry.json"
+    qryf.write_text(json.dumps(query))
+    catalog = str(fixture_path("q4_catalog.json"))
+    code, out, err = _run(capsys, "bench", "b3", "--catalog", catalog, "--query", str(qryf))
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == [*ordopt.HEURISTICS, "favorable+refine"]
+
+
+@pytest.mark.parametrize("argv", [["optimize", "--refine", "--json"], ["bench", "b3"]])
+def test_a_command_derives_the_query_attributes_once(capsys, monkeypatch, argv):
+    """Search, its favorable-order index and refinement share one
+    `query_attrs` set, however many heuristics search runs."""
+    from ordopt import logical_expr
+
+    calls = []
+    plain = logical_expr.query_attrs
+
+    def counting(query, catalog):
+        calls.append(query)
+        return plain(query, catalog)
+
+    monkeypatch.setattr(logical_expr, "query_attrs", counting)
+    files = ["--catalog", str(fixture_path("tpch_catalog.json")), "--query", str(fixture_path("q3_query.json"))]
+    code, _, _ = _run(capsys, *argv, *files)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_unknown_flag_exits_1(capsys):
     code, _, err = _run(capsys, "optimize", "--nonsense")
     assert code == 1

@@ -408,7 +408,7 @@ def test_search_ranks_candidate_orders_once_per_requirement_prefix(case, calls, 
     plain = optimizer.interesting_orders
 
     def counting(e, want, source):
-        seen.append((e, lcp_with_set(want, optimizer._sort_attrs(e))))
+        seen.append((e, lcp_with_set(want, lx.sort_attrs(e))))
         return plain(e, want, source)
 
     monkeypatch.setattr(optimizer, "interesting_orders", counting)
