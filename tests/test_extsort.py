@@ -185,6 +185,36 @@ def test_generator_is_deterministic():
         list(gen_segmented_input(10, 0, 2, 100, 1))
 
 
+@pytest.mark.parametrize("key_positions, digest", [
+    (1, "e6914857d7de4bdc"),
+    (2, "8e3c4f2598f9f677"),  # the CLI default --keys
+    (3, "69d8359d1b79807e"),
+])
+def test_generator_stream_bytes(key_positions, digest):
+    # the exact stream `ordopt sort` and `bench a3` read: keys, widths, draws
+    assert _digest(gen_segmented_input(4000, 250, key_positions, 200, 7)) == digest
+
+
+def test_record_is_a_slotted_value():
+    r = Record((1, 2), 10)
+    assert r == Record((1, 2), 10)
+    assert r != Record((1, 3), 10) and r != Record((1, 2), 11)
+    assert repr(r) == "Record(keys=(1, 2), payload_bytes=10)"
+    assert Record.__slots__ == ("keys", "payload_bytes")
+    assert not hasattr(r, "__dict__")
+
+
+def test_file_backed_run_reads_back_equal_records():
+    written = list(gen_segmented_input(300, 300, 3, 37, 5)) + [Record((9,), 1)]
+    with tempfile.TemporaryFile() as spill:
+        run = extsort._Run(SortMetrics(), 64, spill)
+        for r in written:
+            run.add(r)
+        read = list(run.close().stream())
+    assert read == written
+    assert all(a is not b for a, b in zip(read, written))
+
+
 def test_file_backed_mode_matches_simulated():
     stream = list(gen_segmented_input(3000, 1000, 2, 100, 14))
     cfg = BlockConfig(block_bytes=1024, memory_blocks=8)
