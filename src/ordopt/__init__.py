@@ -63,13 +63,6 @@ from .optimizer import (
     optimize_query,
     plan_document,
 )
-from .oracle import (
-    OracleGuard,
-    brute_best_plan,
-    brute_tree_benefit,
-    exact_minimal_favorable_orders,
-    reference_sort,
-)
 from .order_algebra import (
     EMPTY,
     AttrSet,
@@ -92,3 +85,15 @@ from .order_refinement import (
 )
 
 __version__ = "0.1.0"
+
+#: The brute-force oracles, imported on first use: the optimizer and the
+#: sort never call them, and compiling them weighs on every import.
+_ORACLE = ("OracleGuard", "brute_best_plan", "brute_tree_benefit", "exact_minimal_favorable_orders", "reference_sort")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

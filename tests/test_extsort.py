@@ -202,6 +202,9 @@ def test_record_is_a_slotted_value():
     assert repr(r) == "Record(keys=(1, 2), payload_bytes=10)"
     assert Record.__slots__ == ("keys", "payload_bytes")
     assert not hasattr(r, "__dict__")
+    # not frozen, so not hashable: nothing keys a dict or set by a Record
+    with pytest.raises(TypeError):
+        hash(r)
 
 
 def test_file_backed_run_reads_back_equal_records():

@@ -1,6 +1,9 @@
 import itertools
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +19,7 @@ from ordopt import (
     reference_sort,
 )
 
+import ordopt
 from conftest import load_pair, random_labeled_tree
 
 
@@ -224,3 +228,17 @@ def test_oracle_module_never_imports_heuristics():
         assert not any(banned in line for line in import_lines), (
             f"oracle must not depend on {banned}"
         )
+
+
+def test_import_ordopt_leaves_the_oracles_uncompiled():
+    script = (
+        "import sys, ordopt\n"
+        "assert 'ordopt.oracle' not in sys.modules, 'import ordopt imported the oracles'\n"
+        "from ordopt import brute_best_plan, reference_sort\n"
+        "import ordopt.oracle as oracle\n"
+        "assert brute_best_plan is oracle.brute_best_plan and reference_sort is oracle.reference_sort\n"
+    )
+    src = str(pathlib.Path(ordopt.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
