@@ -23,10 +23,10 @@ exactly, by one key class built per sort (``_counted_key``): every comparison
 that ``sorted`` or ``heapq`` makes calls its ``__lt__``, which takes a short
 path when the keys differ at the first sorted position.
 
-``Record`` is a plain slotted class, not a frozen one: a frozen dataclass
-stores each field through ``object.__setattr__``, about three times the cost
-of a slot store, and every input tuple and every record read back from a
-spill file is built once.  Nothing in ordopt mutates a Record.
+``Record`` is a plain slotted class, not a frozen one.  Every input tuple,
+and every record read back from a spill file, is built once, and a frozen
+dataclass stores each field through ``object.__setattr__``, which more than
+doubles the cost of building one.  Nothing in ordopt mutates a Record.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from .errors import ConfigError, UnsortedPrefix, ValidationError
 class Record:
     """A sort tuple: fixed integer key vector plus a simulated byte width.
 
-    Equal by value and not hashable.  Not frozen, so that building one is
-    two slot stores; ordopt never mutates a Record once built.
+    Equal by value, not hashable, and not frozen, so that building one costs
+    two plain slot stores; ordopt never mutates a Record once built.
     """
 
     keys: tuple[int, ...]

@@ -1,9 +1,11 @@
 import importlib.util
+import os
 import pathlib
 import random
 
 import pytest
 
+import ordopt
 import ordopt.logical_expr as lx
 from ordopt import CostParams, OracleGuard, QuerySpec, SortOrder, expr_stats, load_catalog, load_params, parse_query
 
@@ -12,6 +14,12 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 def fixture_path(name: str) -> pathlib.Path:
     return FIXTURES / name
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter that imports this checkout's ordopt."""
+    src = str(pathlib.Path(ordopt.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def perfbench_workloads():

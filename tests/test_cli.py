@@ -1,6 +1,4 @@
 import json
-import os
-import pathlib
 import random
 import subprocess
 import sys
@@ -10,7 +8,7 @@ import pytest
 import ordopt
 from ordopt.cli import main
 
-from conftest import fixture_path, perfbench_workloads
+from conftest import child_env, fixture_path, perfbench_workloads
 
 
 def _run(capsys, *argv):
@@ -260,11 +258,6 @@ def test_guard_violation_exits_2(capsys, tmp_path):
     assert "guard" in err
 
 
-def _child_env():
-    src = str(pathlib.Path(ordopt.__file__).parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def test_successful_run_writes_nothing_to_stderr():
     # In a fresh interpreter: pytest's own logging handlers would swallow a
     # record that Python's last-resort handler prints to stderr.
@@ -277,7 +270,7 @@ def test_successful_run_writes_nothing_to_stderr():
         "fo.SET_SIZE_FLAG = 2  # no set is reported, however small the flag\n"
         f"sys.exit(main({argv!r}))\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), timeout=120)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=120)
     assert done.returncode == 0
     assert "merge_join" in done.stdout
     assert done.stderr == ""
@@ -292,7 +285,7 @@ def test_a_reader_that_stops_early_is_not_an_error(tmp_path):
     (tmp_path / "query.json").write_text(query)
     argv = [sys.executable, "-m", "ordopt.cli", "explain-afm",
             "--catalog", str(tmp_path / "catalog.json"), "--query", str(tmp_path / "query.json")]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as proc:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
         assert proc.stdout.readline().startswith(b"group_by ")
         proc.stdout.close()
         err = proc.stderr.read()

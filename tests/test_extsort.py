@@ -2,8 +2,6 @@ import dataclasses
 import gc
 import hashlib
 import json
-import os
-import pathlib
 import random
 import subprocess
 import sys
@@ -28,6 +26,8 @@ from ordopt import (
     sort_mrs,
     sort_srs,
 )
+
+from conftest import child_env
 
 
 def _spec(mem=64, block=4096, keys=2, prefix=1):
@@ -309,9 +309,7 @@ def test_file_backed_runs_share_one_file_under_a_low_descriptor_limit():
         "from ordopt.cli import main\n"
         f"sys.exit(main({argv + ['--file-backed']!r}))\n"
     )
-    src = str(pathlib.Path(extsort.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
     assert got["runs_generated"] >= 1000 > limit

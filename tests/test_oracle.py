@@ -1,5 +1,4 @@
 import itertools
-import os
 import pathlib
 import random
 import subprocess
@@ -19,8 +18,7 @@ from ordopt import (
     reference_sort,
 )
 
-import ordopt
-from conftest import load_pair, random_labeled_tree
+from conftest import child_env, load_pair, random_labeled_tree
 
 
 def _cross_product_benefit(tree: LabeledTree) -> int:
@@ -238,7 +236,5 @@ def test_import_ordopt_leaves_the_oracles_uncompiled():
         "import ordopt.oracle as oracle\n"
         "assert brute_best_plan is oracle.brute_best_plan and reference_sort is oracle.reference_sort\n"
     )
-    src = str(pathlib.Path(ordopt.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=120)
     assert done.returncode == 0, done.stderr
