@@ -18,7 +18,11 @@ from ordopt.cli import main
 
 from conftest import fixture_path, random_chain_query
 
+#: bushy is perfbench's plan_chain instance of random.Random(23), 8 joins,
+#: bushy, with default params: its join tree is no path, so refinement takes
+#: the tree approximation's two-split branch.
 FIXTURE_PAIRS = {
+    "bushy": ("bushy_catalog.json", "bushy_query.json"),
     "example1": ("example1_catalog.json", "example1_query.json"),
     "postopt": ("postopt_catalog.json", "postopt_query.json"),
     "q2": ("tpch_catalog.json", "q2_query.json"),
@@ -29,6 +33,11 @@ FIXTURE_PAIRS = {
 
 # name -> sha256 of (optimize --refine --json, optimize, refine --plan --json)
 FIXTURE_DIGESTS = {
+    "bushy": (
+        "8c392b842b0666c26c8348f6479ea396523026ed543e03989a430b9e85f2b553",
+        "be83034ca43684a5f6b67e0917dfcf930bb8d3fe65c152bdcdae8dd910d50fd9",
+        "8c392b842b0666c26c8348f6479ea396523026ed543e03989a430b9e85f2b553",
+    ),
     "example1": (
         "a9722e7be3f11a3075fdcdfc508dfc804c74a81166c6da812b7bc43c94893a95",
         "f68986a289f141e1b9d87685ae35294e243143ac072bfc2acccac35b48902bcb",
@@ -63,6 +72,7 @@ FIXTURE_DIGESTS = {
 
 # name -> sha256 of explain-afm
 EXPLAIN_AFM_DIGESTS = {
+    "bushy": "dd7327826023bf0e9cb658089a6a87992df4cf8dd2fb9bf57db24283cd81d5b0",
     "example1": "564a1252af60373d095d1218a998a5558ea4f505d292af93b9c3fa682ca2b017",
     "postopt": "36d93392521ebd188c32bf0f9bf4d9bf5ab841ea25cef9d5970ceab20f2a9864",
     "q2": "d0f4d8b059dc046261211ddb01fb4009a1e0b9eeaf17fab99891fba468c066cb",
@@ -96,6 +106,20 @@ HASH_PARAMS = {"cost_params": {"hashjoin_enabled": True, "hash_per_block_io_equi
 # name -> sha256 of optimize --json per heuristic in HEURISTIC_ORDER, with default
 # params and then with HASH_PARAMS
 HEURISTIC_DIGESTS = {
+    "bushy": (
+        (
+            "0d632153eda63bc941eadf76ead03caaee07823479cf0aab979c261ed17f8c79",
+            "537c5e6a9438108965ec36a5dce28699295ac4329c7516e778498026d55545fe",
+            "0d632153eda63bc941eadf76ead03caaee07823479cf0aab979c261ed17f8c79",
+            "8c392b842b0666c26c8348f6479ea396523026ed543e03989a430b9e85f2b553",
+        ),
+        (
+            "687efc4327c158d1a792dcc2e81e3d48c1bbdd647320300db3735de4a974d00b",
+            "4867ddb54889716dfb93fc0aec2b81702af7c090ff6a13efa7e4679a7b82e73c",
+            "687efc4327c158d1a792dcc2e81e3d48c1bbdd647320300db3735de4a974d00b",
+            "f9e92c01000e2a367381e9ba0329c3a36d1d3aa212089e3714bc458ecb4cc7b5",
+        ),
+    ),
     "example1": (
         (
             "a9722e7be3f11a3075fdcdfc508dfc804c74a81166c6da812b7bc43c94893a95",
@@ -176,6 +200,7 @@ HEURISTIC_DIGESTS = {
 # HASH_PARAMS: one favorable-order index serves all four heuristics and
 # refinement
 BENCH_B3_DIGESTS = {
+    "bushy": ("e490de2b14d25f079137322d2479350a272be0b8e21e9a66eaea0852dc2acef4",) * 2,
     "example1": (
         "da580a350029f45288f5465b0addf274b075d89c0523df2c7d997c79232b8d70",
         "714704e0740448ecdbdee311c07d9bcf23a408960f92ce2b5c042a1b0eb29033",

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -128,6 +129,23 @@ def test_tree_approx_single_node_and_paths():
         assert assignment_benefit(tree, got) == brute_tree_benefit(tree)
 
 
+def test_tree_approx_empty_tree():
+    assert tree_approx(LabeledTree((), ())) == []
+
+
+def test_tree_approx_output_bytes():
+    """Pins the orders of paths and trees of 1-14 nodes with sets of up to
+    four attributes: the path branch, both parity splits, and the 43 trees
+    where the two splits score the same with different orders, so the first
+    split must win the tie."""
+    rng = random.Random(107)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        for tree in (random_labeled_path(rng, 14, 4), random_labeled_tree(rng, 14, 4)):
+            digest.update(" ".join(map(str, tree_approx(tree))).encode() + b"\n")
+    assert digest.hexdigest() == "f64629b401e8a64ab4196ddd85c4a0c84abb6b60e5cddc898e6aa9400f852b9f"
+
+
 def test_tree_approx_half_bound():
     rng = random.Random(102)
     for _ in range(150):
@@ -164,6 +182,8 @@ def test_benefit_invariant_under_renaming():
 def test_labeled_tree_validation():
     with pytest.raises(ValidationError, match=r"bad edge \(0, 2\)"):
         LabeledTree((frozenset(), frozenset()), ((0, 2),))  # no node 2
+    with pytest.raises(ValidationError, match=r"bad edge \(0, 0\)"):
+        LabeledTree((frozenset(),), ((0, 0),))  # a self-loop
     with pytest.raises(ValidationError):
         LabeledTree((frozenset(), frozenset()), ())  # disconnected
     with pytest.raises(ValidationError):
