@@ -5,15 +5,15 @@ permutation not pinned down by any input favorable order are free.  This
 module maximizes the shared-prefix benefit between adjacent joins over those
 free attributes: exactly on paths (dynamic programming over segments, on each
 piece between neighbours that share no attribute), within a factor of two on
-binary trees (split edges by level parity, solve each parity class of paths
-exactly, keep the better half), and applies the result to a plan, re-deriving
-and re-costing the sort enforcers.  A refined plan is kept only if it does
-not cost more.
+binary trees (two splits into short paths by the parity of a node's depth,
+each solved exactly, the better one kept), and applies the result to a plan,
+re-deriving and re-costing the sort enforcers.  A refined plan is kept only
+if it does not cost more.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import catalog_stats as cs
 from . import cost_model as cm
@@ -34,52 +34,44 @@ from .order_algebra import (
 @dataclass(frozen=True)
 class LabeledTree:
     """Binary tree with an attribute set per node; edges are (parent, child)
-    index pairs."""
+    index pairs.  Construction checks the shape and keeps what the check
+    derives: `kids`, each node's children in edge order, and `walk`, every
+    node in the order a walk down from the root reaches it."""
 
     node_sets: tuple[AttrSet, ...]
     edges: tuple[tuple[int, int], ...]
+    kids: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    walk: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.node_sets)
+        kids: list[list[int]] = [[] for _ in range(n)]
         seen_child = set()
-        kid_count = [0] * n
         for p, c in self.edges:
             if not (0 <= p < n and 0 <= c < n) or p == c:
                 raise ValidationError(f"bad edge ({p}, {c})")
             if c in seen_child:
                 raise ValidationError(f"node {c} has two parents")
             seen_child.add(c)
-            kid_count[p] += 1
-            if kid_count[p] > 2:
+            kids[p].append(c)
+            if len(kids[p]) > 2:
                 raise ValidationError(f"node {p} has more than two children")
         # With one parent per child, the nodes form one tree exactly when a
         # walk down from the first parentless node reaches all of them.
-        kids = self.children()
-        stack = [i for i in range(n) if i not in seen_child][:1]
-        reached = 0
-        while stack:
-            reached += 1
-            stack.extend(kids[stack.pop()])
-        if reached != n:
+        walk = [i for i in range(n) if i not in seen_child][:1]
+        for v in walk:  # the walk grows as it goes
+            walk.extend(kids[v])
+        if len(walk) != n:
             raise ValidationError("tree must be connected and acyclic")
-
-    def children(self) -> list[list[int]]:
-        kids: list[list[int]] = [[] for _ in self.node_sets]
-        for p, c in self.edges:
-            kids[p].append(c)
-        return kids
-
-    def root(self) -> int:
-        is_child = {c for _, c in self.edges}
-        roots = [i for i in range(len(self.node_sets)) if i not in is_child]
-        if len(roots) != 1:
-            raise ValidationError("tree must have exactly one root")
-        return roots[0]
+        object.__setattr__(self, "kids", tuple(map(tuple, kids)))
+        object.__setattr__(self, "walk", tuple(walk))
 
 
 def assignment_benefit(tree: LabeledTree, assignment) -> int:
     """Sum over tree edges of the common-prefix length of the two endpoint
     orders; each order must be a permutation of its node's attribute set."""
+    if len(assignment) != len(tree.node_sets):
+        raise ValidationError(f"{len(assignment)} orders for {len(tree.node_sets)} nodes")
     for s, o in zip(tree.node_sets, assignment):
         if o.attr_set() != frozenset(s):
             raise ValidationError(f"order {o} is not a permutation of {sorted(s)}")
@@ -143,66 +135,33 @@ def _piece_order(sets: list[frozenset]) -> list[SortOrder]:
     return [SortOrder(p) for p in prefixes]
 
 
-def _is_path(tree: LabeledTree) -> bool:
-    return all(len(k) <= 1 for k in tree.children())
-
-
-def _parity_components(tree: LabeledTree, parity: int):
-    """Maximal paths formed by the edges whose level has the given parity.
-
-    An edge's level is the depth of its child node (a root's outgoing edges
-    are level 1).  Edges of one parity incident to a common node always share
-    that node as the parent, so each component is  child - parent - child  or
-    a single edge, i.e. a path.
-    """
-    kids = tree.children()
-    depth = [0] * len(tree.node_sets)
-    stack = [tree.root()]
-    while stack:
-        v = stack.pop()
-        for c in kids[v]:
-            depth[c] = depth[v] + 1
-            stack.append(c)
-    comps = []
-    for v in range(len(tree.node_sets)):
-        chosen = [c for c in kids[v] if depth[c] % 2 == parity]
-        if not chosen:
-            continue
-        if len(chosen) == 1:
-            comps.append([v, chosen[0]])
-        else:
-            comps.append([chosen[0], v, chosen[1]])
-    return comps
-
-
 def tree_approx(tree: LabeledTree) -> list[SortOrder]:
     """Orders with total benefit at least half the optimum for a binary tree.
 
-    Paths are solved exactly.  Otherwise edges are split by level parity into
-    two collections of short paths; each collection is solved exactly and the
-    better one kept, remaining nodes getting arbitrary (canonical) orders.
+    A path is one piece.  Any other tree has two candidate splits into
+    pieces, each node with its children as  [v, c]  or  [c0, v, c1]:  under
+    the nodes of even depth, then under those of odd depth.  Each piece is a
+    path, solved exactly; the split whose pieces share the most prefix wins,
+    the first on a tie, and nodes in no piece get canonical orders.
     """
-    n = len(tree.node_sets)
-    if n == 0:
-        return []
-    if _is_path(tree):
-        kids = tree.children()
-        chain = [tree.root()]
-        while kids[chain[-1]]:
-            chain.append(kids[chain[-1]][0])
-        orders = path_order([tree.node_sets[v] for v in chain])
-        out: list[SortOrder] = [EMPTY] * n
-        for v, o in zip(chain, orders):
-            out[v] = o
-        return out
+    splits = ([list(tree.walk)],)
+    if any(len(k) == 2 for k in tree.kids):
+        splits = ([], [])
+        depth = [0] * len(tree.node_sets)
+        for v in tree.walk:
+            k = tree.kids[v]
+            for c in k:
+                depth[c] = depth[v] + 1
+            if k:
+                splits[depth[v] % 2].append([v, k[0]] if len(k) == 1 else [k[0], v, k[1]])
 
     best_assignment, best_score = None, -1
-    for parity in (1, 0):
+    for pieces in splits:
         assignment = [canonical_permutation(s) for s in tree.node_sets]
         score = 0
-        for comp in _parity_components(tree, parity):
-            orders = path_order([tree.node_sets[v] for v in comp])
-            for v, o in zip(comp, orders):
+        for piece in pieces:
+            orders = path_order([tree.node_sets[v] for v in piece])
+            for v, o in zip(piece, orders):
                 assignment[v] = o
             score += sum(len(lcp(a, b)) for a, b in zip(orders, orders[1:]))
         if score > best_score:

@@ -47,6 +47,13 @@ def test_benefit_rejects_non_permutation():
         assignment_benefit(t, [order("a"), order("a", "b")])
 
 
+def test_benefit_rejects_an_assignment_of_the_wrong_length():
+    t = _path_tree(["a", "a"])
+    for assignment in ([order("a")], [order("a")] * 3):
+        with pytest.raises(ValidationError, match=f"{len(assignment)} orders for 2 nodes"):
+            assignment_benefit(t, assignment)
+
+
 def test_path_order_examples():
     sets = [frozenset("ab"), frozenset("ab")]
     got = path_order(sets)
