@@ -89,6 +89,24 @@ def _wrap(*path, **node):
     return mutate
 
 
+def _sort_over(*path):
+    """Put the plan node at `path` under a partial sort to the order it
+    already delivers."""
+
+    def mutate(doc):
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        node = holder[path[-1]]
+        order = node["order"]
+        holder[path[-1]] = {
+            "op": "partial_sort", "expr_id": node["expr_id"], "order": order,
+            "input_order": order, "target_order": order, "children": [node],
+        }
+
+    return mutate
+
+
 def _lift_root_input(doc):
     """Replace the plan's root with its (only) input."""
     doc["plan"] = doc["plan"]["children"][0]
@@ -268,6 +286,11 @@ CASES = {
     ),
     "plan-rows-string": (
         "plan", _set("plan", "rows", "x"), 1, "plan.rows: expected a finite number in [0, inf], got 'x'",
+    ),
+    # a sort its input makes redundant rebuilds as its input, which is not a sort
+    "plan-redundant-sort": (
+        "plan", _sort_over("plan", "children", 0, "children", 0),
+        1, "plan.children[0].children[0].op: expected 'merge_join', got 'partial_sort'",
     ),
     "plan-unknown-field": ("plan", _set("surprise", 1), 1, "plan file: unknown fields ['surprise']"),
     "plan-sort-on-attributes-outside-the-schema": (
