@@ -26,7 +26,7 @@ every one of them.  Expressions are interned (`logical_expr`), so every table
 here keys on the expression node itself, hashed and compared by identity.
 
 A plan document is untrusted: `load_plan_document` rebuilds each node
-through the same builder, so every cost is recomputed.  It checks a node in
+through the same builder (`_PlanBuilder.load`), so every cost is recomputed.  It checks a node in
 one pass, in a fixed order that decides which error a document with several
 faults gets.  Each check is made once, by a `_doc` reader, with a lazy path
 that is spelled out only for an error; one comparison of the whole node with
@@ -166,9 +166,10 @@ def _total(op: str, op_cost: float, below: float) -> float:
 class _PlanBuilder:
     """Builds and costs plan nodes over one catalog, set of cost parameters
     and query, whose attributes `query_attrs` decide the indices that cover a
-    scan; the optimizer, refinement and the plan loader build with it.  `_node`
-    builds every node, `_sort` prices every sort and `_access_paths` holds
-    each scan's table; the caches hold for those inputs only."""
+    scan.  `_node` builds every node, `_sort` prices every sort and
+    `_access_paths` holds each scan's table; the caches hold for those inputs
+    only.  Search (`Optimizer`, the one subclass) builds with `_operator` and
+    `_sorted`, refinement with `rebuild` and the plan loader with `load`."""
 
     def __init__(self, catalog: cs.Catalog, params: cm.CostParams, query_attrs: AttrSet):
         self.catalog = catalog
@@ -244,6 +245,97 @@ class _PlanBuilder:
             order = EMPTY
             cost = cm.hash_group_cost(first.est_blocks, self.params)
         return self._node(op, e, order, cost, kids)
+
+    def rebuild(self, p: PhysicalPlan, want: SortOrder, orders) -> PhysicalPlan:
+        """`p` rebuilt to deliver `want`, each merge join in its order in
+        `orders` (id(plan node) -> SortOrder) if it has one.  Sorts are
+        dropped and re-derived and access paths reused; each other operator
+        asks its inputs for the order it is built with, as search does: a
+        select or project for `want`, any other for its own."""
+        while p.op in _SORTS:
+            p = p.children[0]
+        if p.children:
+            io = want if p.op in ("select", "project") else orders.get(id(p), p.produced_order)
+            n = len(p.children)
+            # map adds no interpreter frame per level, unlike a comprehension
+            kids = tuple(map(self.rebuild, p.children, [io] * n, [orders] * n))
+            p = self._operator(p.op, p.expr, kids, io)
+        return self._sorted(p, want, self._sort(p, want))
+
+    def load(self, d, where, e: lx.LogicalExpr, exprs, sort_ok: bool = True) -> PhysicalPlan:
+        """Rebuild plan node `d` at document path `where` (a lazy `_doc`
+        path), which computes e; `exprs` are the query's expressions in
+        preorder, indexed by `expr_id`.  No sort sits on a sort.  The checks
+        run in a fixed order, which picks the error of a node with several
+        faults: its field names and any bool among its output-only fields;
+        its `expr_id`, `op` and `children`; its inputs; its own orders and
+        index key; last every other field, and an output-only value that is
+        a string, null, negative or infinite."""
+        get = _doc.fields(d, where, _NODE_KEYS).get
+        # a bool would pass for 0 or 1 in the whole-node comparison below
+        if bool in map(type, map(get, _OUTPUT_ONLY)):
+            for key in _OUTPUT_ONLY:
+                if type(get(key)) is bool:
+                    _doc.number(d[key], (where, key), 0.0)
+        expr_id = _doc.integer(get("expr_id"), (where, "expr_id"), 0, len(exprs) - 1)
+        computed = exprs[expr_id]
+        if computed is not e:
+            raise _doc.fail((where, "expr_id"), f"node {expr_id} is not the expression computed here")
+        op = get("op")
+        is_sort = sort_ok and op in _SORTS
+        if not is_sort and op not in _OPS[type(e)]:
+            raise _doc.fail((where, "op"), f"expected one of {', '.join(_OPS[type(e)])}, got {op!r}")
+        below = (where, "children")
+        docs = _doc.array(get("children", []), below)
+        inputs = (e,) if is_sort else lx.children(e)
+        if len(docs) != len(inputs):
+            raise _doc.fail(below, f"expected {len(inputs)} input plans, got {len(docs)}")
+        kids = []
+        for i, (kid_doc, kid_expr) in enumerate(zip(docs, inputs)):
+            kids.append(self.load(kid_doc, (below, i), kid_expr, exprs, not is_sort))
+
+        if is_sort:
+            delivered = kids[0].produced_order
+            have = _derived(_doc.attr_list(get("input_order", []), (where, "input_order")))
+            if not is_prefix(have, delivered):
+                raise _doc.fail((where, "input_order"), f"the input delivers {delivered}")
+            want = _derived(_doc.attr_list(get("order", []), (where, "order")))
+            # the distinct counts are keyed by e's output attributes
+            outside = frozenset(want).difference(cs.expr_stats(e, self.catalog).distinct)
+            if outside:
+                raise _doc.fail((where, "order"), f"attributes {sorted(outside)} not in the input's schema")
+            node = self._sorted(kids[0], want, self._sort(kids[0], want, have))
+        elif isinstance(e, lx.Scan):
+            key = get("index_key")
+            # the one table scan, or the covering index scan in the order of its key
+            found = [o for kind, o in self._access_paths(e) if kind == op and (op == "table_scan" or list(o) == key)]
+            if not found:
+                raise _doc.fail((where, "index_key"), f"no covering index of {e.relation!r} has key {key!r}")
+            node = self._operator(op, e, (), found[0])
+        elif op in ("merge_join", "sort_group_by"):
+            attrs = lx.sort_attrs(e)
+            order = _derived(_doc.attr_list(get("order", []), (where, "order")))
+            if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
+                raise _doc.fail((where, "order"), f"expected an order of {sorted(attrs)} every input delivers")
+            node = self._operator(op, e, kids, order)
+        else:  # the order of any other operator is derived, and checked below
+            node = self._operator(op, e, kids)
+
+        rebuilt = _node_fields(node, expr_id)
+        rebuilt["children"] = docs
+        if d != rebuilt:  # not exactly as ordopt writes this node: check field by field
+            # a sort the input makes redundant rebuilds as its input, with other fields
+            for key in (_SORT_FIELDS if is_sort else rebuilt):
+                if key not in d and key not in _OUTPUT_ONLY:
+                    raise _doc.fail((where, key), f"a {op} node needs this field")
+            for key, value in d.items():
+                if key in _OUTPUT_ONLY:
+                    _doc.number(value, (where, key), 0.0)
+                elif key not in rebuilt:
+                    raise _doc.fail((where, key), f"a {node.op} node has no such field")
+                elif value != rebuilt[key]:
+                    raise _doc.fail((where, key), f"expected {rebuilt[key]!r}, got {value!r}")
+        return node
 
 
 class Optimizer(_PlanBuilder):
@@ -412,86 +504,6 @@ _NODE_KEYS = {
 _SORT_FIELDS = ("op", "expr_id", "order", "input_order", "target_order", "children")
 
 
-class _PlanLoader(_PlanBuilder):
-    """Rebuilds the operator tree of a plan document through the builder, so
-    every node is checked against the expression it computes and re-costed."""
-
-    def __init__(self, catalog: cs.Catalog, params: cm.CostParams, query: lx.QuerySpec):
-        super().__init__(catalog, params, lx.query_attrs(query, catalog))
-        self.exprs = lx.preorder(query.root)
-
-    def load(self, d, where, e: lx.LogicalExpr, sort_ok: bool = True) -> PhysicalPlan:
-        """Rebuild plan node `d` at document path `where` (a lazy `_doc`
-        path), which computes e; no sort sits on a sort.  The checks run in a
-        fixed order, which picks the error of a node with several faults."""
-        get = _doc.fields(d, where, _NODE_KEYS).get
-        # a bool would pass for 0 or 1 in the whole-node comparison below
-        if bool in map(type, map(get, _OUTPUT_ONLY)):
-            for key in _OUTPUT_ONLY:
-                if type(get(key)) is bool:
-                    _doc.number(d[key], (where, key), 0.0)
-        exprs = self.exprs
-        expr_id = _doc.integer(get("expr_id"), (where, "expr_id"), 0, len(exprs) - 1)
-        computed = exprs[expr_id]
-        if computed is not e:
-            raise _doc.fail((where, "expr_id"), f"node {expr_id} is not the expression computed here")
-        op = get("op")
-        is_sort = sort_ok and op in _SORTS
-        if not is_sort and op not in _OPS[type(e)]:
-            raise _doc.fail((where, "op"), f"expected one of {', '.join(_OPS[type(e)])}, got {op!r}")
-        below = (where, "children")
-        docs = _doc.array(get("children", []), below)
-        inputs = (e,) if is_sort else lx.children(e)
-        if len(docs) != len(inputs):
-            raise _doc.fail(below, f"expected {len(inputs)} input plans, got {len(docs)}")
-        kids = []
-        for i, (kid_doc, kid_expr) in enumerate(zip(docs, inputs)):
-            kids.append(self.load(kid_doc, (below, i), kid_expr, not is_sort))
-
-        if is_sort:
-            delivered = kids[0].produced_order
-            have = _derived(_doc.attr_list(get("input_order", []), (where, "input_order")))
-            if not is_prefix(have, delivered):
-                raise _doc.fail((where, "input_order"), f"the input delivers {delivered}")
-            want = _derived(_doc.attr_list(get("order", []), (where, "order")))
-            # the distinct counts are keyed by e's output attributes
-            outside = frozenset(want).difference(cs.expr_stats(e, self.catalog).distinct)
-            if outside:
-                raise _doc.fail((where, "order"), f"attributes {sorted(outside)} not in the input's schema")
-            node = self._sorted(kids[0], want, self._sort(kids[0], want, have))
-        elif isinstance(e, lx.Scan):
-            key = get("index_key")
-            # the one table scan, or the covering index scan in the order of its key
-            found = [o for kind, o in self._access_paths(e) if kind == op and (op == "table_scan" or list(o) == key)]
-            if not found:
-                raise _doc.fail((where, "index_key"), f"no covering index of {e.relation!r} has key {key!r}")
-            node = self._operator(op, e, (), found[0])
-        elif op in ("merge_join", "sort_group_by"):
-            attrs = lx.sort_attrs(e)
-            order = _derived(_doc.attr_list(get("order", []), (where, "order")))
-            if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
-                raise _doc.fail((where, "order"), f"expected an order of {sorted(attrs)} every input delivers")
-            node = self._operator(op, e, kids, order)
-        else:  # the order of any other operator is derived, and checked below
-            node = self._operator(op, e, kids)
-
-        rebuilt = _node_fields(node, expr_id)
-        rebuilt["children"] = docs
-        if d != rebuilt:  # not exactly as ordopt writes this node: check field by field
-            # a sort the input makes redundant rebuilds as its input, with other fields
-            for key in (_SORT_FIELDS if is_sort else rebuilt):
-                if key not in d and key not in _OUTPUT_ONLY:
-                    raise _doc.fail((where, key), f"a {op} node needs this field")
-            for key, value in d.items():
-                if key in _OUTPUT_ONLY:
-                    _doc.number(value, (where, key), 0.0)
-                elif key not in rebuilt:
-                    raise _doc.fail((where, key), f"a {node.op} node has no such field")
-                elif value != rebuilt[key]:
-                    raise _doc.fail((where, key), f"expected {rebuilt[key]!r}, got {value!r}")
-        return node
-
-
 def load_plan_document(source):
     """Parse a plan document (dict, JSON text, or bytes) into (catalog, params,
     query, plan); the plan is rebuilt, and its costs, rows and blocks recomputed."""
@@ -502,7 +514,8 @@ def load_plan_document(source):
     catalog = cs.load_catalog(doc.get("catalog", {}))
     params = cm.load_params({"cost_params": doc.get("cost_params", {})})
     query = lx.parse_query(doc.get("query", {}), catalog)
-    plan = _PlanLoader(catalog, params, query).load(doc.get("plan"), "plan", query.root)
+    builder = _PlanBuilder(catalog, params, lx.query_attrs(query, catalog))
+    plan = builder.load(doc.get("plan"), "plan", query.root, lx.preorder(query.root))
     if not is_prefix(query.required_output_order, plan.produced_order):
         raise _doc.fail("plan", f"delivers {plan.produced_order}, not the query's order_by")
     return catalog, params, query, plan

@@ -6,9 +6,10 @@ module maximizes the shared-prefix benefit between adjacent joins over those
 free attributes: exactly on paths (dynamic programming over segments, on each
 piece between neighbours that share no attribute), within a factor of two on
 binary trees (two splits into short paths by the parity of a node's depth,
-each solved exactly, the better one kept), and applies the result to a plan,
-re-deriving and re-costing the sort enforcers.  A refined plan is kept only
-if it does not cost more.
+each solved exactly, the better one kept), and applies the result to a plan:
+the optimizer's plan builder (`_PlanBuilder.rebuild`) re-derives and
+re-costs its sort enforcers.  A refined plan is kept only if it does not
+cost more.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from . import logical_expr as lx
 from .errors import ValidationError
 from .optimizer import _SORTS, PhysicalPlan, _PlanBuilder
 from .order_algebra import (
-    EMPTY,
     AttrSet,
     SortOrder,
     canonical_permutation,
@@ -207,23 +207,6 @@ def join_prefix_benefit(plan: PhysicalPlan) -> int:
     )
 
 
-class _Rebuilder(_PlanBuilder):
-    def __init__(self, catalog, params, query_attrs, new_orders):
-        super().__init__(catalog, params, query_attrs)
-        self.new_orders = new_orders  # id(plan node) -> SortOrder
-
-    def rebuild(self, p: PhysicalPlan, want: SortOrder) -> PhysicalPlan:
-        while p.op in _SORTS:  # dropped: the sorts the rebuilt plan needs are re-derived below
-            p = p.children[0]
-        if p.children:  # access paths are reused verbatim
-            order = self.new_orders.get(id(p), p.produced_order)
-            inner = {"merge_join": order, "sort_group_by": order, "select": want, "project": want}.get(p.op, EMPTY)
-            # map adds no interpreter frame per level, unlike a comprehension
-            kids = tuple(map(self.rebuild, p.children, [inner] * len(p.children)))
-            p = self._operator(p.op, p.expr, kids, order)
-        return self._sorted(p, want, self._sort(p, want))
-
-
 def refine_plan(
     plan: PhysicalPlan,
     query: lx.QuerySpec,
@@ -265,6 +248,6 @@ def refine_plan(
 
     if not new_orders:
         return plan
-    rebuilder = _Rebuilder(catalog, params, favorable_index.query_attrs, new_orders)
-    rebuilt = rebuilder.rebuild(plan, query.required_output_order)
+    builder = _PlanBuilder(catalog, params, favorable_index.query_attrs)
+    rebuilt = builder.rebuild(plan, query.required_output_order, new_orders)
     return rebuilt if rebuilt.total_cost <= plan.total_cost else plan

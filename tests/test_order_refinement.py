@@ -22,7 +22,7 @@ from ordopt import (
     tree_approx,
 )
 
-from ordopt.order_refinement import _Rebuilder
+from ordopt.optimizer import _PlanBuilder
 
 from conftest import load_pair, random_chain_query, random_labeled_path, random_labeled_tree
 
@@ -356,8 +356,8 @@ def test_a_rebuild_that_changes_no_join_order_keeps_the_plan_cost():
     catalog, query = load_pair("q5_catalog.json", "q5_query.json")
     params = CostParams()
     plan = optimize_query(catalog, params, query)
-    rebuilder = _Rebuilder(catalog, params, lx.query_attrs(query, catalog), {})
-    rebuilt = rebuilder.rebuild(plan, query.required_output_order)
+    builder = _PlanBuilder(catalog, params, lx.query_attrs(query, catalog))
+    rebuilt = builder.rebuild(plan, query.required_output_order, {})
     assert rebuilt.total_cost == plan.total_cost
 
 
