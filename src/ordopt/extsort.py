@@ -338,16 +338,21 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
 
 def gen_segmented_input(rows: int, segment_rows: int, key_positions: int, payload_bytes: int, seed: int):
     """Deterministic pseudo-random stream: the first key position is constant
-    within a segment and increases across segments; the rest are uniform."""
+    within a segment and increases across segments; the rest are uniform.
+    The arguments are checked at the call, before the stream is read."""
     if rows < 0 or segment_rows < 1 or key_positions < 1 or payload_bytes < 1:
         raise ValidationError("rows >= 0, segment_rows/key_positions/payload_bytes >= 1")
-    draw = random.Random(seed).getrandbits
-    for i in range(rows):
-        keys = [i // segment_rows]
-        for _ in range(key_positions - 1):
-            # randrange(2**31), inlined: it rejects 32-bit draws >= 2**31
-            r = draw(32)
-            while r >= 2**31:
+
+    def records():
+        draw = random.Random(seed).getrandbits
+        for i in range(rows):
+            keys = [i // segment_rows]
+            for _ in range(key_positions - 1):
+                # randrange(2**31), inlined: it rejects 32-bit draws >= 2**31
                 r = draw(32)
-            keys.append(r)
-        yield Record(tuple(keys), payload_bytes)
+                while r >= 2**31:
+                    r = draw(32)
+                keys.append(r)
+            yield Record(tuple(keys), payload_bytes)
+
+    return records()

@@ -7,7 +7,7 @@ import pytest
 
 import ordopt
 import ordopt.logical_expr as lx
-from ordopt import CostParams, OracleGuard, QuerySpec, SortOrder, expr_stats, load_catalog, load_params, parse_query
+from ordopt import OracleGuard, QuerySpec, SortOrder, expr_stats, load_catalog, load_params, parse_query
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -39,11 +39,6 @@ def load_pair(catalog_name: str, query_name: str):
 def schema(e, catalog):
     """The output attributes of e: the keys of its distinct counts."""
     return frozenset(expr_stats(e, catalog).distinct)
-
-
-@pytest.fixture(scope="session")
-def default_params():
-    return CostParams()
 
 
 # --- randomized instance generators (seed-driven, deterministic) -------------

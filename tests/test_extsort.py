@@ -185,6 +185,18 @@ def test_generator_is_deterministic():
         list(gen_segmented_input(10, 0, 2, 100, 1))
 
 
+@pytest.mark.parametrize("args", [
+    (-1, 1, 1, 1, 0),
+    (10, 0, 1, 1, 0),
+    (10, 1, 0, 1, 0),
+    (10, 1, 1, 0, 0),
+])
+def test_generator_checks_its_arguments_at_the_call(args):
+    # not at the first record: a bad stream fails before anything iterates it
+    with pytest.raises(ValidationError):
+        gen_segmented_input(*args)
+
+
 @pytest.mark.parametrize("key_positions, digest", [
     (1, "e6914857d7de4bdc"),
     (2, "8e3c4f2598f9f677"),  # the CLI default --keys
