@@ -339,7 +339,7 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
 def gen_segmented_input(rows: int, segment_rows: int, key_positions: int, payload_bytes: int, seed: int):
     """Deterministic pseudo-random stream: the first key position is constant
     within a segment and increases across segments; the rest are uniform.
-    The arguments are checked at the call, before the stream is read."""
+    The arguments are checked at the call, not at the first record."""
     if rows < 0 or segment_rows < 1 or key_positions < 1 or payload_bytes < 1:
         raise ValidationError("rows >= 0, segment_rows/key_positions/payload_bytes >= 1")
 

@@ -26,12 +26,13 @@ every one of them.  Expressions are interned (`logical_expr`), so every table
 here keys on the expression node itself, hashed and compared by identity.
 
 A plan document is untrusted: `load_plan_document` rebuilds each node
-through the same builder (`_PlanBuilder.load`), so every cost is recomputed.  It checks a node in
-one pass, in a fixed order that decides which error a document with several
-faults gets.  Each check is made once, by a `_doc` reader, with a lazy path
-that is spelled out only for an error; one comparison of the whole node with
-the fields its rebuilt node writes stands in for the field-by-field checks,
-which run only when it fails, and which also name a field the node lacks.
+through the same builder (`_PlanBuilder.load`), so every cost is recomputed.
+It checks a node in one pass, in a fixed order that decides which error a
+document with several faults gets.  Each check is made once, by a `_doc`
+reader, with a lazy path that is spelled out only for an error; one
+comparison of the whole node with the fields its rebuilt node writes stands
+in for the field-by-field checks, which run only when it fails, and which
+also name a field the node lacks.
 """
 
 from __future__ import annotations
@@ -248,29 +249,27 @@ class _PlanBuilder:
 
     def rebuild(self, p: PhysicalPlan, want: SortOrder, orders) -> PhysicalPlan:
         """`p` rebuilt to deliver `want`, each merge join in its order in
-        `orders` (id(plan node) -> SortOrder) if it has one.  Sorts are
-        dropped and re-derived and access paths reused; each other operator
-        asks its inputs for the order it is built with, as search does: a
-        select or project for `want`, any other for its own."""
+        `orders` (id(plan node) -> SortOrder), if any.  Sorts are re-derived
+        and access paths reused; any other operator asks its inputs for the
+        order it is built with, as in search: `want` through a select or
+        project, else its own."""
         while p.op in _SORTS:
             p = p.children[0]
         if p.children:
             io = want if p.op in ("select", "project") else orders.get(id(p), p.produced_order)
-            n = len(p.children)
             # map adds no interpreter frame per level, unlike a comprehension
-            kids = tuple(map(self.rebuild, p.children, [io] * n, [orders] * n))
+            kids = tuple(map(self.rebuild, p.children, itertools.repeat(io), itertools.repeat(orders)))
             p = self._operator(p.op, p.expr, kids, io)
         return self._sorted(p, want, self._sort(p, want))
 
     def load(self, d, where, e: lx.LogicalExpr, exprs, sort_ok: bool = True) -> PhysicalPlan:
         """Rebuild plan node `d` at document path `where` (a lazy `_doc`
-        path), which computes e; `exprs` are the query's expressions in
-        preorder, indexed by `expr_id`.  No sort sits on a sort.  The checks
-        run in a fixed order, which picks the error of a node with several
-        faults: its field names and any bool among its output-only fields;
-        its `expr_id`, `op` and `children`; its inputs; its own orders and
-        index key; last every other field, and an output-only value that is
-        a string, null, negative or infinite."""
+        path), which computes e; `exprs` are the query's expressions by
+        `expr_id`.  No sort sits on a sort.  The checks run in a fixed order,
+        which picks the error of a node with several faults: field names and
+        any bool among the output-only fields; `expr_id`, `op`, `children`;
+        the inputs; own orders and index key; last all else, with any other
+        bad output-only value (a string, null, negative or infinite)."""
         get = _doc.fields(d, where, _NODE_KEYS).get
         # a bool would pass for 0 or 1 in the whole-node comparison below
         if bool in map(type, map(get, _OUTPUT_ONLY)):
@@ -278,8 +277,7 @@ class _PlanBuilder:
                 if type(get(key)) is bool:
                     _doc.number(d[key], (where, key), 0.0)
         expr_id = _doc.integer(get("expr_id"), (where, "expr_id"), 0, len(exprs) - 1)
-        computed = exprs[expr_id]
-        if computed is not e:
+        if exprs[expr_id] is not e:
             raise _doc.fail((where, "expr_id"), f"node {expr_id} is not the expression computed here")
         op = get("op")
         is_sort = sort_ok and op in _SORTS
