@@ -336,8 +336,15 @@ def _plan_digests(capsys, tmp_path, cat, qry) -> tuple[str, tuple[str, str, str]
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_PAIRS))
 def test_fixture_cli_bytes(name, capsys, tmp_path):
+    """The pinned digests; and refining the reloaded plain plan prints what
+    refining the searched plan does, though the two refine through different
+    builder caches (the search's and the loader's)."""
     cat, qry = (str(fixture_path(f)) for f in FIXTURE_PAIRS[name])
-    assert _plan_digests(capsys, tmp_path, cat, qry)[1] == FIXTURE_DIGESTS[name]
+    refined_json, digests = _plan_digests(capsys, tmp_path, cat, qry)
+    assert digests == FIXTURE_DIGESTS[name]
+    plain_file = tmp_path / "plain.json"
+    plain_file.write_text(_digest(capsys, "optimize", "--catalog", cat, "--query", qry, "--json")[0])
+    assert _digest(capsys, "refine", "--plan", str(plain_file), "--json")[0] == refined_json
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_PAIRS))
