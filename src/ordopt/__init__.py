@@ -61,6 +61,7 @@ from .optimizer import (
     interesting_orders,
     load_plan_document,
     optimize_query,
+    read_plan_document,
     plan_document,
 )
 from .order_algebra import (
@@ -81,6 +82,7 @@ from .order_refinement import (
     join_prefix_benefit,
     path_order,
     refine_plan,
+    refine_with,
     tree_approx,
 )
 

@@ -48,29 +48,26 @@ def _load_common(args):
     return catalog, params, query
 
 
-def _emit_plan(plan, catalog, params, query, as_json: bool) -> None:
+def _emit_plan(planner, plan, as_json: bool) -> None:
     if as_json:
-        doc = opt.plan_document(plan, catalog, params, query)
+        doc = opt.plan_document(plan, planner.catalog, planner.params, planner.query)
         print(json.dumps(doc, sort_keys=True))
     else:
         print(opt.format_plan(plan))
 
 
 def _cmd_optimize(args) -> int:
-    catalog, params, query = _load_common(args)
-    index = fo.index_for_query(query, catalog)  # one pass, shared with refinement
-    plan = opt.optimize_query(catalog, params, query, heuristic=args.heuristic, order_source=index)
+    planner = opt.Optimizer(*_load_common(args), heuristic=args.heuristic)
+    plan = planner.optimize()
     if args.refine:
-        plan = refine.refine_plan(plan, query, catalog, params, index)
-    _emit_plan(plan, catalog, params, query, args.json)
+        plan = refine.refine_with(planner, plan)
+    _emit_plan(planner, plan, args.json)
     return 0
 
 
 def _cmd_refine(args) -> int:
-    catalog, params, query, plan = opt.load_plan_document(_read(args.plan))
-    index = fo.index_for_query(query, catalog)
-    refined = refine.refine_plan(plan, query, catalog, params, index)
-    _emit_plan(refined, catalog, params, query, args.json)
+    planner, plan = opt.read_plan_document(_read(args.plan))
+    _emit_plan(planner, refine.refine_with(planner, plan), args.json)
     return 0
 
 
@@ -183,9 +180,10 @@ def _cmd_bench_a3(args) -> int:
 def _cmd_bench_b3(args) -> int:
     catalog, params, query = _load_common(args)
     index = fo.index_for_query(query, catalog)
-    plans = {h: opt.optimize_query(catalog, params, query, heuristic=h, order_source=index) for h in opt.HEURISTICS}
+    planners = {h: opt.Optimizer(catalog, params, query, h, order_source=index) for h in opt.HEURISTICS}
+    plans = {h: planner.optimize() for h, planner in planners.items()}
     costs = {h: plan.total_cost for h, plan in plans.items()}
-    costs["favorable+refine"] = refine.refine_plan(plans["favorable"], query, catalog, params, index).total_cost
+    costs["favorable+refine"] = refine.refine_with(planners["favorable"], plans["favorable"]).total_cost
     base = costs["exhaustive"]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["heuristic", "plan_cost", "normalized_to_exhaustive_100"])

@@ -21,12 +21,13 @@ are derived and sorted once per (expression, prefix), for every heuristic.
 One loop in `Optimizer._goal` builds each pair's operator once per query,
 over its inputs' memoized goals, and every goal of its expression shares it;
 it calls `_goal` through `map`, so search takes one interpreter frame per
-join level.  Plan nodes are immutable tuples, and `_PlanBuilder._node` builds
-every one of them.  Expressions are interned (`logical_expr`), so every table
-here keys on the expression node itself, hashed and compared by identity.
+join level.  Plan nodes are immutable tuples; `Optimizer._node`, in the one
+planning session of a query, builds every one of them for search, refinement
+and the plan loader.  Expressions are interned (`logical_expr`), so every
+table here keys on the expression node itself, hashed and compared by identity.
 
-A plan document is untrusted: `load_plan_document` rebuilds each node
-through the same builder (`_PlanBuilder.load`), so every cost is recomputed.
+A plan document is untrusted: `read_plan_document` rebuilds each node in a
+session of its query (`Optimizer.load`), so every cost is recomputed.
 It checks a node in one pass, in a fixed order that decides which error a
 document with several faults gets.  Each check is made once, by a `_doc`
 reader, with a lazy path that is spelled out only for an error; one
@@ -87,7 +88,7 @@ class PhysicalPlan(NamedTuple):
     the order it produces.
 
     Nodes are shared by every goal and plan that reaches them, so they are
-    immutable: a tuple, built in C, by `_PlanBuilder._node` alone."""
+    immutable: a tuple, built in C, by `Optimizer._node` alone."""
 
     op: str
     expr: lx.LogicalExpr
@@ -164,27 +165,53 @@ def _total(op: str, op_cost: float, below: float) -> float:
     return total
 
 
-class _PlanBuilder:
-    """Builds and costs plan nodes over one catalog, set of cost parameters
-    and query, whose attributes `query_attrs` decide the indices that cover a
-    scan.  `_node` builds every node, `_sort` prices every sort and
-    `_access_paths` holds each scan's table; the caches hold for those inputs
-    only.  Search (`Optimizer`, the one subclass) builds with `_operator` and
-    `_sorted`, refinement with `rebuild` and the plan loader with `load`."""
+class Optimizer:
+    """The planning session of one query over one catalog and set of cost
+    parameters.  `_node` builds each plan node, `_sort` prices each sort and
+    `_access_paths` holds each scan's table, cached for those inputs only.
+    Search (`optimize`, with a memo of the best plan per goal) builds with
+    `_operator` and `_sorted`, refinement with `rebuild`, the loader with `load`.
 
-    def __init__(self, catalog: cs.Catalog, params: cm.CostParams, query_attrs: AttrSet):
+    `order_source`, kept as `index`, is the `favorable_orders.FavorableOrderIndex`
+    of the favorable orders that search and refinement assume for each
+    subexpression; its `query_attrs` decide the indices that cover a scan.  It
+    defaults to `favorable_orders.index_for_query`, the bottom-up approximate
+    sets; a subclass of the index can substitute exact ones, say.
+    """
+
+    def __init__(
+        self,
+        catalog: cs.Catalog,
+        params: cm.CostParams,
+        query: lx.QuerySpec,
+        heuristic: str = "favorable",
+        order_source=None,
+    ):
+        if heuristic not in HEURISTICS:
+            raise ValidationError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
         self.catalog = catalog
         self.params = params
-        self.query_attrs = query_attrs
+        self.query = query
+        self.heuristic = heuristic
+        self.index = fo.index_for_query(query, catalog) if order_source is None else order_source
         self._sizes: dict[lx.LogicalExpr, tuple[float, int]] = {}
         self._sort_costs: dict[tuple[lx.LogicalExpr, AttrSet, int], float] = {}
         self._paths: dict[lx.Scan, dict[tuple[str, SortOrder], float]] = {}
+        self.memo: dict[tuple[lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
+        # operators built once per (op, expression, order), for every goal
+        self._shared: dict[tuple[str, lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
+        # `_choices` per (join or group-by, prefix of want on its sort attributes)
+        self._orders: dict[tuple[lx.LogicalExpr, SortOrder], list[tuple[str, SortOrder]]] = {}
+
+    def optimize(self) -> PhysicalPlan:
+        """The cheapest plan of the query that delivers its required order."""
+        return self._goal(self.query.root, self.query.required_output_order)
 
     def _access_paths(self, e: lx.Scan) -> dict[tuple[str, SortOrder], float]:
         """e's `cm.access_paths` table, (kind, produced order) -> cost, cached."""
         table = self._paths.get(e)
         if table is None:
-            table = self._paths[e] = cm.access_paths(e, self.catalog, self.query_attrs, self.params)
+            table = self._paths[e] = cm.access_paths(e, self.catalog, self.index.query_attrs, self.params)
         return table
 
     def _node(self, op, e, produced, op_cost, children, input_order=None) -> PhysicalPlan:
@@ -335,44 +362,6 @@ class _PlanBuilder:
                     raise _doc.fail((where, key), f"expected {rebuilt[key]!r}, got {value!r}")
         return node
 
-
-class Optimizer(_PlanBuilder):
-    """The plan search for one query over one catalog, with a memo of the
-    best plan per goal.
-
-    `order_source` is the `favorable_orders.FavorableOrderIndex` of the
-    favorable orders assumed for each subexpression, whose restricted sets
-    refinement can then reuse, and whose `query_attrs` decide the indices
-    that cover a scan.  It defaults to `favorable_orders.index_for_query`, a
-    fresh index of the bottom-up approximate sets; a subclass can substitute
-    others (e.g. exact favorable orders) without touching the search.
-    """
-
-    def __init__(
-        self,
-        catalog: cs.Catalog,
-        params: cm.CostParams,
-        query: lx.QuerySpec,
-        heuristic: str = "favorable",
-        order_source=None,
-    ):
-        if heuristic not in HEURISTICS:
-            raise ValidationError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
-        source = fo.index_for_query(query, catalog) if order_source is None else order_source
-        super().__init__(catalog, params, source.query_attrs)
-        self.query = query
-        self.heuristic = heuristic
-        self.memo: dict[tuple[lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
-        # operators built once per (op, expression, order), for every goal
-        self._shared: dict[tuple[str, lx.LogicalExpr, SortOrder], PhysicalPlan] = {}
-        # `_choices` per (join or group-by, prefix of want on its sort attributes)
-        self._orders: dict[tuple[lx.LogicalExpr, SortOrder], list[tuple[str, SortOrder]]] = {}
-        self._source = source
-
-    def optimize(self) -> PhysicalPlan:
-        """The cheapest plan of the query that delivers its required order."""
-        return self._goal(self.query.root, self.query.required_output_order)
-
     # -- goal expansion -----------------------------------------------------
 
     def _goal(self, e: lx.LogicalExpr, want: SortOrder) -> PhysicalPlan:
@@ -426,7 +415,7 @@ class Optimizer(_PlanBuilder):
         choices = self._orders.get(by_prefix)
         if choices is None:
             favorable = self.heuristic == "favorable"
-            orders = interesting_orders(e, want, self._source) if favorable else _heuristic_orders(e, self.heuristic)
+            orders = interesting_orders(e, want, self.index) if favorable else _heuristic_orders(e, self.heuristic)
             sort_op, hash_op = _OPS[type(e)]
             choices = self._orders[by_prefix] = [(sort_op, io) for io in sorted(orders)]
             if self.params.hashjoin_enabled:
@@ -502,9 +491,10 @@ _NODE_KEYS = {
 _SORT_FIELDS = ("op", "expr_id", "order", "input_order", "target_order", "children")
 
 
-def load_plan_document(source):
-    """Parse a plan document (dict, JSON text, or bytes) into (catalog, params,
-    query, plan); the plan is rebuilt, and its costs, rows and blocks recomputed."""
+def read_plan_document(source) -> tuple[Optimizer, PhysicalPlan]:
+    """Parse a plan document (dict, JSON text, or bytes) into the planning
+    session of its catalog, cost parameters and query, and its plan, rebuilt
+    by that session: its costs, rows and blocks are recomputed."""
     doc = _doc.read_json(source, "plan")
     _doc.fields(doc, "plan file", {"format", "catalog", "query", "cost_params", "plan"})
     if doc.get("format") != "ordopt-plan/1":
@@ -512,11 +502,17 @@ def load_plan_document(source):
     catalog = cs.load_catalog(doc.get("catalog", {}))
     params = cm.load_params({"cost_params": doc.get("cost_params", {})})
     query = lx.parse_query(doc.get("query", {}), catalog)
-    builder = _PlanBuilder(catalog, params, lx.query_attrs(query, catalog))
-    plan = builder.load(doc.get("plan"), "plan", query.root, lx.preorder(query.root))
+    planner = Optimizer(catalog, params, query)
+    plan = planner.load(doc.get("plan"), "plan", query.root, lx.preorder(query.root))
     if not is_prefix(query.required_output_order, plan.produced_order):
         raise _doc.fail("plan", f"delivers {plan.produced_order}, not the query's order_by")
-    return catalog, params, query, plan
+    return planner, plan
+
+
+def load_plan_document(source):
+    """The (catalog, params, query, plan) of `read_plan_document`."""
+    planner, plan = read_plan_document(source)
+    return planner.catalog, planner.params, planner.query, plan
 
 
 def format_plan(p: PhysicalPlan, indent: int = 0) -> str:

@@ -6,10 +6,11 @@ module maximizes the shared-prefix benefit between adjacent joins over those
 free attributes: exactly on paths (dynamic programming over segments, on each
 piece between neighbours that share no attribute), within a factor of two on
 binary trees (two splits into short paths by the parity of a node's depth,
-each solved exactly, the better one kept), and applies the result to a plan:
-the optimizer's plan builder (`_PlanBuilder.rebuild`) re-derives and
-re-costs its sort enforcers.  A refined plan is kept only if it does not
-cost more.
+each solved exactly, the better one kept), and applies the result to a plan
+(`refine_with`) through the planning session that searched or loaded it:
+its rebuild (`Optimizer.rebuild`) re-derives and re-costs the sort
+enforcers, reusing the prices the session already holds.  A refined plan is
+kept only if it does not cost more.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import catalog_stats as cs
 from . import cost_model as cm
 from . import logical_expr as lx
 from .errors import ValidationError
-from .optimizer import _SORTS, PhysicalPlan, _PlanBuilder
+from .optimizer import _SORTS, Optimizer, PhysicalPlan
 from .order_algebra import (
     AttrSet,
     SortOrder,
@@ -207,23 +208,15 @@ def join_prefix_benefit(plan: PhysicalPlan) -> int:
     )
 
 
-def refine_plan(
-    plan: PhysicalPlan,
-    query: lx.QuerySpec,
-    catalog: cs.Catalog,
-    params: cm.CostParams,
-    favorable_index,
-) -> PhysicalPlan:
-    """Rework the free-attribute suffixes of a plan's merge-join orders.
-
-    `favorable_index` is the query's `favorable_orders.FavorableOrderIndex`,
-    such as the one the optimizer searched with.
+def refine_with(planner: Optimizer, plan: PhysicalPlan) -> PhysicalPlan:
+    """Rework the free-attribute suffixes of the merge-join orders of `plan`,
+    a plan of the query of `planner`, such as the one its search found.
 
     For each join: the longest prefix shared with some input favorable order
-    stays; the remaining (free) attributes are reordered by the tree
-    approximation so adjacent joins agree on longer prefixes.  Enforcers are
-    re-derived and the whole plan re-costed; the rebuilt plan is returned
-    unless it costs more than the original, so it wins ties.
+    in `planner.index` stays; the remaining (free) attributes are reordered by
+    the tree approximation so adjacent joins agree on longer prefixes.
+    `planner` re-derives the enforcers and re-costs the whole plan; the rebuilt
+    plan is returned unless it costs more than the original, so it wins ties.
     """
     trees = _join_trees(plan)
     if not any(edges for _, edges in trees):
@@ -233,7 +226,7 @@ def refine_plan(
     # with an input favorable order is its common prefix with that order's
     # restriction to the attributes.
     def head(j: PhysicalPlan) -> SortOrder:
-        usable = favorable_index.usable(j.expr)
+        usable = planner.index.usable(j.expr)
         return j.produced_order.prefix(max((len(lcp(j.produced_order, q)) for q in usable), default=0))
 
     # Each tree of adjacent joins is solved separately.
@@ -248,6 +241,16 @@ def refine_plan(
 
     if not new_orders:
         return plan
-    builder = _PlanBuilder(catalog, params, favorable_index.query_attrs)
-    rebuilt = builder.rebuild(plan, query.required_output_order, new_orders)
+    rebuilt = planner.rebuild(plan, planner.query.required_output_order, new_orders)
     return rebuilt if rebuilt.total_cost <= plan.total_cost else plan
+
+
+def refine_plan(
+    plan: PhysicalPlan,
+    query: lx.QuerySpec,
+    catalog: cs.Catalog,
+    params: cm.CostParams,
+    favorable_index,
+) -> PhysicalPlan:
+    """`refine_with` on a fresh session of `query` over its `favorable_index`."""
+    return refine_with(Optimizer(catalog, params, query, order_source=favorable_index), plan)

@@ -25,7 +25,7 @@ from ordopt import (
     parse_query,
     plan_document,
 )
-from ordopt.optimizer import _SORTS, _PlanBuilder
+from ordopt.optimizer import _SORTS
 from ordopt.order_refinement import refine_plan
 
 from conftest import load_pair, random_catalog_and_join, random_chain_query
@@ -298,9 +298,9 @@ def test_deterministic_across_sessions():
 
 
 def test_node_count_of_a_deep_plan_is_stored():
-    catalog, _ = load_pair("example1_catalog.json", "example1_query.json")
+    catalog, query = load_pair("example1_catalog.json", "example1_query.json")
     params = CostParams()
-    builder = _PlanBuilder(catalog, params, frozenset())
+    builder = Optimizer(catalog, params, query)
     e = lx.Scan("rating")
     plan = builder._operator("table_scan", e, (), catalog.relation("rating").clustering_order)
     for _ in range(4999):
@@ -311,9 +311,9 @@ def test_node_count_of_a_deep_plan_is_stored():
 
 
 def test_sort_group_by_reads_its_sorted_input_for_free():
-    catalog, _ = load_pair("example1_catalog.json", "example1_query.json")
+    catalog, query = load_pair("example1_catalog.json", "example1_query.json")
     params = CostParams()
-    builder = _PlanBuilder(catalog, params, frozenset())
+    builder = Optimizer(catalog, params, query)
     e = lx.Scan("rating")
     scan = builder._operator("table_scan", e, (), catalog.relation("rating").clustering_order)
     make = order("make")
@@ -365,8 +365,8 @@ def test_search_builds_each_node_once_and_costs_each_sort_once(hashjoin, nodes, 
     catalog, query = _long_chain(64)
     params = CostParams(hashjoin_enabled=hashjoin, hash_per_block_io_equiv=0.5)
     built, costed, priced, ranked = [], [], [], []
-    plain_node, plain_cost = _PlanBuilder._node, cost_model.sort_cost
-    plain_sort, plain_candidate = _PlanBuilder._sort, Optimizer._candidate
+    plain_node, plain_cost = Optimizer._node, cost_model.sort_cost
+    plain_sort, plain_candidate = Optimizer._sort, Optimizer._candidate
 
     def counting_node(self, *args, **kwargs):
         built.append(None)
@@ -384,9 +384,9 @@ def test_search_builds_each_node_once_and_costs_each_sort_once(hashjoin, nodes, 
         ranked.append(None)
         return plain_candidate(self, *args)
 
-    monkeypatch.setattr(_PlanBuilder, "_node", counting_node)
+    monkeypatch.setattr(Optimizer, "_node", counting_node)
     monkeypatch.setattr(cost_model, "sort_cost", counting_cost)
-    monkeypatch.setattr(_PlanBuilder, "_sort", counting_sort)
+    monkeypatch.setattr(Optimizer, "_sort", counting_sort)
     monkeypatch.setattr(Optimizer, "_candidate", counting_candidate)
     plan = optimize_query(catalog, params, query)
     assert len(costed) == len(set(costed))
@@ -430,7 +430,7 @@ def test_loading_a_plan_document_builds_each_node_once(cat, qry, monkeypatch):
     plan = refine_plan(optimize_query(catalog, params, query), query, catalog, params, index_for_query(query, catalog))
     doc = json.loads(json.dumps(plan_document(plan, catalog, params, query)))
     built, costed, derived = [], [], []
-    plain_node, plain_cost, plain_stats = _PlanBuilder._node, cost_model.sort_cost, catalog_stats._compute_stats
+    plain_node, plain_cost, plain_stats = Optimizer._node, cost_model.sort_cost, catalog_stats._compute_stats
 
     def counting_node(self, *args, **kwargs):
         built.append(None)
@@ -444,7 +444,7 @@ def test_loading_a_plan_document_builds_each_node_once(cat, qry, monkeypatch):
         derived.append(e)
         return plain_stats(e, catalog)
 
-    monkeypatch.setattr(_PlanBuilder, "_node", counting_node)
+    monkeypatch.setattr(Optimizer, "_node", counting_node)
     monkeypatch.setattr(cost_model, "sort_cost", counting_cost)
     monkeypatch.setattr(catalog_stats, "_compute_stats", counting_stats)
     _, _, query2, plan2 = load_plan_document(doc)

@@ -8,6 +8,7 @@ import ordopt.logical_expr as lx
 from ordopt import (
     CostParams,
     LabeledTree,
+    Optimizer,
     ValidationError,
     assignment_benefit,
     brute_tree_benefit,
@@ -21,8 +22,6 @@ from ordopt import (
     refine_plan,
     tree_approx,
 )
-
-from ordopt.optimizer import _PlanBuilder
 
 from conftest import load_pair, random_chain_query, random_labeled_path, random_labeled_tree
 
@@ -356,7 +355,7 @@ def test_a_rebuild_that_changes_no_join_order_keeps_the_plan_cost():
     catalog, query = load_pair("q5_catalog.json", "q5_query.json")
     params = CostParams()
     plan = optimize_query(catalog, params, query)
-    builder = _PlanBuilder(catalog, params, lx.query_attrs(query, catalog))
+    builder = Optimizer(catalog, params, query)
     rebuilt = builder.rebuild(plan, query.required_output_order, {})
     assert rebuilt.total_cost == plan.total_cost
 
