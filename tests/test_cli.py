@@ -191,12 +191,18 @@ def test_bench_b3_on_a_global_aggregate(capsys, tmp_path, order_by):
     assert [r[0] for r in rows] == [*ordopt.HEURISTICS, "favorable+refine"]
 
 
-@pytest.mark.parametrize("argv", [["optimize", "--refine", "--json"], ["bench", "b3"]])
-def test_a_command_derives_the_query_attributes_once(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv", [["optimize", "--refine", "--json"], ["bench", "b3"], ["refine", "--json"]])
+def test_a_command_derives_the_query_attributes_once(capsys, monkeypatch, tmp_path, argv):
     """Search, its favorable-order index and refinement share one
-    `query_attrs` set, however many heuristics search runs."""
+    `query_attrs` set, however many heuristics search runs; so do the plan
+    loader and refinement of `refine --plan`."""
     from ordopt import logical_expr
 
+    files = ["--catalog", str(fixture_path("tpch_catalog.json")), "--query", str(fixture_path("q3_query.json"))]
+    if argv[0] == "refine":
+        plan = tmp_path / "plan.json"
+        plan.write_text(_run(capsys, "optimize", "--json", *files)[1])
+        files = ["--plan", str(plan)]
     calls = []
     plain = logical_expr.query_attrs
 
@@ -205,7 +211,6 @@ def test_a_command_derives_the_query_attributes_once(capsys, monkeypatch, argv):
         return plain(query, catalog)
 
     monkeypatch.setattr(logical_expr, "query_attrs", counting)
-    files = ["--catalog", str(fixture_path("tpch_catalog.json")), "--query", str(fixture_path("q3_query.json"))]
     code, _, _ = _run(capsys, *argv, *files)
     assert code == 0
     assert len(calls) == 1

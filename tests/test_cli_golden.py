@@ -337,14 +337,39 @@ def _plan_digests(capsys, tmp_path, cat, qry) -> tuple[str, tuple[str, str, str]
 @pytest.mark.parametrize("name", sorted(FIXTURE_PAIRS))
 def test_fixture_cli_bytes(name, capsys, tmp_path):
     """The pinned digests; and refining the reloaded plain plan prints what
-    refining the searched plan does, though the two refine through different
-    builder caches (the search's and the loader's)."""
+    refining the searched plan does, though the two refine in different
+    planning sessions (the loader's and the search's)."""
     cat, qry = (str(fixture_path(f)) for f in FIXTURE_PAIRS[name])
     refined_json, digests = _plan_digests(capsys, tmp_path, cat, qry)
     assert digests == FIXTURE_DIGESTS[name]
     plain_file = tmp_path / "plain.json"
     plain_file.write_text(_digest(capsys, "optimize", "--catalog", cat, "--query", qry, "--json")[0])
     assert _digest(capsys, "refine", "--plan", str(plain_file), "--json")[0] == refined_json
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_PAIRS))
+def test_a_command_prices_each_sort_once(name, capsys, tmp_path, monkeypatch):
+    """`optimize --refine` and `refine --plan` each plan in one session, so
+    refinement's rebuild reuses the sort prices that search resp. the plan
+    loader already hold: one `sort_cost` call per (expression, known
+    attribute set, rest length)."""
+    from ordopt import cost_model
+
+    cat, qry = (str(fixture_path(f)) for f in FIXTURE_PAIRS[name])
+    plain_file = tmp_path / "plain.json"
+    plain_file.write_text(_digest(capsys, "optimize", "--catalog", cat, "--query", qry, "--json")[0])
+    keys = []
+    plain = cost_model.sort_cost
+
+    def counting(e, known, rest_len, *rest):
+        keys.append((e, known, rest_len))
+        return plain(e, known, rest_len, *rest)
+
+    monkeypatch.setattr(cost_model, "sort_cost", counting)
+    for argv in (["optimize", "--catalog", cat, "--query", qry, "--refine"], ["refine", "--plan", str(plain_file)]):
+        keys.clear()
+        _digest(capsys, *argv, "--json")
+        assert len(keys) == len(set(keys)), argv[0]
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_PAIRS))
