@@ -357,16 +357,17 @@ _CANDIDATES = {False: 912, True: 1105}
 def test_search_builds_each_node_once_and_costs_each_sort_once(hashjoin, nodes, sorts, monkeypatch):
     """Search counts pinned on a 64-join chain: how many plan nodes it
     builds; one `sort_cost` call per (expression, known attribute set,
-    rest length), the arguments it takes; and one `_sort` pricing per
-    candidate, so the winner's sort is built from its candidate's price."""
+    rest length), the arguments it takes; and how many candidates it ranks,
+    the (operator, order) pairs of each goal plus its fallback sort over the
+    best unordered plan, so the winner's sort is built from its candidate's
+    price."""
     from ordopt import cost_model
     from ordopt.optimizer import Optimizer
 
     catalog, query = _long_chain(64)
     params = CostParams(hashjoin_enabled=hashjoin, hash_per_block_io_equiv=0.5)
-    built, costed, priced, ranked = [], [], [], []
-    plain_node, plain_cost = Optimizer._node, cost_model.sort_cost
-    plain_sort, plain_candidate = Optimizer._sort, Optimizer._candidate
+    built, costed, ranked = [], [], []
+    plain_node, plain_cost, plain_choices = Optimizer._node, cost_model.sort_cost, Optimizer._choices
 
     def counting_node(self, *args, **kwargs):
         built.append(None)
@@ -376,23 +377,51 @@ def test_search_builds_each_node_once_and_costs_each_sort_once(hashjoin, nodes, 
         costed.append((e, known, rest_len))
         return plain_cost(e, known, rest_len, params, catalog, data_blocks)
 
-    def counting_sort(self, *args):
-        priced.append(None)
-        return plain_sort(self, *args)
-
-    def counting_candidate(self, *args):
-        ranked.append(None)
-        return plain_candidate(self, *args)
+    def counting_choices(self, e, want):
+        choices = plain_choices(self, e, want)
+        ranked.append(len(choices) + bool(want))
+        return choices
 
     monkeypatch.setattr(Optimizer, "_node", counting_node)
     monkeypatch.setattr(cost_model, "sort_cost", counting_cost)
-    monkeypatch.setattr(Optimizer, "_sort", counting_sort)
-    monkeypatch.setattr(Optimizer, "_candidate", counting_candidate)
+    monkeypatch.setattr(Optimizer, "_choices", counting_choices)
     plan = optimize_query(catalog, params, query)
     assert len(costed) == len(set(costed))
     assert (len(built), len(costed)) == (nodes, sorts)
-    assert len(priced) == len(ranked) == _CANDIDATES[hashjoin]
+    assert sum(ranked) == _CANDIDATES[hashjoin]
     assert any(p.op == "merge_join" for p in plan.walk())
+
+
+def _search_cases():
+    chain = _long_chain(64)
+    for hashjoin in (False, True):
+        params = CostParams(hashjoin_enabled=hashjoin, hash_per_block_io_equiv=0.5)
+        yield pytest.param(*chain, params, id=f"chain64-hashjoin={hashjoin}")
+    for cat, qry in FIXTURE_PAIRS + [("bushy_catalog.json", "bushy_query.json")]:
+        yield pytest.param(*load_pair(cat, qry), CostParams(), id=qry.removesuffix("_query.json"))
+
+
+@pytest.mark.parametrize("catalog,query,params", _search_cases())
+def test_search_prices_every_goal_as_sort_does(catalog, query, params):
+    """Search prices its candidates inline, `_sort` prices the sorts of
+    refinement and the loader: on every memo plan the two agree.  A plan
+    whose root is a sort is what a fresh session's `_sort` prices over its
+    input, from the prefix it relies on, and `_sorted` rebuilds it; any other
+    plan delivers its goal's order itself."""
+    planner = Optimizer(catalog, params, query)
+    planner.optimize()
+    fresh = Optimizer(catalog, params, query)
+    sorts = 0
+    for (e, want), node in planner.memo.items():
+        if node.op not in _SORTS:
+            assert planner._sort(node, want) is None
+            continue
+        sorts += 1
+        child = node.children[0]
+        sort = fresh._sort(child, node.produced_order, node.input_order)
+        assert (node.produced_order, sort) == (want, (node.op, node.input_order, node.op_cost))
+        assert fresh._sorted(child, want, sort) == node
+    assert sorts > 0
 
 
 @pytest.mark.parametrize("case,calls", [("postopt", 5), ("chain64", 101)])
