@@ -13,18 +13,19 @@ permutation of those attributes, or a heuristic's fixed orders.  `_OPS` names
 the operators that compute each kind of expression, for search and the plan
 loader alike.
 
-Search ranks the candidates of a goal before building their sorts: a sort's
-cost is known without its node, so only the winner's sort is built, from the
-price its candidate already holds.  A join's or group-by's pairs read the
-goal's required order only through its prefix on their attributes, so they
-are derived and sorted once per (expression, prefix), for every heuristic.
-One loop in `Optimizer._goal` builds each pair's operator once per query,
-over its inputs' memoized goals, and every goal of its expression shares it;
-it calls `_goal` through `map`, so search takes one interpreter frame per
-join level.  Plan nodes are immutable tuples; `Optimizer._node`, in the one
-planning session of a query, builds every one of them for search, refinement
-and the plan loader.  Expressions are interned (`logical_expr`), so every
-table here keys on the expression node itself, hashed and compared by identity.
+A join's or group-by's pairs read the goal's required order only through
+its prefix on their attributes, so they are derived and sorted once per
+(expression, prefix), for every heuristic.  One loop in `Optimizer._goal`
+builds each pair's operator once per query, over its inputs' memoized
+goals, and every goal of its expression shares it; it calls `_goal` through
+`map`, so search takes one interpreter frame per join level.  The same loop
+ranks the goal's candidates with no function call per candidate: it prices
+each from its node's fields, and a sort from the cache `Optimizer._sort`
+keeps, so only the winner's sort node is built.  Plan nodes are immutable
+tuples; `Optimizer._node`, in the one planning session of a query, builds
+every one of them for search, refinement and the plan loader.  Expressions
+are interned (`logical_expr`), so every table here keys on the expression
+node itself, hashed and compared by identity.
 
 A plan document is untrusted: `read_plan_document` rebuilds each node in a
 session of its query (`Optimizer.load`), so every cost is recomputed.
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from typing import NamedTuple
 
 from . import _doc
@@ -58,7 +58,6 @@ from .order_algebra import (
     concat,
     extend_to,
     is_prefix,
-    lcp,
     lcp_with_set,
 )
 
@@ -153,24 +152,19 @@ def _heuristic_orders(e: lx.Join | lx.GroupBy, heuristic: str) -> set[SortOrder]
 
 
 _new_plan = tuple.__new__
-_TOTAL_COST = operator.attrgetter("total_cost")
-_NODE_COUNT = operator.attrgetter("node_count")
 
 
-def _total(op: str, op_cost: float, below: float) -> float:
-    """The total cost of an `op` node whose inputs total `below`; it must be finite."""
-    total = op_cost + below
-    if not math.isfinite(total):
-        raise TooLarge(f"cost estimate of a {op} plan overflows")
-    return total
+def _overflow(op: str) -> TooLarge:
+    return TooLarge(f"cost estimate of a {op} plan overflows")
 
 
 class Optimizer:
     """The planning session of one query over one catalog and set of cost
-    parameters.  `_node` builds each plan node, `_sort` prices each sort and
+    parameters.  `_node` builds each plan node, `_sort` prices a sort, and
     `_access_paths` holds each scan's table, cached for those inputs only.
-    Search (`optimize`, with a memo of the best plan per goal) builds with
-    `_operator` and `_sorted`, refinement with `rebuild`, the loader with `load`.
+    Search (`optimize`, with a memo of the best plan per goal) ranks a goal's
+    candidates in one loop, builds with `_operator`, and with `_sorted` only
+    the winner's sort; refinement builds with `rebuild`, the loader with `load`.
 
     `order_source`, kept as `index`, is the `favorable_orders.FavorableOrderIndex`
     of the favorable orders that search and refinement assume for each
@@ -220,8 +214,13 @@ class Optimizer:
             stats = cs.expr_stats(e, self.catalog)
             size = self._sizes[e] = (stats.rows, cs.blocks(stats.rows, stats.width, self.params.cfg))
         rows, blocks = size
-        total = _total(op, op_cost, sum(map(_TOTAL_COST, children)))
-        count = 1 + sum(map(_NODE_COUNT, children))
+        below, count = 0.0, 1
+        for _, _, _, _, child_total, _, _, _, _, child_count in children:
+            below += child_total
+            count += child_count
+        total = op_cost + below
+        if not math.isfinite(total):
+            raise _overflow(op)
         # the fields in PhysicalPlan's order, built in C without its Python __new__
         fields = (op, e, produced, op_cost, total, rows, blocks, tuple(children), input_order, count)
         return _new_plan(PhysicalPlan, fields)
@@ -230,15 +229,18 @@ class Optimizer:
         """None if `have` (by default the plan's own order) delivers `want`;
         otherwise the op, known prefix and own cost of a sort on top of `plan`
         that relies on what `have` shares with `want`."""
-        have = plan.produced_order if have is None else have
-        if is_prefix(want, have):
+        n = 0
+        for a, b in zip(want, plan.produced_order if have is None else have):
+            if a != b:
+                break
+            n += 1
+        if n == len(want):
             return None
-        known = lcp(want, have)
-        key = (plan.expr, frozenset(known), len(want) - len(known))
+        key = (plan.expr, frozenset(want[:n]), len(want) - n)
         cost = self._sort_costs.get(key)
         if cost is None:
             cost = self._sort_costs[key] = cm.sort_cost(*key, self.params, self.catalog, plan.est_blocks)
-        return ("partial_sort" if known else "full_sort"), known, cost
+        return ("partial_sort" if n else "full_sort"), _derived(want[:n]), cost
 
     def _sorted(self, plan: PhysicalPlan, want: SortOrder, sort) -> PhysicalPlan:
         """`plan` itself if `sort` is None, else the sort to `want` that `sort`,
@@ -367,39 +369,51 @@ class Optimizer:
     def _goal(self, e: lx.LogicalExpr, want: SortOrder) -> PhysicalPlan:
         # Goals recurse only into child expressions, or into (e, EMPTY) when
         # want is non-empty, so no goal can reach itself.
-        key = (e, want)
-        done = self.memo.get(key)
+        done = self.memo.get((e, want))
         if done is not None:
             return done
 
-        # Build each operator once, over its inputs' goals, and rank it right
-        # after, so the first overflowing candidate names itself.  map adds
-        # no interpreter frame per level, unlike a comprehension.
-        cands = []
+        # Build each operator once, over its inputs' goals (map adds no
+        # interpreter frame per level), and price it right after, so the first
+        # overflowing candidate names itself.  `<` keeps the first of equal
+        # keys (total, order, node count); only the winner's sort is built.
+        best = base = known = sort_cost = None
         inputs = lx.children(e)
-        for op, io in self._choices(e, want):
-            shared = (op, e, io)
-            node = self._shared.get(shared)
-            if node is None:
-                kids = tuple(map(self._goal, inputs, [io] * len(inputs)))
-                node = self._shared[shared] = self._operator(op, e, kids, io)
-            cands.append(self._candidate(node, want))
-        if want:
-            cands.append(self._candidate(self._goal(e, EMPTY), want, EMPTY))
-        # min keeps the first of equal keys
-        _, base, sort = min(cands, key=lambda c: c[0])
-        plan = self.memo[key] = self._sorted(base, want, sort)
+        width = len(want)
+        choices = self._choices(e, want)
+        if want:  # last, a full sort over the best unordered plan
+            choices = itertools.chain(choices, ((None, None),))
+        for op, io in choices:
+            if op is None:
+                node, have = self._goal(e, EMPTY), EMPTY
+            else:
+                node = self._shared.get((op, e, io))
+                if node is None:
+                    kids = tuple(map(self._goal, inputs, [io] * len(inputs)))
+                    node = self._shared[op, e, io] = self._operator(op, e, kids, io)
+                have = node[2]
+            _, _, _, _, total, _, blocks, _, _, count = node
+            if have[:width] == want:
+                key, n, cost = (total, have, count), None, None
+            else:
+                n = 0
+                for a, b in zip(want, have):
+                    if a != b:
+                        break
+                    n += 1
+                cost_key = (e, frozenset(want[:n]), width - n)
+                cost = self._sort_costs.get(cost_key)
+                if cost is None:
+                    cost = self._sort_costs[cost_key] = cm.sort_cost(*cost_key, self.params, self.catalog, blocks)
+                total = cost + total
+                if not math.isfinite(total):
+                    raise _overflow("partial_sort" if n else "full_sort")
+                key = (total, want, count + 1)
+            if best is None or key < best:
+                best, base, known, sort_cost = key, node, n, cost
+        sort = None if known is None else ("partial_sort" if known else "full_sort", _derived(want[:known]), sort_cost)
+        plan = self.memo[e, want] = self._sorted(base, want, sort)
         return plan
-
-    def _candidate(self, base: PhysicalPlan, want: SortOrder, have: SortOrder | None = None):
-        """(tie-break key, base, sort) of the plan `_sorted(base, want, sort)`
-        builds, where `sort` is what `_sort(base, want, have)` prices, without
-        building the sort: the winner's is built from it."""
-        sort = self._sort(base, want, have)
-        if sort is None:
-            return (base.total_cost, base.produced_order, base.node_count), base, None
-        op, _, cost = sort
-        return (_total(op, cost, base.total_cost), want, base.node_count + 1), base, sort
 
     def _choices(self, e: lx.LogicalExpr, want: SortOrder):
         """The (operator, order) pairs that may compute e, in ranking order: a
@@ -460,10 +474,15 @@ def _node_fields(p: PhysicalPlan, expr_id: int) -> dict:
     return d
 
 
-def _plan_node_to_dict(p: PhysicalPlan, ids: dict) -> dict:
-    d = _node_fields(p, ids[p.expr])
-    d["children"] = [_plan_node_to_dict(c, ids) for c in p.children]
-    return d
+def _plan_node_to_dict(plan: PhysicalPlan, ids: dict) -> dict:
+    """The document of `plan`, built with an explicit stack: no frame per level."""
+    root = _node_fields(plan, ids[plan.expr])
+    stack = [(plan, root)]
+    while stack:
+        p, d = stack.pop()
+        d["children"] = kids = [_node_fields(c, ids[c.expr]) for c in p.children]
+        stack.extend(zip(p.children, kids))
+    return root
 
 
 def plan_document(plan: PhysicalPlan, catalog: cs.Catalog, params: cm.CostParams, query: lx.QuerySpec) -> dict:
@@ -516,18 +535,23 @@ def load_plan_document(source):
 
 
 def format_plan(p: PhysicalPlan, indent: int = 0) -> str:
-    """Human-readable plan tree, one operator per line."""
-    parts = [p.op]
-    if not p.children:
-        parts.append(p.expr.relation)
-    if p.op == "covering_index_scan":
-        parts.append(f"key={p.produced_order}")
-    if p.op in _SORTS:
-        parts.append(f"{p.input_order}->{p.produced_order}")
-    parts.append(f"order={p.produced_order}")
-    parts.append(f"rows={p.est_rows:.6g}")
-    parts.append(f"blocks={p.est_blocks}")
-    parts.append(f"cost={p.op_cost:.6g}")
-    parts.append(f"total={p.total_cost:.6g}")
-    line = "  " * indent + " ".join(parts)
-    return "\n".join([line] + [format_plan(c, indent + 1) for c in p.children])
+    """Human-readable plan tree, one operator per line; no frame per level."""
+    lines = []
+    stack = [(p, indent)]
+    while stack:
+        p, indent = stack.pop()
+        parts = [p.op]
+        if not p.children:
+            parts.append(p.expr.relation)
+        if p.op == "covering_index_scan":
+            parts.append(f"key={p.produced_order}")
+        if p.op in _SORTS:
+            parts.append(f"{p.input_order}->{p.produced_order}")
+        parts.append(f"order={p.produced_order}")
+        parts.append(f"rows={p.est_rows:.6g}")
+        parts.append(f"blocks={p.est_blocks}")
+        parts.append(f"cost={p.op_cost:.6g}")
+        parts.append(f"total={p.total_cost:.6g}")
+        lines.append("  " * indent + " ".join(parts))
+        stack.extend((c, indent + 1) for c in reversed(p.children))
+    return "\n".join(lines)

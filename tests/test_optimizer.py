@@ -13,6 +13,7 @@ from ordopt import (
     TooLarge,
     ValidationError,
     enforce_cost,
+    format_plan,
     index_for_query,
     interesting_orders,
     is_prefix,
@@ -297,17 +298,41 @@ def test_deterministic_across_sessions():
     ]
 
 
-def test_node_count_of_a_deep_plan_is_stored():
+def _deep_plan():
+    """A plan of 5000 levels: 4999 selects over a table scan."""
     catalog, query = load_pair("example1_catalog.json", "example1_query.json")
-    params = CostParams()
-    builder = Optimizer(catalog, params, query)
+    builder = Optimizer(catalog, CostParams(), query)
     e = lx.Scan("rating")
     plan = builder._operator("table_scan", e, (), catalog.relation("rating").clustering_order)
     for _ in range(4999):
         e = lx.Select(e, 1.0, frozenset())
         plan = builder._operator("select", e, (plan,))
+    return plan
+
+
+def test_node_count_of_a_deep_plan_is_stored():
+    plan = _deep_plan()
     assert plan.node_count == 5000
     assert sum(1 for _ in plan.walk()) == 5000
+
+
+def test_a_deep_plan_is_written_and_printed_without_recursion():
+    """The plan writer and the text printer keep an explicit stack, so a
+    plan far deeper than the interpreter's recursion limit goes through."""
+    from ordopt.optimizer import _node_fields, _plan_node_to_dict
+
+    plan = _deep_plan()
+    nodes = list(plan.walk())
+    ids = {p.expr: i for i, p in enumerate(nodes)}
+    d = _plan_node_to_dict(plan, ids)
+    for i, p in enumerate(nodes):
+        assert {k: v for k, v in d.items() if k != "children"} == _node_fields(p, i)
+        assert len(d["children"]) == len(p.children)
+        d = d["children"][0] if p.children else None
+    lines = format_plan(plan).split("\n")
+    assert len(lines) == 5000
+    assert all(line.startswith("  " * i + p.op + " ") for i, (line, p) in enumerate(zip(lines, nodes)))
+    assert lines[-1] == "  " * 4999 + format_plan(nodes[-1])
 
 
 def test_sort_group_by_reads_its_sorted_input_for_free():
