@@ -152,10 +152,7 @@ def _heuristic_orders(e: lx.Join | lx.GroupBy, heuristic: str) -> set[SortOrder]
 
 
 _new_plan = tuple.__new__
-
-
-def _overflow(op: str) -> TooLarge:
-    return TooLarge(f"cost estimate of a {op} plan overflows")
+_OVERFLOW = "cost estimate of a {} plan overflows"
 
 
 class Optimizer:
@@ -220,7 +217,7 @@ class Optimizer:
             count += child_count
         total = op_cost + below
         if not math.isfinite(total):
-            raise _overflow(op)
+            raise TooLarge(_OVERFLOW.format(op))
         # the fields in PhysicalPlan's order, built in C without its Python __new__
         fields = (op, e, produced, op_cost, total, rows, blocks, tuple(children), input_order, count)
         return _new_plan(PhysicalPlan, fields)
@@ -407,7 +404,7 @@ class Optimizer:
                     cost = self._sort_costs[cost_key] = cm.sort_cost(*cost_key, self.params, self.catalog, blocks)
                 total = cost + total
                 if not math.isfinite(total):
-                    raise _overflow("partial_sort" if n else "full_sort")
+                    raise TooLarge(_OVERFLOW.format("partial_sort" if n else "full_sort"))
                 key = (total, want, count + 1)
             if best is None or key < best:
                 best, base, known, sort_cost = key, node, n, cost
@@ -480,8 +477,10 @@ def _plan_node_to_dict(plan: PhysicalPlan, ids: dict) -> dict:
     stack = [(plan, root)]
     while stack:
         p, d = stack.pop()
-        d["children"] = kids = [_node_fields(c, ids[c.expr]) for c in p.children]
-        stack.extend(zip(p.children, kids))
+        d["children"] = kids = []
+        for c in p.children:
+            kids.append(_node_fields(c, ids[c.expr]))
+            stack.append((c, kids[-1]))
     return root
 
 
