@@ -19,9 +19,11 @@ or, with ``SortSpec.file_backed``, streamed into one temporary file per
 spilled segment, so memory stays near the sort memory; the counters are the
 same either way.  Comparison counts are logical key comparisons; the number of
 key positions actually inspected is tracked separately.  Both are counted
-exactly, by one key class built per sort (``_counted_key``): every comparison
-that ``sorted`` or ``heapq`` makes calls its ``__lt__``, which takes a short
-path when the keys differ at the first sorted position.
+exactly, by the key classes built per sort (``_counted_key``): every
+comparison that ``sorted`` or ``heapq`` makes calls a key's ``__lt__``.  A key
+caches its record's key tuple and first sorted position, and settles keys that
+differ there on a short path.  Only the run-formation heap's keys carry run
+tags; the in-memory sort and the merges compare untagged keys.
 
 ``Record`` is a plain slotted class, not a frozen one.  Every input tuple,
 and every record read back from a spill file, is built once, and a frozen
@@ -83,36 +85,50 @@ class SortMetrics:
 
 
 def _counted_key(met: SortMetrics, lo: int, hi: int):
-    """The key class of one sort.
+    """The key classes of one sort: ``Key`` and its run-tagged ``RunKey``.
 
-    ``Key(a) < Key(b)`` orders records a and b by run tag, then by key
-    positions [lo, hi).  Only a comparison of keys with equal tags counts:
-    one in ``met.comparisons``, and each position it inspects in
-    ``met.positions_inspected``.  Heaps hold keys themselves, not tuples of
-    them: a tuple tests its items for equality first, and for a class with
-    ``__lt__`` that default identity test costs more than the ``__lt__``
-    call.  Key defines no ``__eq__``; nothing compares keys for equality.
-    ``src`` holds the stream of a merge's key.
+    ``Key(a) < Key(b)`` orders records a and b by key positions [lo, hi).
+    Each comparison counts one in ``met.comparisons`` and each position it
+    inspects in ``met.positions_inspected``.  A key caches its record's key
+    tuple (``keys``) and first compared position (``head``), so keys that
+    differ at ``head`` are settled without a tuple load; the constructor
+    rejects a record with fewer than hi key positions.  The in-memory sort
+    and the merges use ``Key``; ``_merge_streams`` reuses a stream's key for
+    its next record and so refreshes ``rec``, ``keys`` and ``head`` together.
+
+    Only the run-formation heap uses ``RunKey(rec, run)``, which orders by
+    run tag first; a comparison across runs counts nothing.  Its ``__lt__``
+    repeats ``Key.__lt__`` rather than call it, which would add a Python call
+    to every same-run comparison.
+
+    Heaps hold keys themselves, not tuples of them: a tuple tests its items
+    for equality first, and for a class with ``__lt__`` that default identity
+    test costs more than the ``__lt__`` call.  Keys define no ``__eq__``;
+    nothing compares keys for equality.  ``src`` holds the stream of a
+    merge's key.
     """
 
     class Key:
-        __slots__ = ("rec", "run", "src")
+        __slots__ = ("rec", "keys", "head", "src")
+        head_at = lo  # the position that head caches
 
-        def __init__(self, rec: Record, run: int = 0):
+        def __init__(self, rec: Record):
+            keys = rec.keys
+            if len(keys) < hi:
+                raise ValidationError(f"keys: {keys} has fewer than the {hi} positions the sort compares")
             self.rec = rec
-            self.run = run
+            self.keys = keys
+            self.head = keys[lo]
 
         def __lt__(self, other: "Key") -> bool:
-            if self.run != other.run:
-                return self.run < other.run
-            a = self.rec.keys
-            b = other.rec.keys
             met.comparisons += 1
-            x = a[lo]
-            y = b[lo]
+            x = self.head
+            y = other.head
             if x != y:
                 met.positions_inspected += 1
                 return x < y
+            a = self.keys
+            b = other.keys
             i = lo + 1
             while i < hi:
                 x = a[i]
@@ -124,7 +140,36 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
             met.positions_inspected += hi - lo
             return False
 
-    return Key
+    class RunKey(Key):
+        __slots__ = ("run",)
+
+        def __init__(self, rec: Record, run: int = 0):
+            Key.__init__(self, rec)
+            self.run = run
+
+        def __lt__(self, other: "RunKey") -> bool:
+            if self.run != other.run:
+                return self.run < other.run
+            met.comparisons += 1
+            x = self.head
+            y = other.head
+            if x != y:
+                met.positions_inspected += 1
+                return x < y
+            a = self.keys
+            b = other.keys
+            i = lo + 1
+            while i < hi:
+                x = a[i]
+                y = b[i]
+                if x != y:
+                    met.positions_inspected += i - lo + 1
+                    return x < y
+                i += 1
+            met.positions_inspected += hi - lo
+            return False
+
+    return Key, RunKey
 
 
 def _fanin(cfg: BlockConfig) -> int:
@@ -204,6 +249,7 @@ class _Run:
 def _merge_streams(streams, key):
     """K-way merge of sorted record iterators, compared through the counted
     key class ``key``; each stream's key is reused for its next record."""
+    lo = key.head_at
     heap = []
     for it in streams:
         first = next(it, None)
@@ -218,6 +264,8 @@ def _merge_streams(streams, key):
         nxt = next(top.src, None)
         if nxt is not None:
             top.rec = nxt
+            top.keys = keys = nxt.keys
+            top.head = keys[lo]
             heapq.heappush(heap, top)
 
 
@@ -271,7 +319,7 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
     waiting, or while draining.
     """
     cfg = spec.cfg
-    key = _counted_key(met, k, spec.target_order_len)
+    key, run_key = _counted_key(met, k, spec.target_order_len)
     capacity = cfg.memory_bytes
     prev_prefix = None
 
@@ -300,7 +348,7 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
             new_run = functools.partial(_Run, met, cfg.block_bytes, spill)
             runs: list[_Run] = []
             if r is not None:
-                heap = [key(m) for m in memory]
+                heap = [run_key(m) for m in memory]
                 heapq.heapify(heap)
                 run = new_run()
                 current_run = 0
@@ -312,7 +360,7 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
                         current_run = top.run
                     run.add(top.rec)
                     if r is not None:
-                        new = key(r, current_run)
+                        new = run_key(r, current_run)
                         if new < top:
                             new.run = current_run + 1
                         heapq.heappush(heap, new)

@@ -393,6 +393,16 @@ def _tiny_domain(rows, seed):
     return [Record((i * 4 // rows, rng.randrange(4), rng.randrange(4)), 40 + 30 * (i % 3)) for i in range(rows)]
 
 
+def _tiny_domain_two_prefix(rows, seed):
+    # four keys, sorted on the first two; the last two in 0-2, so ties past
+    # the first compared position reach run formation and every merge
+    rng = random.Random(seed)
+    return [
+        Record((i * 2 // rows, i * 4 // rows % 2, rng.randrange(3), rng.randrange(3)), 40 + 30 * (i % 3))
+        for i in range(rows)
+    ]
+
+
 GOLDEN = [
     # (name, input, keys, mrs prefix, memory_blocks, block_bytes, expected);
     # every case runs in memory and file-backed ("-file" in its id), and both
@@ -442,6 +452,11 @@ GOLDEN = [
         "mrs": ("771f49d9773fc59f", (395, 395, 32540, 55744, 750, 24)),
         "mrs0": ("810bd76d3f08c5dd", (790, 790, 39451, 95273, 3000, 23)),
     }),
+    ("two_prefix_ties", lambda: _tiny_domain_two_prefix(2000, 17), 4, 2, 3, 512, {
+        "srs": ("ce865710b5c741c3", (1497, 1497, 21051, 72552, 2000, 40)),
+        "mrs": ("4adda34c9866f8a0", (1197, 1197, 19680, 33920, 500, 42)),
+        "mrs0": ("d5eea77d6680da38", (1742, 1742, 22870, 75948, 2000, 39)),
+    }),
 ]
 
 
@@ -476,9 +491,12 @@ def test_golden_counters(case, file_backed, algo):
 # --- the counted comparator ---------------------------------------------------
 
 
-def _less(met, lo, hi, a, b):
-    key = extsort._counted_key(met, lo, hi)
-    return key(Record(a, 1)) < key(Record(b, 1))
+def _less(met, lo, hi, a, b, runs=None):
+    # runs=None compares untagged keys, a pair of run numbers tagged ones
+    key, run_key = extsort._counted_key(met, lo, hi)
+    if runs is None:
+        return key(Record(a, 1)) < key(Record(b, 1))
+    return run_key(Record(a, 1), runs[0]) < run_key(Record(b, 1), runs[1])
 
 
 @st.composite
@@ -497,7 +515,43 @@ def _key_pairs(draw):
 def test_counted_comparison_is_exact(pair):
     a, b, lo, hi = pair
     lcp = next((i for i in range(lo, hi) if a[i] != b[i]), hi) - lo
-    met = SortMetrics(comparisons=7, positions_inspected=11)
-    assert _less(met, lo, hi, a, b) == (a[lo:hi] < b[lo:hi])
-    assert met.comparisons == 8
-    assert met.positions_inspected == 11 + min(lcp + 1, hi - lo)
+    # untagged keys, and run-tagged keys of one run, count the same
+    for runs in (None, (0, 0), (3, 3)):
+        met = SortMetrics(comparisons=7, positions_inspected=11)
+        assert _less(met, lo, hi, a, b, runs) == (a[lo:hi] < b[lo:hi])
+        assert met.comparisons == 8
+        assert met.positions_inspected == 11 + min(lcp + 1, hi - lo)
+    # run-tagged keys of different runs order by tag alone and count nothing
+    for runs in ((0, 1), (1, 0), (2, 5)):
+        met = SortMetrics(comparisons=7, positions_inspected=11)
+        assert _less(met, lo, hi, a, b, runs) == (runs[0] < runs[1])
+        assert met == SortMetrics(comparisons=7, positions_inspected=11)
+
+
+def test_merge_refreshes_a_reused_key_for_its_next_record():
+    # the streams tie at the first compared position (lo=1); a reused key
+    # that kept its old head, or its old key tuple, would pop (0, 8, 0)
+    # or (0, 5, 4) before (0, 5, 3)
+    met = SortMetrics()
+    key, _ = extsort._counted_key(met, 1, 3)
+    left = [Record((0, 5, 1), 1), Record((0, 5, 4), 1), Record((0, 8, 0), 1)]
+    right = [Record((0, 5, 3), 1), Record((0, 6, 0), 1)]
+    merged = list(extsort._merge_streams([iter(left), iter(right)], key))
+    assert [r.keys for r in merged] == [(0, 5, 1), (0, 5, 3), (0, 5, 4), (0, 6, 0), (0, 8, 0)]
+    assert met.positions_inspected > met.comparisons
+
+
+@pytest.mark.parametrize(
+    "records, mem",
+    [
+        ([Record((1,), 10)] * 2, 64),
+        ([Record((1,), 10)], 64),  # a lone record is keyed too
+        ([Record((0, i, i), 100) for i in range(100)] + [Record((0, 1), 100)], 3),  # in run formation
+    ],
+    ids=["pair", "lone", "spilling"],
+)
+def test_records_with_fewer_key_positions_than_the_sort_are_rejected(records, mem):
+    for fn, prefix in ((sort_srs, 0), (sort_mrs, 1)):
+        out, _ = fn(records, SortSpec(3, prefix, BlockConfig(block_bytes=512, memory_blocks=mem)))
+        with pytest.raises(ValidationError, match="fewer than the 3 positions"):
+            list(out)
