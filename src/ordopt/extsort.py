@@ -85,27 +85,25 @@ class SortMetrics:
 
 
 def _counted_key(met: SortMetrics, lo: int, hi: int):
-    """The key classes of one sort: ``Key`` and its run-tagged ``RunKey``.
+    """The key classes of one sort: ``Key``, and ``RunKey`` for run formation.
 
-    ``Key(a) < Key(b)`` orders records a and b by key positions [lo, hi).
-    Each comparison counts one in ``met.comparisons`` and each position it
-    inspects in ``met.positions_inspected``.  A key caches its record's key
-    tuple (``keys``) and first compared position (``head``), so keys that
-    differ at ``head`` are settled without a tuple load; the constructor
-    rejects a record with fewer than hi key positions.  The in-memory sort
-    and the merges use ``Key``; ``_merge_streams`` reuses a stream's key for
-    its next record and so refreshes ``rec``, ``keys`` and ``head`` together.
+    ``Key(a) < Key(b)`` orders records a and b by key positions [lo, hi); it
+    counts one in ``met.comparisons`` and each position it inspects in
+    ``met.positions_inspected``.  A key caches its record's key tuple
+    (``keys``) and position lo (``head``), so keys that differ at ``head`` are
+    settled with no tuple load; the constructor rejects a record with fewer
+    than hi key positions.  ``_merge_streams`` reuses a stream's key (``src``
+    holds the stream) for its next record, refreshing ``rec``, ``keys`` and
+    ``head`` together.
 
-    Only the run-formation heap uses ``RunKey(rec, run)``, which orders by
-    run tag first; a comparison across runs counts nothing.  Its ``__lt__``
-    repeats ``Key.__lt__`` rather than call it, which would add a Python call
-    to every same-run comparison.
+    ``RunKey(rec, run)`` orders by run tag first; a comparison across runs
+    counts nothing.  Its ``__lt__`` repeats ``Key.__lt__`` instead of calling
+    it, which would add a Python call to every same-run comparison.
 
     Heaps hold keys themselves, not tuples of them: a tuple tests its items
     for equality first, and for a class with ``__lt__`` that default identity
     test costs more than the ``__lt__`` call.  Keys define no ``__eq__``;
-    nothing compares keys for equality.  ``src`` holds the stream of a
-    merge's key.
+    nothing compares keys for equality.
     """
 
     class Key:
