@@ -403,6 +403,21 @@ def _tiny_domain_two_prefix(rows, seed):
     ]
 
 
+def _segments(sizes, seed=19):
+    # segments of the given sizes on the first key, a random second key
+    rng = random.Random(seed)
+    return [Record((s, rng.randrange(10**6)), 100) for s, n in enumerate(sizes) for _ in range(n)]
+
+
+def _growing_segments(seed):
+    # in-memory segments of 3 keys that grow, shrink and surround one that
+    # spills (memory holds 51 records): a sort that reuses key objects across
+    # segments extends them, refills only some, and refills them after a spill
+    rng = random.Random(seed)
+    sizes = (8, 30, 12, 45, 300, 5, 50, 20)
+    return [Record((s, rng.randrange(6), rng.randrange(50)), 100) for s, n in enumerate(sizes) for _ in range(n)]
+
+
 GOLDEN = [
     # (name, input, keys, mrs prefix, memory_blocks, block_bytes, expected);
     # every case runs in memory and file-backed ("-file" in its id), and both
@@ -456,6 +471,11 @@ GOLDEN = [
         "srs": ("ce865710b5c741c3", (1497, 1497, 21051, 72552, 2000, 40)),
         "mrs": ("4adda34c9866f8a0", (1197, 1197, 19680, 33920, 500, 42)),
         "mrs0": ("d5eea77d6680da38", (1742, 1742, 22870, 75948, 2000, 39)),
+    }),
+    ("growing_segments", lambda: _growing_segments(18), 3, 1, 5, 1024, {
+        "srs": ("cf97d2d1c15e4548", (48, 48, 4880, 11168, 470, 4)),
+        "mrs": ("cf97d2d1c15e4548", (26, 26, 3616, 5674, 8, 10)),
+        "mrs0": ("cf97d2d1c15e4548", (42, 42, 4941, 11261, 470, 3)),
     }),
 ]
 
@@ -547,11 +567,62 @@ def test_merge_refreshes_a_reused_key_for_its_next_record():
         ([Record((1,), 10)] * 2, 64),
         ([Record((1,), 10)], 64),  # a lone record is keyed too
         ([Record((0, i, i), 100) for i in range(100)] + [Record((0, 1), 100)], 3),  # in run formation
+        # in the third of three segments that fit in memory
+        ([Record((s, i, i), 10) for s in range(2) for i in range(5)] + [Record((2, 0, 0), 10), Record((2, 1), 10)], 64),
+        # the second record to enter run formation: memory holds the first 15
+        ([Record((0, i, i), 100) for i in range(16)] + [Record((0, 1), 100)] + [Record((0, i, i), 100) for i in range(20)], 3),
     ],
-    ids=["pair", "lone", "spilling"],
+    ids=["pair", "lone", "spilling", "later_segment", "second_into_run_formation"],
 )
 def test_records_with_fewer_key_positions_than_the_sort_are_rejected(records, mem):
     for fn, prefix in ((sort_srs, 0), (sort_mrs, 1)):
         out, _ = fn(records, SortSpec(3, prefix, BlockConfig(block_bytes=512, memory_blocks=mem)))
         with pytest.raises(ValidationError, match="fewer than the 3 positions"):
             list(out)
+
+
+@pytest.mark.parametrize(
+    "fn, make, spec, mem_records",
+    [
+        # 36 segments, the largest in-memory one 81 records, one 5x memory
+        (sort_mrs, lambda: _segments((20, 60, 81, 5) * 5 + (400,) + (75, 30, 1) * 5), _spec(mem=8, block=1024), 81),
+        # one segment of 200 runs: intermediate merges at fan-in 2
+        (sort_srs, lambda: gen_segmented_input(3000, 3000, 2, 100, 10), _srs_spec(mem=3, block=512), 15),
+    ],
+    ids=["mrs_segments", "srs_spilling"],
+)
+def test_key_objects_built_stay_within_memory_heap_and_merge_streams(monkeypatch, fn, make, spec, mem_records):
+    # keys are refilled for each record, not built: at most one per record of
+    # the largest in-memory sort, one per heap slot plus the record waiting to
+    # enter it, and one per stream of each merge
+    built = streams = 0
+    counted_key, merge_streams = extsort._counted_key, extsort._merge_streams
+
+    def counting(cls):
+        class Counted(cls):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                nonlocal built
+                built += 1
+                super().__init__(*args)
+
+        return Counted
+
+    def counting_key(met, lo, hi):
+        return tuple(map(counting, counted_key(met, lo, hi)))
+
+    def counting_merge(its, key):
+        nonlocal streams
+        its = list(its)
+        streams += len(its)
+        return merge_streams(its, key)
+
+    monkeypatch.setattr(extsort, "_counted_key", counting_key)
+    monkeypatch.setattr(extsort, "_merge_streams", counting_merge)
+    records = list(make())
+    out, met = fn(records, spec)
+    assert [r.keys for r in out] == [r.keys for r in reference_sort(records)]
+    assert mem_records == spec.cfg.memory_bytes // 100
+    assert met.run_blocks_written > 0 and streams > 0
+    assert built <= mem_records + (mem_records + 1) + streams
