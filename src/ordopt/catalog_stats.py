@@ -25,6 +25,10 @@ class BlockConfig:
     memory_blocks: int = 10000
 
     def __post_init__(self) -> None:
+        for name in ("block_bytes", "memory_blocks"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is not an int here
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.block_bytes < 1:
             raise ConfigError("block_bytes must be >= 1")
         if self.memory_blocks < 2:

@@ -53,7 +53,10 @@ class Record:
     """A sort tuple: fixed integer key vector plus a simulated byte width.
 
     Equal by value, not hashable, and not frozen, so that building one costs
-    two plain slot stores; ordopt never mutates a Record once built.
+    two plain slot stores; ordopt never mutates a Record once built.  A sort
+    rejects a payload_bytes that is not an int >= 1.  File-backed runs store
+    the keys and payload_bytes as signed 64-bit integers, so a file-backed
+    sort that spills rejects a record with any other value there.
     """
 
     keys: tuple[int, ...]
@@ -68,6 +71,12 @@ class SortSpec:
     file_backed: bool = False  # spill runs to a real temp file instead of lists
 
     def __post_init__(self) -> None:
+        for name in ("target_order_len", "known_prefix_len"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is not an int here
+                raise ValidationError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.cfg, BlockConfig):
+            raise ValidationError(f"cfg must be a BlockConfig, got {self.cfg!r}")
         if self.target_order_len < 1:
             raise ValidationError("target_order_len must be >= 1")
         if not (0 <= self.known_prefix_len < self.target_order_len):
@@ -113,7 +122,7 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
         def __init__(self, rec: Record):
             keys = rec.keys
             if len(keys) < hi:
-                raise ValidationError(f"keys: {keys} has fewer than the {hi} positions the sort compares")
+                raise _too_few_keys(keys, hi)
             self.rec = rec
             self.keys = keys
             self.head = keys[lo]
@@ -170,6 +179,14 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
     return Key, RunKey
 
 
+def _too_few_keys(keys: tuple, hi: int) -> ValidationError:
+    return ValidationError(f"keys: {keys} has fewer than the {hi} positions the sort compares")
+
+
+def _bad_payload(r: Record) -> ValidationError:
+    return ValidationError(f"payload_bytes: {r.payload_bytes!r} of keys {r.keys} is not an int >= 1")
+
+
 def _fanin(cfg: BlockConfig) -> int:
     if cfg.memory_blocks < 3:
         raise ConfigError("external merging needs memory_blocks >= 3")
@@ -204,7 +221,13 @@ class _Run:
 
     def _write(self, r: Record) -> None:
         n = len(r.keys)
-        self._file.write(_record_layout(n).pack(n, *r.keys, r.payload_bytes))
+        try:
+            packed = _record_layout(n).pack(n, *r.keys, r.payload_bytes)
+        except struct.error:
+            raise ValidationError(
+                f"keys: {r.keys}: file-backed runs store keys and payload_bytes as 64-bit integers"
+            ) from None
+        self._file.write(packed)
         self.count += 1
         self._bytes += r.payload_bytes
 
@@ -317,8 +340,10 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
     waiting, or while draining.
     """
     cfg = spec.cfg
-    key, run_key = _counted_key(met, k, spec.target_order_len)
+    hi = spec.target_order_len
+    key, run_key = _counted_key(met, k, hi)
     capacity = cfg.memory_bytes
+    pool: list = []  # untagged keys, refilled by each in-memory sort
     prev_prefix = None
 
     for prefix, segment in itertools.groupby(records, lambda r: r.keys[:k]):
@@ -332,10 +357,13 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
         # Fill memory; r is left as the first record that did not fit, if any.
         memory, used = [], 0
         for r in segment:
-            if memory and used + r.payload_bytes > capacity:
+            p = r.payload_bytes
+            if type(p) is not int or p < 1:
+                raise _bad_payload(r)
+            if memory and used + p > capacity:
                 break
             memory.append(r)
-            used += r.payload_bytes
+            used += p
         else:
             r = None
 
@@ -348,6 +376,7 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
             if r is not None:
                 heap = [run_key(m) for m in memory]
                 heapq.heapify(heap)
+                new = run_key(r)  # r's key; the key each pop frees is refilled for the next r
                 run = new_run()
                 current_run = 0
                 while r is not None or (drain and heap):
@@ -358,18 +387,42 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
                         current_run = top.run
                     run.add(top.rec)
                     if r is not None:
-                        new = run_key(r, current_run)
+                        new.run = current_run
                         if new < top:
                             new.run = current_run + 1
                         heapq.heappush(heap, new)
                         r = next(segment, None)
+                        if r is not None:
+                            keys = r.keys
+                            if len(keys) < hi:
+                                raise _too_few_keys(keys, hi)
+                            p = r.payload_bytes
+                            if type(p) is not int or p < 1:
+                                raise _bad_payload(r)
+                            new = top
+                            new.rec = r
+                            new.keys = keys
+                            new.head = keys[k]
                 runs.append(run.close())
                 memory = [h.rec for h in heap]
             met.runs_generated += len(runs) or 1
 
             # Whatever stays in memory (a segment that fit, or the residual heap)
             # is sorted once and, next to any written runs, merged without a write.
-            in_memory = sorted(memory, key=key)
+            # The pool's first keys are refilled in memory's order, so list.sort
+            # compares them exactly as sorted(memory, key=key) would.
+            for pk, m in zip(pool, memory):
+                keys = m.keys
+                if len(keys) < hi:
+                    raise _too_few_keys(keys, hi)
+                pk.rec = m
+                pk.keys = keys
+                pk.head = keys[k]
+            if len(memory) > len(pool):
+                pool += map(key, memory[len(pool) :])
+            keyed = pool[: len(memory)]
+            keyed.sort()
+            in_memory = [pk.rec for pk in keyed]
             out = in_memory
             if runs:
                 fanin = _fanin(cfg)

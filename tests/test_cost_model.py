@@ -54,6 +54,10 @@ def test_full_sort_cost_cases():
 def test_block_config_guards():
     with pytest.raises(ConfigError):
         BlockConfig(4096, 1)
+    # fields are ints, not floats or bools
+    for kwargs in ({"block_bytes": True}, {"memory_blocks": True}, {"block_bytes": 4096.0}, {"memory_blocks": 4.0}):
+        with pytest.raises(ConfigError):
+            BlockConfig(**kwargs)
     with pytest.raises(ConfigError):
         full_sort_cost(10, 100, 1, CostParams(cfg=BlockConfig(4096, 2)))
 

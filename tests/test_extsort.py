@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -350,10 +351,56 @@ def test_sort_metrics_deterministic():
 
 
 def test_spec_validation():
+    cfg = BlockConfig(4096, 4)
     with pytest.raises(ValidationError):
-        SortSpec(0, 0, BlockConfig(4096, 4))
+        SortSpec(0, 0, cfg)
     with pytest.raises(ValidationError):
-        SortSpec(2, 2, BlockConfig(4096, 4))
+        SortSpec(2, 2, cfg)
+    # lengths are ints, not floats or bools, and cfg is a BlockConfig
+    for args in ((3, 1.0, cfg), (2.5, 1, cfg), (True, 0, cfg), (3, True, cfg), (3, 1, None), (3, 1, (4096, 4))):
+        with pytest.raises(ValidationError):
+            SortSpec(*args)
+
+
+def _payload_at(i, payload, rows=41):
+    # 41 records of 100 bytes, sorted on the first key; record i has the payload
+    return [Record((j // 20, (j * 17) % 41), payload if j == i else 100) for j in range(rows)]
+
+
+@pytest.mark.parametrize("file_backed", [False, True], ids=["lists", "file"])
+@pytest.mark.parametrize("payload", [-10000, 0, 1.5, 100.0, True, "100", None], ids=repr)
+@pytest.mark.parametrize(
+    "at",
+    # memory (3 blocks of 512 bytes) holds 15 records: the first is read by
+    # the memory fill, the 16th is the first that does not fit, and the 17th
+    # and the last enter run formation
+    [0, 15, 16, 40],
+)
+def test_payloads_that_are_not_positive_ints_are_rejected(file_backed, payload, at):
+    cfg = BlockConfig(block_bytes=512, memory_blocks=3)
+    for fn, prefix in ((sort_srs, 0), (sort_mrs, 1)):
+        out, _ = fn(_payload_at(at, payload), SortSpec(2, prefix, cfg, file_backed=file_backed))
+        with pytest.raises(ValidationError, match=r"payload_bytes: .* is not an int >= 1"):
+            list(out)
+    out, met = sort_srs(_payload_at(at, 1), SortSpec(2, 0, cfg, file_backed=file_backed))
+    assert len(list(out)) == 41 and met.run_blocks_written > 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [Record((1, 2**63), 100), Record((1, -(2**63) - 1), 100), Record((1, 2.5), 100), Record((1, 7), 2**63)],
+    ids=["key_over", "key_under", "float_key", "payload_over"],
+)
+def test_values_a_spill_file_cannot_store_are_rejected_when_file_backed(bad):
+    records = [Record((1, i), 100) for i in range(40, 0, -1)]
+    records[20:20] = [bad]
+    cfg = BlockConfig(block_bytes=512, memory_blocks=3)
+    out, met = sort_srs(records, SortSpec(2, 0, cfg))  # the same sort in lists stores anything
+    assert sorted(list(out), key=lambda r: r.keys) == sorted(records, key=lambda r: r.keys)
+    assert met.run_blocks_written > 0
+    out, _ = sort_srs(records, SortSpec(2, 0, cfg, file_backed=True))
+    with pytest.raises(ValidationError, match=re.escape(f"keys: {bad.keys}: file-backed runs store")):
+        list(out)
 
 
 def test_empty_input():
