@@ -20,10 +20,18 @@ spilled segment, so memory stays near the sort memory; the counters are the
 same either way.  Comparison counts are logical key comparisons; the number of
 key positions actually inspected is tracked separately.  Both are counted
 exactly, by the key classes built per sort (``_counted_key``): every
-comparison that ``sorted`` or ``heapq`` makes calls a key's ``__lt__``.  A key
-caches its record's key tuple and first sorted position, and settles keys that
-differ there on a short path.  Only the run-formation heap's keys carry run
-tags; the in-memory sort and the merges compare untagged keys.
+comparison that ``list.sort`` or ``heapq`` makes calls a key's ``__lt__``.  A
+key caches its record's key tuple and first sorted position, and settles keys
+that differ there on a short path.  Only the run-formation heap's keys carry
+run tags; the in-memory sort and the merges compare untagged keys.
+
+Keys are refilled, not built per record.  Run formation refills the key it
+pops with the next incoming record; each in-memory sort refills the first
+keys of one pool of untagged keys per sort, growing it only for a larger
+sort; a merge refills each stream's key with the stream's next record.  A
+sort thus builds keys for its largest in-memory sort, the heap of each
+spilling segment and each merge stream.  Pool keys keep their last records
+until refilled: at most as many as the largest in-memory sort.
 
 ``Record`` is a plain slotted class, not a frozen one.  Every input tuple,
 and every record read back from a spill file, is built once, and a frozen
@@ -101,9 +109,13 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
     ``met.positions_inspected``.  A key caches its record's key tuple
     (``keys``) and position lo (``head``), so keys that differ at ``head`` are
     settled with no tuple load; the constructor rejects a record with fewer
-    than hi key positions.  ``_merge_streams`` reuses a stream's key (``src``
-    holds the stream) for its next record, refreshing ``rec``, ``keys`` and
-    ``head`` together.
+    than hi key positions (``_too_few_keys``).  Three sites refill a built key
+    for another record instead, setting ``rec``, ``keys`` and ``head``
+    together: ``_merge_streams`` for a stream's next record (``src`` holds the
+    stream), and ``_replacement_selection`` for the record entering run
+    formation (a ``RunKey``, whose ``run`` it sets before comparing) and for
+    the records of each in-memory sort (its pool of ``Key``s).  The last two
+    repeat the constructor's check.
 
     ``RunKey(rec, run)`` orders by run tag first; a comparison across runs
     counts nothing.  Its ``__lt__`` repeats ``Key.__lt__`` instead of calling
@@ -410,7 +422,9 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
             # Whatever stays in memory (a segment that fit, or the residual heap)
             # is sorted once and, next to any written runs, merged without a write.
             # The pool's first keys are refilled in memory's order, so list.sort
-            # compares them exactly as sorted(memory, key=key) would.
+            # compares them exactly as sorted(memory, key=key) would (a whole
+            # pool is sorted in place, saving a copy when segments are equal);
+            # a lone record is keyed too, for the check, but needs no sort.
             for pk, m in zip(pool, memory):
                 keys = m.keys
                 if len(keys) < hi:
@@ -420,9 +434,11 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
                 pk.head = keys[k]
             if len(memory) > len(pool):
                 pool += map(key, memory[len(pool) :])
-            keyed = pool[: len(memory)]
-            keyed.sort()
-            in_memory = [pk.rec for pk in keyed]
+            in_memory = memory
+            if len(memory) > 1:
+                keyed = pool if len(memory) == len(pool) else pool[: len(memory)]
+                keyed.sort()
+                in_memory = [pk.rec for pk in keyed]
             out = in_memory
             if runs:
                 fanin = _fanin(cfg)
