@@ -612,7 +612,7 @@ def test_merge_refreshes_a_reused_key_for_its_next_record():
     "records, mem",
     [
         ([Record((1,), 10)] * 2, 64),
-        ([Record((1,), 10)], 64),  # a lone record is keyed too
+        ([Record((1,), 10)], 64),  # a lone record is checked too
         ([Record((0, i, i), 100) for i in range(100)] + [Record((0, 1), 100)], 3),  # in run formation
         # in the third of three segments that fit in memory
         ([Record((s, i, i), 10) for s in range(2) for i in range(5)] + [Record((2, 0, 0), 10), Record((2, 1), 10)], 64),
@@ -627,6 +627,52 @@ def test_records_with_fewer_key_positions_than_the_sort_are_rejected(records, me
         with pytest.raises(ValidationError, match="fewer than the 3 positions"):
             list(out)
 
+
+
+@pytest.mark.parametrize("file_backed", [False, True], ids=["lists", "file"])
+# 0 opens the input, 15 and 16 are the first that does not fit memory and the
+# first into run formation, and mrs opens a segment at 20 and a lone one at 40
+@pytest.mark.parametrize("at", [0, 15, 16, 20, 40])
+def test_a_record_with_two_faults_gets_the_key_length_error_wherever_it_is_read(file_backed, at):
+    records = [Record((j // 20, (j * 17) % 41, j), 100) for j in range(41)]
+    records[at] = Record((at // 20, 1), 0)  # two key positions and no payload
+    cfg = BlockConfig(block_bytes=512, memory_blocks=3)
+    for fn, prefix in ((sort_srs, 0), (sort_mrs, 1)):
+        out, _ = fn(records, SortSpec(3, prefix, cfg, file_backed=file_backed))
+        with pytest.raises(ValidationError, match="fewer than the 3 positions the sort compares"):
+            list(out)
+
+
+def test_a_malformed_record_is_rejected_when_the_sort_reads_it():
+    # the record that opens the second segment is read before the first
+    # segment's output starts, so the sort stops before that output
+    records = [Record((0, i, i), 10) for i in range(5)] + [Record((1, 0), 10)]
+    out, _ = sort_mrs(records, _spec(mem=64, block=512, keys=3, prefix=1))
+    with pytest.raises(ValidationError):
+        next(out)
+
+
+def test_a_lone_record_is_not_keyed(monkeypatch):
+    # a one-record segment needs no sort, so no key object is built for it
+    built = 0
+    counted_key = extsort._counted_key
+
+    def counting(cls):
+        class Counted(cls):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                nonlocal built
+                built += 1
+                super().__init__(*args)
+
+        return Counted
+
+    monkeypatch.setattr(extsort, "_counted_key", lambda met, lo, hi: tuple(map(counting, counted_key(met, lo, hi))))
+    records = list(gen_segmented_input(1000, 1, 3, 100, 0))
+    out, met = sort_mrs(records, _spec(keys=3, prefix=1))
+    assert list(out) == records
+    assert built == 0 and met.comparisons == 0
 
 @pytest.mark.parametrize(
     "fn, make, spec, mem_records",
