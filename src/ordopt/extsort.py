@@ -29,9 +29,13 @@ Keys are refilled, not built per record.  Run formation refills the key it
 pops with the next incoming record; each in-memory sort refills the first
 keys of one pool of untagged keys per sort, growing it only for a larger
 sort; a merge refills each stream's key with the stream's next record.  A
-sort thus builds keys for its largest in-memory sort, the heap of each
-spilling segment and each merge stream.  Pool keys keep their last records
-until refilled: at most as many as the largest in-memory sort.
+sort thus builds keys for its largest in-memory sort (a lone record is not
+keyed), the heap of each spilling segment and each merge stream.  Pool keys
+keep their last records until refilled: at most as many as the largest
+in-memory sort.
+
+A record is checked once, where ``groupby`` reads it, by its segment key:
+it needs the key positions the sort compares, then an int payload_bytes >= 1.
 
 ``Record`` is a plain slotted class, not a frozen one.  Every input tuple,
 and every record read back from a spill file, is built once, and a frozen
@@ -62,7 +66,7 @@ class Record:
 
     Equal by value, not hashable, and not frozen, so that building one costs
     two plain slot stores; ordopt never mutates a Record once built.  A sort
-    rejects a payload_bytes that is not an int >= 1.  File-backed runs store
+    rejects a payload_bytes below 1 or not an int.  File-backed runs store
     the keys and payload_bytes as signed 64-bit integers, so a file-backed
     sort that spills rejects a record with any other value there.
     """
@@ -108,14 +112,13 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
     counts one in ``met.comparisons`` and each position it inspects in
     ``met.positions_inspected``.  A key caches its record's key tuple
     (``keys``) and position lo (``head``), so keys that differ at ``head`` are
-    settled with no tuple load; the constructor rejects a record with fewer
-    than hi key positions (``_too_few_keys``).  Three sites refill a built key
-    for another record instead, setting ``rec``, ``keys`` and ``head``
-    together: ``_merge_streams`` for a stream's next record (``src`` holds the
-    stream), and ``_replacement_selection`` for the record entering run
-    formation (a ``RunKey``, whose ``run`` it sets before comparing) and for
-    the records of each in-memory sort (its pool of ``Key``s).  The last two
-    repeat the constructor's check.
+    settled with no tuple load; records reach a key already checked to have
+    hi key positions.  Three sites refill a built key for another record
+    instead, setting ``rec``, ``keys`` and ``head`` together:
+    ``_merge_streams`` for a stream's next record (``src`` holds the stream),
+    and ``_replacement_selection`` for the record entering run formation (a
+    ``RunKey``, whose ``run`` it sets before comparing) and for the records of
+    each in-memory sort (its pool of ``Key``s).
 
     ``RunKey(rec, run)`` orders by run tag first; a comparison across runs
     counts nothing.  Its ``__lt__`` repeats ``Key.__lt__`` instead of calling
@@ -132,11 +135,8 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
         head_at = lo  # the position that head caches
 
         def __init__(self, rec: Record):
-            keys = rec.keys
-            if len(keys) < hi:
-                raise _too_few_keys(keys, hi)
             self.rec = rec
-            self.keys = keys
+            self.keys = keys = rec.keys
             self.head = keys[lo]
 
         def __lt__(self, other: "Key") -> bool:
@@ -189,14 +189,6 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
             return False
 
     return Key, RunKey
-
-
-def _too_few_keys(keys: tuple, hi: int) -> ValidationError:
-    return ValidationError(f"keys: {keys} has fewer than the {hi} positions the sort compares")
-
-
-def _bad_payload(r: Record) -> ValidationError:
-    return ValidationError(f"payload_bytes: {r.payload_bytes!r} of keys {r.keys} is not an int >= 1")
 
 
 def _fanin(cfg: BlockConfig) -> int:
@@ -343,13 +335,14 @@ def sort_mrs(records, spec: SortSpec):
 def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, drain: bool):
     """Replacement selection over each segment of equal first-k keys.
 
-    ``itertools.groupby`` yields the segments; like any lookahead, it reads
-    one record past a segment before that segment's output starts.  A segment
-    that fits in memory is sorted there, with no simulated I/O.  A larger one
-    is spilled as runs; at its end the heap is either drained into more
-    written runs (``drain``) or kept as an in-memory run, and everything is
-    merged.  The heap is popped only when an input tuple of the segment is
-    waiting, or while draining.
+    ``itertools.groupby`` yields the segments, checking each record as it
+    reads it; like any lookahead, it reads one record past a segment, so a
+    malformed record that opens a segment stops the sort before the previous
+    segment's output.  A segment that fits in memory is sorted there, with no
+    simulated I/O.  A larger one is spilled as runs; at its end the heap is
+    either drained into more written runs (``drain``) or kept as an in-memory
+    run, and everything is merged.  The heap is popped only when an input
+    tuple of the segment is waiting, or while draining.
     """
     cfg = spec.cfg
     hi = spec.target_order_len
@@ -358,7 +351,16 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
     pool: list = []  # untagged keys, refilled by each in-memory sort
     prev_prefix = None
 
-    for prefix, segment in itertools.groupby(records, lambda r: r.keys[:k]):
+    def checked_prefix(r: Record) -> tuple:
+        keys = r.keys
+        if len(keys) < hi:  # first: the prefix reads the keys
+            raise ValidationError(f"keys: {keys} has fewer than the {hi} positions the sort compares")
+        p = r.payload_bytes
+        if type(p) is not int or p < 1:  # a bool is not an int here
+            raise ValidationError(f"payload_bytes: {p!r} of keys {keys} is not an int >= 1")
+        return keys[:k]
+
+    for prefix, segment in itertools.groupby(records, checked_prefix):
         if prev_prefix is not None and not prev_prefix < prefix:
             raise UnsortedPrefix(
                 f"prefix {prefix} arrived after {prev_prefix}; input is not "
@@ -369,13 +371,10 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
         # Fill memory; r is left as the first record that did not fit, if any.
         memory, used = [], 0
         for r in segment:
-            p = r.payload_bytes
-            if type(p) is not int or p < 1:
-                raise _bad_payload(r)
-            if memory and used + p > capacity:
+            if memory and used + r.payload_bytes > capacity:
                 break
             memory.append(r)
-            used += p
+            used += r.payload_bytes
         else:
             r = None
 
@@ -405,15 +404,9 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
                         heapq.heappush(heap, new)
                         r = next(segment, None)
                         if r is not None:
-                            keys = r.keys
-                            if len(keys) < hi:
-                                raise _too_few_keys(keys, hi)
-                            p = r.payload_bytes
-                            if type(p) is not int or p < 1:
-                                raise _bad_payload(r)
                             new = top
                             new.rec = r
-                            new.keys = keys
+                            new.keys = keys = r.keys
                             new.head = keys[k]
                 runs.append(run.close())
                 memory = [h.rec for h in heap]
@@ -424,18 +417,15 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
             # The pool's first keys are refilled in memory's order, so list.sort
             # compares them exactly as sorted(memory, key=key) would (a whole
             # pool is sorted in place, saving a copy when segments are equal);
-            # a lone record is keyed too, for the check, but needs no sort.
-            for pk, m in zip(pool, memory):
-                keys = m.keys
-                if len(keys) < hi:
-                    raise _too_few_keys(keys, hi)
-                pk.rec = m
-                pk.keys = keys
-                pk.head = keys[k]
-            if len(memory) > len(pool):
-                pool += map(key, memory[len(pool) :])
+            # a lone record needs no sort and is not keyed.
             in_memory = memory
             if len(memory) > 1:
+                for pk, m in zip(pool, memory):
+                    pk.rec = m
+                    pk.keys = keys = m.keys
+                    pk.head = keys[k]
+                if len(memory) > len(pool):
+                    pool += map(key, memory[len(pool) :])
                 keyed = pool if len(memory) == len(pool) else pool[: len(memory)]
                 keyed.sort()
                 in_memory = [pk.rec for pk in keyed]
