@@ -31,8 +31,15 @@ class CostParams:
     hash_per_block_io_equiv: float = 3.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cfg, cs.BlockConfig):
+            raise ConfigError(f"cfg must be a BlockConfig, got {self.cfg!r}")
+        if type(self.hashjoin_enabled) is not bool:
+            raise ConfigError(f"hashjoin_enabled must be a bool, got {self.hashjoin_enabled!r}")
         for name in ("cpu_per_comparison_io_equiv", "mergejoin_per_tuple_io_equiv", "hash_per_block_io_equiv"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not (type(value) is int or type(value) is float and math.isfinite(value)):  # a bool is not an int here
+                raise ConfigError(f"{name} must be a finite int or float, got {value!r}")
+            if value < 0:
                 raise ConfigError(f"{name} must be >= 0")
 
 

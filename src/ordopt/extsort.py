@@ -65,10 +65,9 @@ class Record:
     """A sort tuple: fixed integer key vector plus a simulated byte width.
 
     Equal by value, not hashable, and not frozen, so that building one costs
-    two plain slot stores; ordopt never mutates a Record once built.  A sort
-    rejects a payload_bytes below 1 or not an int.  File-backed runs store
-    the keys and payload_bytes as signed 64-bit integers, so a file-backed
-    sort that spills rejects a record with any other value there.
+    two plain slot stores; ordopt never mutates a Record once built.
+    File-backed runs store the keys and payload_bytes as signed 64-bit
+    integers, so a file-backed sort that spills rejects any other value there.
     """
 
     keys: tuple[int, ...]
@@ -89,6 +88,8 @@ class SortSpec:
                 raise ValidationError(f"{name} must be an int, got {value!r}")
         if not isinstance(self.cfg, BlockConfig):
             raise ValidationError(f"cfg must be a BlockConfig, got {self.cfg!r}")
+        if type(self.file_backed) is not bool:
+            raise ValidationError(f"file_backed must be a bool, got {self.file_backed!r}")
         if self.target_order_len < 1:
             raise ValidationError("target_order_len must be >= 1")
         if not (0 <= self.known_prefix_len < self.target_order_len):
@@ -112,9 +113,8 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
     counts one in ``met.comparisons`` and each position it inspects in
     ``met.positions_inspected``.  A key caches its record's key tuple
     (``keys``) and position lo (``head``), so keys that differ at ``head`` are
-    settled with no tuple load; records reach a key already checked to have
-    hi key positions.  Three sites refill a built key for another record
-    instead, setting ``rec``, ``keys`` and ``head`` together:
+    settled with no tuple load.  Three sites refill a built key for another
+    record instead, setting ``rec``, ``keys`` and ``head`` together:
     ``_merge_streams`` for a stream's next record (``src`` holds the stream),
     and ``_replacement_selection`` for the record entering run formation (a
     ``RunKey``, whose ``run`` it sets before comparing) and for the records of

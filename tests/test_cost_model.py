@@ -62,6 +62,24 @@ def test_block_config_guards():
         full_sort_cost(10, 100, 1, CostParams(cfg=BlockConfig(4096, 2)))
 
 
+def test_cost_params_guards():
+    # rates are finite ints or floats >= 0 (a bool is not an int here), the
+    # flag is a bool and cfg a BlockConfig, as load_params reads them
+    rates = ("cpu_per_comparison_io_equiv", "mergejoin_per_tuple_io_equiv", "hash_per_block_io_equiv")
+    for name in rates:
+        for value in (-1e-6, -1, math.nan, math.inf, -math.inf, True, False, "3", None):
+            with pytest.raises(ConfigError, match=name):
+                CostParams(**{name: value})
+    for value in ("no", 1, 0, None):
+        with pytest.raises(ConfigError, match="hashjoin_enabled"):
+            CostParams(hashjoin_enabled=value, hash_per_block_io_equiv=0.01)
+    for value in (None, (4096, 10)):
+        with pytest.raises(ConfigError, match="cfg"):
+            CostParams(cfg=value)
+    p = CostParams(BlockConfig(512, 3), 0, 2, True, 0.5)
+    assert (p.cpu_per_comparison_io_equiv, p.mergejoin_per_tuple_io_equiv, p.hashjoin_enabled) == (0, 2, True)
+
+
 def _lineitem_like_catalog():
     return load_catalog(
         {

@@ -356,10 +356,13 @@ def test_spec_validation():
         SortSpec(0, 0, cfg)
     with pytest.raises(ValidationError):
         SortSpec(2, 2, cfg)
-    # lengths are ints, not floats or bools, and cfg is a BlockConfig
+    # lengths are ints, not floats or bools, cfg is a BlockConfig, and file_backed a bool
     for args in ((3, 1.0, cfg), (2.5, 1, cfg), (True, 0, cfg), (3, True, cfg), (3, 1, None), (3, 1, (4096, 4))):
         with pytest.raises(ValidationError):
             SortSpec(*args)
+    for flag in ("no", 1, 0, None):
+        with pytest.raises(ValidationError, match="file_backed"):
+            SortSpec(2, 0, cfg, file_backed=flag)
 
 
 def _payload_at(i, payload, rows=41):
