@@ -87,7 +87,9 @@ def _cmd_explain_afm(args) -> int:
             return kind + " {" + ",".join(sorted(e.join_attrs)) + "}"
         return "group_by {" + ",".join(sorted(e.keys)) + "}"
 
-    def show(e, depth: int) -> None:
+    stack = [(query.root, 0)]
+    while stack:  # preorder, with no frame per level
+        e, depth = stack.pop()
         pad = "  " * depth
         print(pad + label(e))
         orders = sorted(index.orders_for(e))
@@ -95,10 +97,7 @@ def _cmd_explain_afm(args) -> int:
             print(pad + "  (no favorable orders)")
         for o in orders:
             print(pad + "  " + ",".join(o))
-        for c in lx.children(e):
-            show(c, depth + 1)
-
-    show(query.root, 0)
+        stack += ((c, depth + 1) for c in reversed(lx.children(e)))
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import _doc
 from .errors import TooLarge, UnknownRelation
-from .order_algebra import AttrSet, SortOrder
+from .order_algebra import AttrSet, SortOrder, _derived
 
 #: Name of the synthetic column holding aggregate results below a group-by.
 AGG_ATTR = "__agg__"
@@ -274,21 +274,22 @@ def parse_query(source, catalog) -> QuerySpec:
     """Parse and validate a query document (dict, JSON text, or bytes)."""
     doc = _doc.fields(_doc.read_json(source, "query"), "query", {"expr", "order_by"})
     root, root_schema = _parse_node(doc.get("expr"), catalog, "expr")
-    out_order = SortOrder(_doc.attr_list(doc.get("order_by", []), "order_by"))
+    out_order = _derived(_doc.attr_list(doc.get("order_by", []), "order_by"))
     _require_within(out_order.attr_set(), root_schema, "order_by", "output schema")
     return QuerySpec(root, out_order)
 
 
-def _node_to_dict(e: LogicalExpr) -> dict:
-    d = {"op": _OP_NAMES[type(e)]}
-    for name, value in zip(e.__slots__, e._values()):
-        if type(value) in _OP_NAMES:
-            value = _node_to_dict(value)
-        elif isinstance(value, frozenset):
-            value = sorted(value)
-        d[name] = value
-    return d
-
-
 def query_to_dict(q: QuerySpec) -> dict:
-    return {"expr": _node_to_dict(q.root), "order_by": list(q.required_output_order)}
+    """The query document, built with an explicit stack: no frame per level."""
+    doc = {"expr": {}, "order_by": list(q.required_output_order)}
+    stack = [(q.root, doc["expr"])]
+    while stack:
+        e, d = stack.pop()
+        d["op"] = _OP_NAMES[type(e)]
+        for name, value in zip(e.__slots__, e._values()):
+            if type(value) in _OP_NAMES:
+                d[name] = {}
+                stack.append((value, d[name]))
+            else:
+                d[name] = sorted(value) if isinstance(value, frozenset) else value
+    return doc

@@ -38,8 +38,8 @@ class SortOrder(tuple):
 
 
 def _derived(attrs: tuple[str, ...]) -> SortOrder:
-    """A SortOrder over a slice of an order that was already checked: a slice
-    of a duplicate-free sequence of names is one too, so the check is skipped."""
+    """A SortOrder over names already checked to be distinct and non-empty (a
+    slice of an order, or a list `_doc.attr_list` read), so the check is skipped."""
     return tuple.__new__(SortOrder, attrs)
 
 

@@ -195,6 +195,21 @@ def test_hashing_a_deep_expression_does_not_recurse():
     assert {a: 1}[chain()] == 1
 
 
+def test_writing_a_deep_query_does_not_recurse():
+    # parsing stops at MAX_QUERY_DEPTH, so the chain is built in code
+    e = lx.Scan("r")
+    for i in range(5000):
+        e = lx.Select(e, 0.5, frozenset(["a"] if i % 2 else []))
+    doc = query_to_dict(lx.QuerySpec(e, EMPTY))
+    assert list(doc) == ["expr", "order_by"] and doc["order_by"] == []
+    d = doc["expr"]
+    for i in reversed(range(5000)):
+        assert list(d) == ["op", "input", "selectivity", "touched"]
+        assert (d["op"], d["selectivity"], d["touched"]) == ("select", 0.5, ["a"] if i % 2 else [])
+        d = d["input"]
+    assert d == {"op": "scan", "relation": "r"}
+
+
 def test_two_parses_of_one_query_give_the_identical_root():
     for catalog_name, query_name in perfbench_workloads().FIXTURE_PAIRS:
         catalog, query = load_pair(catalog_name, query_name)
