@@ -35,7 +35,7 @@ keep their last records until refilled: at most as many as the largest
 in-memory sort.
 
 A record is checked once, where ``groupby`` reads it, by its segment key:
-it needs the key positions the sort compares, then an int payload_bytes >= 1.
+it needs every key position the sort compares, then an int payload_bytes >= 1.
 
 ``Record`` is a plain slotted class, not a frozen one.  Every input tuple,
 and every record read back from a spill file, is built once, and a frozen

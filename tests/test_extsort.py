@@ -631,7 +631,6 @@ def test_records_with_fewer_key_positions_than_the_sort_are_rejected(records, me
             list(out)
 
 
-
 @pytest.mark.parametrize("file_backed", [False, True], ids=["lists", "file"])
 # 0 opens the input, 15 and 16 are the first that does not fit memory and the
 # first into run formation, and mrs opens a segment at 20 and a lone one at 40
@@ -676,6 +675,7 @@ def test_a_lone_record_is_not_keyed(monkeypatch):
     out, met = sort_mrs(records, _spec(keys=3, prefix=1))
     assert list(out) == records
     assert built == 0 and met.comparisons == 0
+
 
 @pytest.mark.parametrize(
     "fn, make, spec, mem_records",
