@@ -1,7 +1,9 @@
 import copy
 import gc
+import hashlib
 import json
 import pickle
+import random
 
 import pytest
 
@@ -9,6 +11,7 @@ import ordopt.logical_expr as lx
 from ordopt import (
     EMPTY,
     Catalog,
+    OrdoptError,
     ParseError,
     UnknownRelation,
     ValidationError,
@@ -303,3 +306,78 @@ def test_parsing_a_chain_walks_each_schema_once(monkeypatch):
     query = parse_query({"expr": expr, "order_by": ["b"]}, catalog)
     assert len(lx.preorder(query.root)) == 2 * joins + 1
     assert calls <= joins + 1
+
+
+#: The fixture pairs: a catalog and a query over it.
+FIXTURE_PAIRS = (
+    ("bushy_catalog.json", "bushy_query.json"),
+    ("example1_catalog.json", "example1_query.json"),
+    ("postopt_catalog.json", "postopt_query.json"),
+    ("q4_catalog.json", "q4_query.json"),
+    ("q5_catalog.json", "q5_query.json"),
+    ("tpch_catalog.json", "q2_query.json"),
+    ("tpch_catalog.json", "q3_query.json"),
+)
+
+#: The attribute field of each operator that names attributes of its input.
+ATTR_FIELDS = {"join": "join_attrs", "select": "touched", "project": "cols", "group_by": "keys"}
+
+
+def _node_docs(expr) -> list:
+    """(node document, its op) for every node of a query expression document."""
+    out, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        out.append((node, node["op"]))
+        stack += [node[k] for k in ("input", "left", "right") if k in node]
+    return out
+
+
+def _add_fault(rng, nodes) -> None:
+    """Give a node drawn by `rng` one of six faults: an unknown relation,
+    "zz" added to its attribute field, selectivity 2.0, an unknown op, an
+    extra field, or `touched` not a list."""
+    while True:
+        fault = rng.randrange(6)
+        ops = {0: ("scan",), 1: tuple(ATTR_FIELDS), 2: ("select",), 5: ("select",)}.get(fault)
+        candidates = [(node, op) for node, op in nodes if ops is None or op in ops]
+        if candidates:
+            break
+    node, op = rng.choice(candidates)
+    if fault == 0:
+        node["relation"] = "zz"
+    elif fault == 1:
+        value = node.get(ATTR_FIELDS[op], [])
+        node[ATTR_FIELDS[op]] = (value if isinstance(value, list) else []) + ["zz"]
+    elif fault == 2:
+        node["selectivity"] = 2.0
+    elif fault == 3:
+        node["op"] = "bogus"
+    elif fault == 4:
+        node["zz"] = 1
+    else:
+        node["touched"] = "x"
+
+
+def test_two_fault_query_documents_keep_their_first_error():
+    """Which of two faults a query document reports: the pinned digest covers
+    the type and message of each document's first error."""
+    rng = random.Random(5)
+    parsed, errors = 0, []
+    for catalog_name, query_name in FIXTURE_PAIRS:
+        catalog = load_catalog(fixture_path(catalog_name).read_text())
+        base = json.loads(fixture_path(query_name).read_text())
+        for _ in range(300):
+            doc = copy.deepcopy(base)
+            nodes = _node_docs(doc["expr"])
+            _add_fault(rng, nodes)
+            _add_fault(rng, nodes)
+            try:
+                parse_query(doc, catalog)
+            except OrdoptError as exc:
+                errors.append(f"{type(exc).__name__}: {exc}")
+            else:
+                parsed += 1
+    digest = hashlib.sha256("\n".join(errors).encode()).hexdigest()
+    assert (parsed, len(errors), len(set(errors))) == (0, 2100, 79)
+    assert digest == "2ca5a484b5d09b35c0f7671aacd3541950057b4ca6950dc0814f60f085b7e92a"
