@@ -89,6 +89,11 @@ def name(value, path) -> str:
     return value
 
 
+def within(attrs, available, path, where: str) -> None:
+    if not attrs <= available:
+        raise fail(path, f"attributes {sorted(attrs - available)} not in {where}")
+
+
 def attr_list(value, path, *, nonempty: bool = False) -> tuple[str, ...]:
     """A list of distinct non-empty attribute names, in document order."""
     if type(value) is not list or not _STR.issuperset(map(type, value)) or "" in value:

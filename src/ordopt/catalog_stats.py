@@ -68,9 +68,6 @@ class Catalog:
     indices: tuple[IndexDef, ...]
     _stats_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def has_relation(self, name: str) -> bool:
-        return name in self.relations
-
     def relation(self, name: str) -> CatalogRelation:
         try:
             return self.relations[name]

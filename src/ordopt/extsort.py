@@ -66,8 +66,9 @@ class Record:
 
     Equal by value, not hashable, and not frozen, so that building one costs
     two plain slot stores; ordopt never mutates a Record once built.
-    File-backed runs store the keys and payload_bytes as signed 64-bit
-    integers, so a file-backed sort that spills rejects any other value there.
+    Sorts compare keys with `<`: lists mode takes any mutually comparable
+    values (a `str` met by an `int` raises `TypeError`); a file-backed sort
+    that spills stores keys and payload_bytes as int64s and rejects others.
     """
 
     keys: tuple[int, ...]

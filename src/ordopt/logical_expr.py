@@ -196,87 +196,107 @@ def query_attrs(q: QuerySpec, catalog) -> AttrSet:
     return frozenset(used)
 
 
-# --- parsing ---------------------------------------------------------------
+# --- checking and parsing --------------------------------------------------
 
-#: Nesting guard for query expressions, which keeps every recursion inside
-#: the interpreter's default limit of 1000 frames.  Plan search and
-#: refinement's rebuild take one frame per join level: they reach 987 joins
-#: on Python 3.10 and 3.11, 989 on 3.13.0 and 747 on 3.12.1, whose separate
-#: C recursion limit stops search first.  Plan output takes one or two per
-#: plan level, where a plan can be twice as deep as its query (a sort over
-#: every operator), and `json.dumps` itself stops at 497 nested plan levels
-#: on 3.10 and 3.11 (748 on 3.12.1), about 240 joins.  The favorable-order
-#: pass does not recurse.
-#: `test_search_and_refinement_fit_a_550_join_chain_in_the_default_stack`
-#: (tests/test_order_refinement.py) pins a 550-join chain through search and
-#: refinement.
+#: Nesting guard for query documents.  Reading, checking and writing queries
+#: do not recurse, but search and refinement's rebuild take a frame per join
+#: (987 joins fit on Python 3.10 and 3.11, 747 on 3.12.1), and `json.dumps`
+#: stops near 497 nested plan levels: a plan is up to twice as deep as its query.
 MAX_QUERY_DEPTH = 128
 
 #: Document name of each expression type; a node document's other fields are
-#: the fields of its class.
+#: the fields of its class, of which the one in `_ATTRS` names what it reads.
 _OP_NAMES = {Scan: "scan", Select: "select", Project: "project", Join: "join", GroupBy: "group_by"}
-_NODE_FIELDS = {op: {"op", *t.__slots__} for t, op in _OP_NAMES.items()}
+_KINDS = {op: (kind, {"op", *kind.__slots__}) for kind, op in _OP_NAMES.items()}
+_ATTRS = {Scan: "relation", Select: "touched", Project: "cols", Join: "join_attrs", GroupBy: "keys"}
 
 
-def _parse_node(doc, catalog, path, depth: int = 1) -> tuple[LogicalExpr, AttrSet]:
-    """The expression of `doc` and its output schema, which the checks of the
-    node above read, so parsing stays linear in the size of the query."""
-    if depth > MAX_QUERY_DEPTH:
-        raise TooLarge(f"query expression nests deeper than {MAX_QUERY_DEPTH} levels")
-    if not isinstance(doc, dict):
-        raise _doc.fail(path, "expected an object")
-    op = doc.get("op")
-    if not isinstance(op, str) or op not in _NODE_FIELDS:
-        raise _doc.fail(path, f"unknown op {op!r}")
-    _doc.fields(doc, path, _NODE_FIELDS[op])
-
-    if op == "scan":
-        rel = _doc.name(doc.get("relation"), (path, "relation"))
-        if not catalog.has_relation(rel):
-            raise UnknownRelation(f"{_doc.spell(path)}: unknown relation {rel!r}")
-        return Scan(rel), catalog.relation(rel).columns
-
-    if op == "join":
-        left, left_schema = _parse_node(doc.get("left"), catalog, (path, "left"), depth + 1)
-        right, right_schema = _parse_node(doc.get("right"), catalog, (path, "right"), depth + 1)
-        attrs = frozenset(_doc.attr_list(doc.get("join_attrs"), (path, "join_attrs"), nonempty=True))
-        _require_within(attrs, left_schema, (path, "join_attrs"), "left schema")
-        _require_within(attrs, right_schema, (path, "join_attrs"), "right schema")
-        full_outer = _doc.boolean(doc.get("full_outer", False), (path, "full_outer"))
-        return Join(left, right, attrs, full_outer), left_schema | right_schema
-
-    node, node_schema = _parse_node(doc.get("input"), catalog, (path, "input"), depth + 1)
-    if op == "select":
-        sel = _doc.number(doc.get("selectivity", 1.0), (path, "selectivity"), 0.0, 1.0, lo_open=True)
-        touched = frozenset(_doc.attr_list(doc.get("touched", []), (path, "touched")))
-        _require_within(touched, node_schema, (path, "touched"))
-        return Select(node, float(sel), touched), node_schema
-
-    if op == "project":
-        cols = frozenset(_doc.attr_list(doc.get("cols"), (path, "cols"), nonempty=True))
-        _require_within(cols, node_schema, (path, "cols"))
-        return Project(node, cols), cols
-
-    # group_by
-    keys = frozenset(_doc.attr_list(doc.get("keys", []), (path, "keys")))
-    _require_within(keys, node_schema, (path, "keys"))
-    width = _doc.integer(doc.get("agg_width_bytes", 8), (path, "agg_width_bytes"))
-    return GroupBy(node, keys, width), keys | frozenset([AGG_ATTR])
+def _check(kind, attrs, schemas: list, catalog, path) -> None:
+    """Check a node after its inputs, whose schemas end `schemas` and give way
+    to its own: its `_ATTRS` field must name a relation or input attributes."""
+    if kind is Scan:
+        if attrs not in catalog.relations:
+            raise UnknownRelation(f"{_doc.spell(path)}: unknown relation {attrs!r}")
+        schemas.append(catalog.relations[attrs].columns)
+    elif kind is Join:
+        right = schemas.pop()
+        _doc.within(attrs, schemas[-1], (path, "join_attrs"), "left schema")
+        _doc.within(attrs, right, (path, "join_attrs"), "right schema")
+        schemas[-1] |= right
+    else:
+        _doc.within(attrs, schemas[-1], (path, _ATTRS[kind]), "input schema")
+        if kind is not Select:
+            schemas[-1] = attrs if kind is Project else attrs | {AGG_ATTR}
 
 
-def _require_within(attrs: AttrSet, available: AttrSet, path, where: str = "input schema") -> None:
-    missing = attrs - available
-    if missing:
-        raise _doc.fail(path, f"attributes {sorted(missing)} not in {where}")
+def _selectivity(value, path) -> float:
+    return float(_doc.number(value, (path, "selectivity"), 0.0, 1.0, lo_open=True))
+
+
+def check_query(q: QuerySpec, catalog) -> None:
+    """Raise what `parse_query` raises on the document of `q`, a query built in
+    code, for its faults of meaning: the first in postorder, left input first."""
+    schemas, stack = [], [(q.root, "expr", True)]  # (node, path, on the way down)
+    while stack:
+        e, path, down = stack.pop()
+        kind = type(e)
+        if down and kind is not Scan:
+            stack.append((e, path, False))
+            for step in ("right", "left") if kind is Join else ("input",):
+                stack.append((getattr(e, step), (path, step), True))
+        else:
+            if kind is Select:
+                _selectivity(e.selectivity, path)
+            _check(kind, getattr(e, _ATTRS[kind]), schemas, catalog, path)
+    _doc.within(q.required_output_order.attr_set(), schemas[0], "order_by", "output schema")
 
 
 def parse_query(source, catalog) -> QuerySpec:
-    """Parse and validate a query document (dict, JSON text, or bytes)."""
+    """Parse and validate a query document (dict, JSON text, or bytes): each
+    node's form on the way down, its fields and `_check` on the way up."""
     doc = _doc.fields(_doc.read_json(source, "query"), "query", {"expr", "order_by"})
-    root, root_schema = _parse_node(doc.get("expr"), catalog, "expr")
+    exprs, schemas = [], []  # the expression and output schema of each node read
+    stack = [(doc.get("expr"), "expr", 1)]  # (node, path, depth); depth 0 on the way up
+    while stack:
+        node, path, depth = stack.pop()
+        if depth:
+            if depth > MAX_QUERY_DEPTH:
+                raise TooLarge(f"query expression nests deeper than {MAX_QUERY_DEPTH} levels")
+            if not isinstance(node, dict):
+                raise _doc.fail(path, "expected an object")
+            op = node.get("op")
+            if not isinstance(op, str) or op not in _KINDS:
+                raise _doc.fail(path, f"unknown op {op!r}")
+            _doc.fields(node, path, _KINDS[op][1])
+            if op != "scan":  # a scan has no inputs: it is read at once
+                stack.append((node, path, 0))
+                for step in ("right", "left") if op == "join" else ("input",):
+                    stack.append((node.get(step), (path, step), depth + 1))
+                continue
+        kind = _KINDS[node["op"]][0]
+        if kind is Select:
+            sel = _selectivity(node.get("selectivity", 1.0), path)
+        field = _ATTRS[kind]
+        if kind is Scan:
+            attrs = _doc.name(node.get(field), (path, field))
+        elif kind is Join or kind is Project:  # a list that must name an attribute
+            attrs = frozenset(_doc.attr_list(node.get(field), (path, field), nonempty=True))
+        else:
+            attrs = frozenset(_doc.attr_list(node.get(field, []), (path, field)))
+        _check(kind, attrs, schemas, catalog, path)
+        if kind is Scan:
+            exprs.append(Scan(attrs))
+        elif kind is Join:
+            right = exprs.pop()
+            exprs[-1] = Join(exprs[-1], right, attrs, _doc.boolean(node.get("full_outer", False), (path, "full_outer")))
+        elif kind is GroupBy:
+            width = _doc.integer(node.get("agg_width_bytes", 8), (path, "agg_width_bytes"))
+            exprs[-1] = GroupBy(exprs[-1], attrs, width)
+        else:
+            exprs[-1] = Select(exprs[-1], sel, attrs) if kind is Select else Project(exprs[-1], attrs)
     out_order = _derived(_doc.attr_list(doc.get("order_by", []), "order_by"))
-    _require_within(out_order.attr_set(), root_schema, "order_by", "output schema")
-    return QuerySpec(root, out_order)
+    _doc.within(out_order.attr_set(), schemas[0], "order_by", "output schema")
+    return QuerySpec(exprs[0], out_order)
 
 
 def query_to_dict(q: QuerySpec) -> dict:

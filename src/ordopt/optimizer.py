@@ -180,6 +180,7 @@ class Optimizer:
     ):
         if heuristic not in HEURISTICS:
             raise ValidationError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
+        lx.check_query(query, catalog)
         self.catalog = catalog
         self.params = params
         self.query = query
@@ -324,10 +325,8 @@ class Optimizer:
             if not is_prefix(have, delivered):
                 raise _doc.fail((where, "input_order"), f"the input delivers {delivered}")
             want = _derived(_doc.attr_list(get("order", []), (where, "order")))
-            # the distinct counts are keyed by e's output attributes
-            outside = frozenset(want).difference(cs.expr_stats(e, self.catalog).distinct)
-            if outside:
-                raise _doc.fail((where, "order"), f"attributes {sorted(outside)} not in the input's schema")
+            schema = cs.expr_stats(e, self.catalog).distinct.keys()  # keyed by e's output attributes
+            _doc.within(want.attr_set(), schema, (where, "order"), "the input's schema")
             node = self._sorted(kids[0], want, self._sort(kids[0], want, have))
         elif isinstance(e, lx.Scan):
             key = get("index_key")
@@ -533,10 +532,10 @@ def load_plan_document(source):
     return planner.catalog, planner.params, planner.query, plan
 
 
-def format_plan(p: PhysicalPlan, indent: int = 0) -> str:
+def format_plan(p: PhysicalPlan) -> str:
     """Human-readable plan tree, one operator per line; no frame per level."""
     lines = []
-    stack = [(p, indent)]
+    stack = [(p, 0)]
     while stack:
         p, indent = stack.pop()
         parts = [p.op]

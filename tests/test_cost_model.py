@@ -63,19 +63,21 @@ def test_block_config_guards():
 
 
 def test_cost_params_guards():
-    # rates are finite ints or floats >= 0 (a bool is not an int here), the
-    # flag is a bool and cfg a BlockConfig, as load_params reads them
+    # rates are finite floats or ints in [0, 2**53] (a bool is not an int
+    # here), the flag is a bool and cfg a BlockConfig whose ints are at most
+    # 2**53, as load_params reads them
     rates = ("cpu_per_comparison_io_equiv", "mergejoin_per_tuple_io_equiv", "hash_per_block_io_equiv")
     for name in rates:
-        for value in (-1e-6, -1, math.nan, math.inf, -math.inf, True, False, "3", None):
+        for value in (-1e-6, -1, math.nan, math.inf, -math.inf, True, False, "3", None, 10**400, 2**53 + 1):
             with pytest.raises(ConfigError, match=name):
                 CostParams(**{name: value})
     for value in ("no", 1, 0, None):
         with pytest.raises(ConfigError, match="hashjoin_enabled"):
             CostParams(hashjoin_enabled=value, hash_per_block_io_equiv=0.01)
-    for value in (None, (4096, 10)):
+    for value in (None, (4096, 10), BlockConfig(block_bytes=10**400), BlockConfig(memory_blocks=2**53 + 1)):
         with pytest.raises(ConfigError, match="cfg"):
             CostParams(cfg=value)
+    assert CostParams(BlockConfig(2**53, 2**53), 2**53).cpu_per_comparison_io_equiv == 2**53
     p = CostParams(BlockConfig(512, 3), 0, 2, True, 0.5)
     assert (p.cpu_per_comparison_io_equiv, p.mergejoin_per_tuple_io_equiv, p.hashjoin_enabled) == (0, 2, True)
 

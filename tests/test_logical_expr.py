@@ -213,6 +213,20 @@ def test_writing_a_deep_query_does_not_recurse():
     assert d == {"op": "scan", "relation": "r"}
 
 
+def test_checking_a_deep_query_built_in_code_does_not_recurse():
+    # the depth guard is for documents only: check_query takes any depth
+    catalog, _ = load_pair("tpch_catalog.json", "q3_query.json")
+    for relation in ("lineitem", "zz"):
+        e = lx.Scan(relation)
+        for _ in range(5000):
+            e = lx.Select(e, 0.5, frozenset(["partkey"]))
+        if relation == "zz":
+            with pytest.raises(UnknownRelation, match=r"^expr(\.input){5000}: unknown relation 'zz'$"):
+                lx.check_query(lx.QuerySpec(e, EMPTY), catalog)
+        else:
+            lx.check_query(lx.QuerySpec(e, order("partkey")), catalog)
+
+
 def test_two_parses_of_one_query_give_the_identical_root():
     for catalog_name, query_name in perfbench_workloads().FIXTURE_PAIRS:
         catalog, query = load_pair(catalog_name, query_name)

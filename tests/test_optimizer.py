@@ -10,6 +10,9 @@ from ordopt import (
     EMPTY,
     FavorableOrderIndex,
     Optimizer,
+    OrdoptError,
+    QuerySpec,
+    SortOrder,
     TooLarge,
     ValidationError,
     enforce_cost,
@@ -25,6 +28,7 @@ from ordopt import (
     order,
     parse_query,
     plan_document,
+    query_to_dict,
 )
 from ordopt.optimizer import _SORTS
 from ordopt.order_refinement import refine_plan
@@ -201,6 +205,32 @@ def test_unknown_heuristic_is_rejected():
     catalog, query = load_pair("example1_catalog.json", "example1_query.json")
     with pytest.raises(ValidationError, match="unknown heuristic 'greedy'; expected one of "):
         Optimizer(catalog, CostParams(), query, heuristic="greedy")
+
+
+def test_a_code_built_query_gets_the_error_of_its_document():
+    """A session checks a query built in code as `parse_query` checks its
+    document: same error type, message and path."""
+    catalog, query = load_pair("example1_catalog.json", "example1_query.json")
+    root, inner, by = query.root, query.root.left, query.required_output_order
+    roots = [
+        # the faults of meaning among the query cases of tests/test_cli_inputs.py
+        lx.Select(root, True, frozenset()),
+        lx.Join(lx.Join(lx.Scan("zz"), inner.right, inner.join_attrs), root.right, root.join_attrs),
+        lx.Join(lx.Join(inner.left, inner.right, frozenset(["make", "breakdowns"])), root.right, root.join_attrs),
+        lx.Join(inner, root.right, frozenset(["make", "sellreason"])),
+        lx.Join(lx.Select(inner, 1.0, frozenset(["zz"])), root.right, root.join_attrs),
+        lx.Project(root, frozenset(["make", "zz"])),
+        lx.Join(inner, lx.GroupBy(root.right, frozenset(["zz"]), 8), root.join_attrs),
+        lx.Select(root, 2.0, frozenset()),
+        lx.Select(root, 0.0, frozenset()),
+        lx.Project(root, frozenset(["nope"])),
+    ]
+    for q in [QuerySpec(r, by) for r in roots] + [QuerySpec(root, SortOrder(("zz",)))]:
+        with pytest.raises(OrdoptError) as parsed:
+            parse_query(query_to_dict(q), catalog)
+        with pytest.raises(OrdoptError) as planned:
+            Optimizer(catalog, CostParams(), q)
+        assert (type(planned.value), str(planned.value)) == (type(parsed.value), str(parsed.value))
 
 
 def test_exhaustive_guard():
