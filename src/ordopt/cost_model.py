@@ -37,6 +37,7 @@ class CostParams:
             raise ConfigError(f"hashjoin_enabled must be a bool, got {self.hashjoin_enabled!r}")
         for name in ("cpu_per_comparison_io_equiv", "mergejoin_per_tuple_io_equiv", "hash_per_block_io_equiv"):
             value = getattr(self, name)
+            # a bool is not an int here, and an int above 2**53 has no exact float
             if not (type(value) is int and value <= _doc.MAX_INT or type(value) is float and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite float or an int of at most 2**53, got {value!r}")
             if value < 0:

@@ -207,7 +207,8 @@ MAX_QUERY_DEPTH = 128
 #: Document name of each expression type; a node document's other fields are
 #: the fields of its class, of which the one in `_ATTRS` names what it reads.
 _OP_NAMES = {Scan: "scan", Select: "select", Project: "project", Join: "join", GroupBy: "group_by"}
-_KINDS = {op: (kind, {"op", *kind.__slots__}) for kind, op in _OP_NAMES.items()}
+_NODE_FIELDS = {op: {"op", *t.__slots__} for t, op in _OP_NAMES.items()}
+_KINDS = {op: t for t, op in _OP_NAMES.items()}
 _ATTRS = {Scan: "relation", Select: "touched", Project: "cols", Join: "join_attrs", GroupBy: "keys"}
 
 
@@ -265,15 +266,15 @@ def parse_query(source, catalog) -> QuerySpec:
             if not isinstance(node, dict):
                 raise _doc.fail(path, "expected an object")
             op = node.get("op")
-            if not isinstance(op, str) or op not in _KINDS:
+            if not isinstance(op, str) or op not in _NODE_FIELDS:
                 raise _doc.fail(path, f"unknown op {op!r}")
-            _doc.fields(node, path, _KINDS[op][1])
+            _doc.fields(node, path, _NODE_FIELDS[op])
             if op != "scan":  # a scan has no inputs: it is read at once
                 stack.append((node, path, 0))
                 for step in ("right", "left") if op == "join" else ("input",):
                     stack.append((node.get(step), (path, step), depth + 1))
                 continue
-        kind = _KINDS[node["op"]][0]
+        kind = _KINDS[node["op"]]
         if kind is Select:
             sel = _selectivity(node.get("selectivity", 1.0), path)
         field = _ATTRS[kind]
