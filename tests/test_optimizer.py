@@ -213,7 +213,7 @@ def test_a_code_built_query_gets_the_error_of_its_document():
     catalog, query = load_pair("example1_catalog.json", "example1_query.json")
     root, inner, by = query.root, query.root.left, query.required_output_order
     roots = [
-        # the faults of meaning among the query cases of tests/test_cli_inputs.py
+        # the query cases of tests/test_cli_inputs.py that a query built in code can have
         lx.Select(root, True, frozenset()),
         lx.Join(lx.Join(lx.Scan("zz"), inner.right, inner.join_attrs), root.right, root.join_attrs),
         lx.Join(lx.Join(inner.left, inner.right, frozenset(["make", "breakdowns"])), root.right, root.join_attrs),
