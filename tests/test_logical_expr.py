@@ -347,13 +347,16 @@ def _node_docs(expr) -> list:
     return out
 
 
-def _add_fault(rng, nodes) -> None:
-    """Give a node drawn by `rng` one of six faults: an unknown relation,
-    "zz" added to its attribute field, selectivity 2.0, an unknown op, an
-    extra field, or `touched` not a list."""
+def _add_fault(rng, nodes, faults: int = 6) -> None:
+    """Give a node drawn by `rng` one of the first `faults` faults: an unknown
+    relation, "zz" added to its attribute field, selectivity 2.0, an unknown
+    op, an extra field, `touched` not a list; then `full_outer` "x" or [1],
+    and `agg_width_bytes` 0 or {"a": 1}."""
     while True:
-        fault = rng.randrange(6)
+        fault = rng.randrange(faults)
         ops = {0: ("scan",), 1: tuple(ATTR_FIELDS), 2: ("select",), 5: ("select",)}.get(fault)
+        if fault >= 6:
+            ops = ("join",) if fault < 8 else ("group_by",)
         candidates = [(node, op) for node, op in nodes if ops is None or op in ops]
         if candidates:
             break
@@ -369,8 +372,11 @@ def _add_fault(rng, nodes) -> None:
         node["op"] = "bogus"
     elif fault == 4:
         node["zz"] = 1
-    else:
+    elif fault == 5:
         node["touched"] = "x"
+    else:
+        field = "full_outer" if op == "join" else "agg_width_bytes"
+        node[field] = {6: "x", 7: [1], 8: 0, 9: {"a": 1}}[fault]
 
 
 def test_two_fault_query_documents_keep_their_first_error():
@@ -395,3 +401,28 @@ def test_two_fault_query_documents_keep_their_first_error():
     digest = hashlib.sha256("\n".join(errors).encode()).hexdigest()
     assert (parsed, len(errors), len(set(errors))) == (0, 2100, 79)
     assert digest == "2ca5a484b5d09b35c0f7671aacd3541950057b4ca6950dc0814f60f085b7e92a"
+
+
+def test_two_fault_query_documents_with_scalar_faults_keep_their_first_error():
+    """As above, with four more faults, in the fields a join or group-by reads
+    after its attributes: `full_outer` "x" or [1], `agg_width_bytes` 0 or
+    {"a": 1}."""
+    rng = random.Random(7)
+    parsed, errors = 0, []
+    for catalog_name, query_name in FIXTURE_PAIRS:
+        catalog = load_catalog(fixture_path(catalog_name).read_text())
+        base = json.loads(fixture_path(query_name).read_text())
+        for _ in range(600):
+            doc = copy.deepcopy(base)
+            nodes = _node_docs(doc["expr"])
+            _add_fault(rng, nodes, 10)
+            _add_fault(rng, nodes, 10)
+            try:
+                parse_query(doc, catalog)
+            except OrdoptError as exc:
+                errors.append(f"{type(exc).__name__}: {exc}")
+            else:
+                parsed += 1
+    digest = hashlib.sha256("\n".join(errors).encode()).hexdigest()
+    assert (parsed, len(errors), len(set(errors))) == (0, 4200, 104)
+    assert digest == "441369ce89db5b8ee1438e6766138420a9462e8e2035b6f2d860cf9ce9ff3c4b"
