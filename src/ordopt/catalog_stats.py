@@ -1,9 +1,11 @@
 """Synthetic catalog: relations, indices, and the statistics the cost model
 reads (row counts, block counts, distinct-value counts).
 
-Cardinality derivation for expressions lives here too.  Multi-attribute
-distinct counts assume attribute independence and are capped at the row
-count; the join-result estimate is the usual System-R style formula.
+Cardinality derivation for expressions lives here too, and with it the check
+of each node against the catalog: an expression's schema is the keys of its
+distinct counts, derived only for checked nodes.  Multi-attribute distinct
+counts assume attribute independence and are capped at the row count; the
+join-result estimate is the usual System-R style formula.
 """
 
 from __future__ import annotations
@@ -203,10 +205,18 @@ class ExprStats(NamedTuple):
 
 
 def expr_stats(e: lx.LogicalExpr, catalog: Catalog) -> ExprStats:
-    """Derived statistics, memoized per expression value on the catalog."""
-    stats = catalog._stats_cache.get(e)
+    """Derived statistics, memoized per expression on the catalog.  A miss
+    takes each node of e's subtree not yet cached, inputs first, without
+    recursion (`lx.postorder`), and checks it as its document would be checked
+    (`lx.check_node`) before it derives its statistics: the cache holds only
+    checked expressions, and a query's check is a lookup once it is there."""
+    cache = catalog._stats_cache
+    stats = cache.get(e)
     if stats is None:
-        stats = catalog._stats_cache[e] = _compute_stats(e, catalog)
+        for node, path in lx.postorder(e, cache):
+            lx.check_node(node, path, catalog)
+            cache[node] = _compute_stats(node, catalog)
+        stats = cache[e]
     return stats
 
 
@@ -298,7 +308,7 @@ def distinct_count(e: lx.LogicalExpr, s: AttrSet, catalog: Catalog, stats: ExprS
     dmap = stats.distinct
     missing = s.difference(dmap)
     if missing:
-        raise UnknownAttribute(f"attributes {sorted(missing)} not in schema of {e!r}")
+        raise UnknownAttribute(f"attributes {sorted(missing)} not in schema {sorted(dmap)}")
     cap = stats.rows
     if 1.0 > cap:
         cap = 1.0

@@ -2,8 +2,8 @@
 by fully sorting an unordered result.
 
 The sets are approximate, computed bottom-up in one pass over the expression
-tree: a loop over the nodes in reverse preorder, each node's set made from
-its children's, with no recursion.  `oracle.exact_minimal_favorable_orders`
+tree: a loop over the nodes in postorder (`lx.postorder`), each node's set
+made from its children's, with no recursion.  `oracle.exact_minimal_favorable_orders`
 computes the exact minimal sets of small schemas to judge them.
 
 Every consumer of a set (the pass itself at the parent join or group-by,
@@ -80,15 +80,13 @@ class FavorableOrderIndex:
 
     def orders_for(self, e: lx.LogicalExpr) -> FavorableOrderSet:
         """e's set.  A miss computes every node of e's subtree not yet cached,
-        children first (reverse preorder), so no call recurses."""
+        children first (`lx.postorder`), so no call recurses."""
         cache = self._cache
         got = cache.get(e)
         if got is not None:
             return got
         usable = self.usable
-        for node in reversed(lx.preorder(e)):
-            if node in cache:
-                continue
+        for node, _ in lx.postorder(e, cache):
             kind = type(node)
             if kind is lx.Join:
                 got = cache[node.left].union(cache[node.right], _extensions(usable(node), node.join_attrs))

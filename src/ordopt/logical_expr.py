@@ -19,6 +19,7 @@ import weakref
 from dataclasses import dataclass
 
 from . import _doc
+from . import catalog_stats as cs
 from .errors import TooLarge, UnknownRelation
 from .order_algebra import AttrSet, SortOrder, _derived
 
@@ -169,6 +170,22 @@ def preorder(e: LogicalExpr) -> list[LogicalExpr]:
     return out
 
 
+def postorder(e: LogicalExpr, done):
+    """(node, lazy `_doc` path from `expr`) for e's subtree, inputs first, left first,
+    skipping each node in `done` with its subtree; the caller adds each node it gets."""
+    stack = [(e, "expr", False)]  # (node, path, inputs pushed)
+    while stack:
+        node, path, up = stack.pop()
+        if up:
+            yield node, path
+        elif node not in done:
+            stack.append((node, path, True))
+            if type(node) is Join:
+                stack += ((node.right, (path, "right"), False), (node.left, (path, "left"), False))
+            elif type(node) is not Scan:
+                stack.append((node.input, (path, "input"), False))
+
+
 def query_attrs(q: QuerySpec, catalog) -> AttrSet:
     """Every attribute the query references anywhere.
 
@@ -198,10 +215,10 @@ def query_attrs(q: QuerySpec, catalog) -> AttrSet:
 
 # --- checking and parsing --------------------------------------------------
 
-#: Nesting guard for query documents.  Reading, checking and writing queries
-#: do not recurse, but search and refinement's rebuild take a frame per join
-#: (987 joins fit on Python 3.10 and 3.11, 747 on 3.12.1), and `json.dumps`
-#: stops near 497 nested plan levels: a plan is up to twice as deep as its query.
+#: Nesting guard for query documents.  Reading, checking and writing queries and
+#: deriving their statistics do not recurse, but search and refinement's rebuild
+#: take a frame per join (987 joins fit on Python 3.10 and 3.11, 747 on 3.12.1),
+#: and `json.dumps` stops near 497 nested plan levels, up to twice a query's depth.
 MAX_QUERY_DEPTH = 128
 
 #: Document name of each expression type; a node document's other fields are
@@ -212,51 +229,49 @@ _KINDS = {op: t for t, op in _OP_NAMES.items()}
 _ATTRS = {Scan: "relation", Select: "touched", Project: "cols", Join: "join_attrs", GroupBy: "keys"}
 
 
-def _check(kind, attrs, schemas: list, catalog, path) -> None:
-    """Check a node after its inputs, whose schemas end `schemas` and give way
-    to its own: its `_ATTRS` field must name a relation or input attributes."""
+def _read(kind, get, inputs, catalog, path) -> tuple:
+    """A `kind` node's fields but its inputs (which end `inputs` and have cached
+    statistics), read by `get(name, default)` in the order that picks the error
+    of a node with several faults: selectivity, `_ATTRS` field, flag or width."""
+    field = _ATTRS[kind]
     if kind is Scan:
-        if attrs not in catalog.relations:
-            raise UnknownRelation(f"{_doc.spell(path)}: unknown relation {attrs!r}")
-        schemas.append(catalog.relations[attrs].columns)
-    elif kind is Join:
-        right = schemas.pop()
-        _doc.within(attrs, schemas[-1], (path, "join_attrs"), "left schema")
-        _doc.within(attrs, right, (path, "join_attrs"), "right schema")
-        schemas[-1] |= right
-    else:
-        _doc.within(attrs, schemas[-1], (path, _ATTRS[kind]), "input schema")
-        if kind is not Select:
-            schemas[-1] = attrs if kind is Project else attrs | {AGG_ATTR}
+        name = _doc.name(get(field), (path, field))
+        if name not in catalog.relations:
+            raise UnknownRelation(f"{_doc.spell(path)}: unknown relation {name!r}")
+        return (name,)
+    if kind is Select:
+        sel = float(_doc.number(get("selectivity", 1.0), (path, "selectivity"), 0.0, 1.0, lo_open=True))
+    nonempty = kind is Join or kind is Project  # a list that must name an attribute
+    attrs = frozenset(_doc.attr_list(get(field, None if nonempty else []), (path, field), nonempty=nonempty))
+    schema = catalog._stats_cache[inputs[-1]].distinct.keys()
+    if kind is Join:
+        _doc.within(attrs, catalog._stats_cache[inputs[-2]].distinct.keys(), (path, field), "left schema")
+        _doc.within(attrs, schema, (path, field), "right schema")
+        return attrs, _doc.boolean(get("full_outer", False), (path, "full_outer"))
+    _doc.within(attrs, schema, (path, field), "input schema")
+    if kind is GroupBy:
+        return attrs, _doc.integer(get("agg_width_bytes", 8), (path, "agg_width_bytes"))
+    return (sel, attrs) if kind is Select else (attrs,)
 
 
-def _selectivity(value, path) -> float:
-    return float(_doc.number(value, (path, "selectivity"), 0.0, 1.0, lo_open=True))
+def check_node(e: LogicalExpr, path, catalog) -> None:
+    """Raise what `parse_query` raises on e's document at `path`; see `_read`."""
+    fields = {name: sorted(v) if isinstance(v, frozenset) else v for name, v in zip(e.__slots__, e._values())}
+    _read(type(e), fields.get, children(e), catalog, path)
 
 
 def check_query(q: QuerySpec, catalog) -> None:
-    """Raise what `parse_query` raises on the document of `q`, a query built in
-    code, for its faults of meaning: the first in postorder, left input first."""
-    schemas, stack = [], [(q.root, "expr", True)]  # (node, path, on the way down)
-    while stack:
-        e, path, down = stack.pop()
-        kind = type(e)
-        if down and kind is not Scan:
-            stack.append((e, path, False))
-            for step in ("right", "left") if kind is Join else ("input",):
-                stack.append((getattr(e, step), (path, step), True))
-        else:
-            if kind is Select:
-                _selectivity(e.selectivity, path)
-            _check(kind, getattr(e, _ATTRS[kind]), schemas, catalog, path)
-    _doc.within(q.required_output_order.attr_set(), schemas[0], "order_by", "output schema")
+    """Raise what `parse_query` raises on q's document.  `cs.expr_stats` checks
+    the nodes, once per catalog: a parsed query costs one lookup here."""
+    schema = cs.expr_stats(q.root, catalog).distinct.keys()
+    _doc.within(q.required_output_order.attr_set(), schema, "order_by", "output schema")
 
 
 def parse_query(source, catalog) -> QuerySpec:
     """Parse and validate a query document (dict, JSON text, or bytes): each
-    node's form on the way down, its fields and `_check` on the way up."""
+    node's form on the way down, its fields (`_read`) and statistics on the way up."""
     doc = _doc.fields(_doc.read_json(source, "query"), "query", {"expr", "order_by"})
-    exprs, schemas = [], []  # the expression and output schema of each node read
+    exprs = []  # the expression of each node read
     stack = [(doc.get("expr"), "expr", 1)]  # (node, path, depth); depth 0 on the way up
     while stack:
         node, path, depth = stack.pop()
@@ -275,29 +290,13 @@ def parse_query(source, catalog) -> QuerySpec:
                     stack.append((node.get(step), (path, step), depth + 1))
                 continue
         kind = _KINDS[node["op"]]
-        if kind is Select:
-            sel = _selectivity(node.get("selectivity", 1.0), path)
-        field = _ATTRS[kind]
-        if kind is Scan:
-            attrs = _doc.name(node.get(field), (path, field))
-        elif kind is Join or kind is Project:  # a list that must name an attribute
-            attrs = frozenset(_doc.attr_list(node.get(field), (path, field), nonempty=True))
-        else:
-            attrs = frozenset(_doc.attr_list(node.get(field, []), (path, field)))
-        _check(kind, attrs, schemas, catalog, path)
-        if kind is Scan:
-            exprs.append(Scan(attrs))
-        elif kind is Join:
-            right = exprs.pop()
-            exprs[-1] = Join(exprs[-1], right, attrs, _doc.boolean(node.get("full_outer", False), (path, "full_outer")))
-        elif kind is GroupBy:
-            width = _doc.integer(node.get("agg_width_bytes", 8), (path, "agg_width_bytes"))
-            exprs[-1] = GroupBy(exprs[-1], attrs, width)
-        else:
-            exprs[-1] = Select(exprs[-1], sel, attrs) if kind is Select else Project(exprs[-1], attrs)
-    out_order = _derived(_doc.attr_list(doc.get("order_by", []), "order_by"))
-    _doc.within(out_order.attr_set(), schemas[0], "order_by", "output schema")
-    return QuerySpec(exprs[0], out_order)
+        start = len(exprs) - (2 if kind is Join else 0 if kind is Scan else 1)  # where its inputs start
+        exprs[start:] = [kind(*exprs[start:], *_read(kind, node.get, exprs, catalog, path))]
+        if exprs[-1] not in catalog._stats_cache:
+            catalog._stats_cache[exprs[-1]] = cs._compute_stats(exprs[-1], catalog)
+    query = QuerySpec(exprs[0], _derived(_doc.attr_list(doc.get("order_by", []), "order_by")))
+    check_query(query, catalog)
+    return query
 
 
 def query_to_dict(q: QuerySpec) -> dict:

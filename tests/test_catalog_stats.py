@@ -59,9 +59,14 @@ def test_distinct_count_matches_enumeration():
 
 
 def test_distinct_count_unknown_attribute():
+    # the message names the schema, not the expression, whose repr takes a frame per level
     catalog = _one_relation_catalog()
-    with pytest.raises(UnknownAttribute):
-        distinct_count(lx.Scan("r"), frozenset("ax"), catalog)
+    deep = lx.Scan("r")
+    for _ in range(5000):
+        deep = lx.Select(deep, 0.5, frozenset())
+    for e in (lx.Scan("r"), deep):
+        with pytest.raises(UnknownAttribute, match=r"^attributes \['x'\] not in schema \['a', 'b'\]$"):
+            distinct_count(e, frozenset("ax"), catalog)
 
 
 def test_distinct_count_monotone_and_capped():

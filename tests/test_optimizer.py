@@ -224,6 +224,10 @@ def test_a_code_built_query_gets_the_error_of_its_document():
         lx.Select(root, 2.0, frozenset()),
         lx.Select(root, 0.0, frozenset()),
         lx.Project(root, frozenset(["nope"])),
+        # faults of form: each of these planned before sessions checked them
+        lx.Join(inner, root.right, frozenset()),
+        lx.Join(inner, root.right, root.join_attrs, "x"),
+        lx.GroupBy(root, by.attr_set(), 8.5),
     ]
     for q in [QuerySpec(r, by) for r in roots] + [QuerySpec(root, SortOrder(("zz",)))]:
         with pytest.raises(OrdoptError) as parsed:
@@ -231,6 +235,24 @@ def test_a_code_built_query_gets_the_error_of_its_document():
         with pytest.raises(OrdoptError) as planned:
             Optimizer(catalog, CostParams(), q)
         assert (type(planned.value), str(planned.value)) == (type(parsed.value), str(parsed.value))
+
+
+def test_sessions_check_only_the_order_of_a_parsed_query(monkeypatch):
+    """Parsing a query checks its nodes and caches their statistics on the
+    catalog, so a planning session checks its order alone."""
+    from ordopt import _doc
+
+    catalog, query = load_pair("q5_catalog.json", "q5_query.json")
+    checked, plain = [], _doc.within
+
+    def counting(attrs, available, path, where):
+        checked.append(path)
+        return plain(attrs, available, path, where)
+
+    monkeypatch.setattr(_doc, "within", counting)
+    for _ in range(4):
+        Optimizer(catalog, CostParams(), query)
+    assert checked == ["order_by"] * 4
 
 
 def test_exhaustive_guard():
