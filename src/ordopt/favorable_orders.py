@@ -3,8 +3,9 @@ by fully sorting an unordered result.
 
 The sets are approximate, computed bottom-up in one pass over the expression
 tree: a loop over the nodes in postorder (`lx.postorder`), each node's set
-made from its children's, with no recursion.  `oracle.exact_minimal_favorable_orders`
-computes the exact minimal sets of small schemas to judge them.
+made from its children's, with no recursion.
+`oracle.exact_minimal_favorable_orders` computes the exact minimal sets of
+small schemas to judge them.
 
 Every consumer of a set (the pass itself at the parent join or group-by,
 plan search, refinement) reads only the prefixes of its orders within one

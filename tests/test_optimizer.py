@@ -224,7 +224,7 @@ def test_a_code_built_query_gets_the_error_of_its_document():
         lx.Select(root, 2.0, frozenset()),
         lx.Select(root, 0.0, frozenset()),
         lx.Project(root, frozenset(["nope"])),
-        # faults of form: each of these planned before sessions checked them
+        # faults of form
         lx.Join(inner, root.right, frozenset()),
         lx.Join(inner, root.right, root.join_attrs, "x"),
         lx.GroupBy(root, by.attr_set(), 8.5),
