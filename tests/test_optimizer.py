@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import itertools
 import json
 import random
 
@@ -29,6 +31,7 @@ from ordopt import (
     parse_query,
     plan_document,
     query_to_dict,
+    refine_with,
 )
 from ordopt.optimizer import _SORTS
 from ordopt.order_refinement import refine_plan
@@ -499,6 +502,37 @@ def test_search_prices_every_goal_as_sort_does(catalog, query, params):
         assert (node.produced_order, sort) == (want, (node.op, node.input_order, node.op_cost))
         assert fresh._sorted(child, want, sort) == node
     assert sorts > 0
+
+
+def _overflow_grid():
+    """144 cost parameters, from the defaults' scale to the edge of float range."""
+    from ordopt.catalog_stats import BlockConfig
+
+    rates = (1e-7, 1e300, 1e306, 1.7976931348623157e308)
+    hashing = ((False, 3.0), (True, 1e300), (True, 1.7e308))
+    for block_bytes, memory_blocks in ((1, 3), (1, 10), (16, 3)):
+        for cpu, merge, (hashjoin, per_block) in itertools.product(rates, rates, hashing):
+            yield CostParams(BlockConfig(block_bytes, memory_blocks), cpu, merge, hashjoin, per_block)
+
+
+def test_search_and_refinement_keep_their_costs_and_errors_over_an_overflow_grid():
+    """Search, then refinement in its session, on the seven fixture pairs
+    and the 64-join chain over `_overflow_grid`: each pair's error (type and
+    message) or final costs are pinned, as is how many pairs fail."""
+    cases = [load_pair(cat, qry) for cat, qry in FIXTURE_PAIRS + [("bushy_catalog.json", "bushy_query.json")]]
+    cases.append(_long_chain(64))
+    outcomes, failed = [], 0
+    for catalog, query in cases:
+        for params in _overflow_grid():
+            try:
+                planner = Optimizer(catalog, params, query)
+                plan = planner.optimize()
+                outcomes.append(f"{plan.total_cost!r} {refine_with(planner, plan).total_cost!r}")
+            except OrdoptError as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+                failed += 1
+    assert (len(outcomes), failed) == (1152, 994)
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == "eafe08e1c293182eba51894282ad0a5fe7d2a60fcce59029223735f800fd746d"
 
 
 @pytest.mark.parametrize("case,calls", [("postopt", 5), ("chain64", 101)])
