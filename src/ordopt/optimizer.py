@@ -18,14 +18,15 @@ its prefix on their attributes, so they are derived and sorted once per
 (expression, prefix), for every heuristic.  One loop in `Optimizer._goal`
 builds each pair's operator once per query, over its inputs' memoized
 goals, and every goal of its expression shares it; it calls `_goal` through
-`map`, so search takes one interpreter frame per join level.  The same loop
-ranks the goal's candidates with no function call per candidate: it prices
-each from its node's fields, and a sort from the cache `Optimizer._sort`
-keeps, so only the winner's sort node is built.  Plan nodes are immutable
-tuples; `Optimizer._node`, in the one planning session of a query, builds
-every one of them for search, refinement and the plan loader.  Expressions
-are interned (`logical_expr`), so every table here keys on the expression
-node itself, hashed and compared by identity.
+`map`, so search takes one interpreter frame per join level.  One rule prices
+and places every sort: `Optimizer._best` ranks a goal's candidates with no
+function call per candidate, pricing each from its node's fields and its
+sort from a per-session cache, and builds only the winner's sort; the plan
+loader and refinement's rebuild place their sorts through it too.  Plan
+nodes are immutable tuples; `Optimizer._node`, in the one planning session
+of a query, builds every one of them for search, refinement and the plan
+loader.  Expressions are interned (`logical_expr`), so every table here keys
+on the expression node itself, hashed and compared by identity.
 
 A plan document is untrusted: `read_plan_document` rebuilds each node in a
 session of its query (`Optimizer.load`), so every cost is recomputed.
@@ -157,11 +158,11 @@ _OVERFLOW = "cost estimate of a {} plan overflows"
 
 class Optimizer:
     """The planning session of one query over one catalog and set of cost
-    parameters.  `_node` builds each plan node, `_sort` prices a sort, and
-    `_access_paths` holds each scan's table, cached for those inputs only.
-    Search (`optimize`, with a memo of the best plan per goal) ranks a goal's
-    candidates in one loop, builds with `_operator`, and with `_sorted` only
-    the winner's sort; refinement builds with `rebuild`, the loader with `load`.
+    parameters.  `_node` builds each plan node, `_best` prices and places
+    every sort, and `_access_paths` holds each scan's table, cached for those
+    inputs only.  Search (`optimize`, with a memo of the best plan per goal)
+    builds a goal's candidates with `_operator` and ranks them with `_best`;
+    refinement builds with `rebuild`, the loader with `load`.
 
     `order_source`, kept as `index`, is the `favorable_orders.FavorableOrderIndex`
     of the favorable orders that search and refinement assume for each
@@ -223,31 +224,6 @@ class Optimizer:
         fields = (op, e, produced, op_cost, total, rows, blocks, tuple(children), input_order, count)
         return _new_plan(PhysicalPlan, fields)
 
-    def _sort(self, plan: PhysicalPlan, want: SortOrder, have: SortOrder | None = None):
-        """None if `have` (by default the plan's own order) delivers `want`;
-        otherwise the op, known prefix and own cost of a sort on top of `plan`
-        that relies on what `have` shares with `want`."""
-        n = 0
-        for a, b in zip(want, plan.produced_order if have is None else have):
-            if a != b:
-                break
-            n += 1
-        if n == len(want):
-            return None
-        key = (plan.expr, frozenset(want[:n]), len(want) - n)
-        cost = self._sort_costs.get(key)
-        if cost is None:
-            cost = self._sort_costs[key] = cm.sort_cost(*key, self.params, self.catalog, plan.est_blocks)
-        return ("partial_sort" if n else "full_sort"), _derived(want[:n]), cost
-
-    def _sorted(self, plan: PhysicalPlan, want: SortOrder, sort) -> PhysicalPlan:
-        """`plan` itself if `sort` is None, else the sort to `want` that `sort`,
-        as `_sort` returns it, prices on top of it; every sort is placed here."""
-        if sort is None:
-            return plan
-        op, known, cost = sort
-        return self._node(op, plan.expr, want, cost, (plan,), known)
-
     def _operator(self, op, e, kids, order: SortOrder = EMPTY) -> PhysicalPlan:
         """Operator `op` computing e over `kids`, the plans of e's inputs, with
         its order and own cost.  An access path (no kids), a merge join or a
@@ -287,7 +263,7 @@ class Optimizer:
             # map adds no interpreter frame per level, unlike a comprehension
             kids = tuple(map(self.rebuild, p.children, itertools.repeat(io), itertools.repeat(orders)))
             p = self._operator(p.op, p.expr, kids, io)
-        return self._sorted(p, want, self._sort(p, want))
+        return self._best(p.expr, want, [(p, p.produced_order)])
 
     def load(self, d, where, e: lx.LogicalExpr, exprs, sort_ok: bool = True) -> PhysicalPlan:
         """Rebuild plan node `d` at document path `where` (a lazy `_doc`
@@ -327,7 +303,7 @@ class Optimizer:
             want = _derived(_doc.attr_list(get("order", []), (where, "order")))
             schema = cs.expr_stats(e, self.catalog).distinct.keys()  # keyed by e's output attributes
             _doc.within(want.attr_set(), schema, (where, "order"), "the input's schema")
-            node = self._sorted(kids[0], want, self._sort(kids[0], want, have))
+            node = self._best(e, want, [(kids[0], have)])
         elif isinstance(e, lx.Scan):
             key = get("index_key")
             # the one table scan, or the covering index scan in the order of its key
@@ -369,25 +345,31 @@ class Optimizer:
         if done is not None:
             return done
 
-        # Build each operator once, over its inputs' goals (map adds no
-        # interpreter frame per level), and price it right after, so the first
-        # overflowing candidate names itself.  `<` keeps the first of equal
-        # keys (total, order, node count); only the winner's sort is built.
-        best = base = known = sort_cost = None
+        # Build each operator once, over its inputs' goals: map adds no
+        # interpreter frame per level.
+        candidates = []
         inputs = lx.children(e)
-        width = len(want)
-        choices = self._choices(e, want)
+        for op, io in self._choices(e, want):
+            node = self._shared.get((op, e, io))
+            if node is None:
+                kids = tuple(map(self._goal, inputs, [io] * len(inputs)))
+                node = self._shared[op, e, io] = self._operator(op, e, kids, io)
+            candidates.append((node, node[2]))
         if want:  # last, a full sort over the best unordered plan
-            choices = itertools.chain(choices, ((None, None),))
-        for op, io in choices:
-            if op is None:
-                node, have = self._goal(e, EMPTY), EMPTY
-            else:
-                node = self._shared.get((op, e, io))
-                if node is None:
-                    kids = tuple(map(self._goal, inputs, [io] * len(inputs)))
-                    node = self._shared[op, e, io] = self._operator(op, e, kids, io)
-                have = node[2]
+            candidates.append((self._goal(e, EMPTY), EMPTY))
+        plan = self.memo[e, want] = self._best(e, want, candidates)
+        return plan
+
+    def _best(self, e: lx.LogicalExpr, want: SortOrder, candidates) -> PhysicalPlan:
+        """The cheapest of `candidates`, (plan of e, the order it is taken to
+        deliver) pairs, each with a (partial) sort to `want` on top where that
+        order falls short, relying on the prefix it shares with `want`.  One
+        loop prices them, with no call per candidate, so the first overflowing
+        sort names itself; `<` keeps the first of equal keys (total, order,
+        node count), and only the winner's sort is built."""
+        best = base = known = sort_cost = None
+        width = len(want)
+        for node, have in candidates:
             _, _, _, _, total, _, blocks, _, _, count = node
             if have[:width] == want:
                 key, n, cost = (total, have, count), None, None
@@ -407,9 +389,9 @@ class Optimizer:
                 key = (total, want, count + 1)
             if best is None or key < best:
                 best, base, known, sort_cost = key, node, n, cost
-        sort = None if known is None else ("partial_sort" if known else "full_sort", _derived(want[:known]), sort_cost)
-        plan = self.memo[e, want] = self._sorted(base, want, sort)
-        return plan
+        if known is None:
+            return base
+        return self._node("partial_sort" if known else "full_sort", e, want, sort_cost, (base,), _derived(want[:known]))
 
     def _choices(self, e: lx.LogicalExpr, want: SortOrder):
         """The (operator, order) pairs that may compute e, in ranking order: a

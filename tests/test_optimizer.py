@@ -397,7 +397,7 @@ def test_sort_group_by_reads_its_sorted_input_for_free():
     e = lx.Scan("rating")
     scan = builder._operator("table_scan", e, (), catalog.relation("rating").clustering_order)
     make = order("make")
-    sorted_scan = builder._sorted(scan, make, builder._sort(scan, make))
+    sorted_scan = builder._best(e, make, [(scan, scan.produced_order)])
     plan = builder._operator("sort_group_by", lx.GroupBy(e, frozenset(["make"]), 8), (sorted_scan,), make)
     assert (plan.op_cost, plan.total_cost, plan.produced_order) == (0.0, sorted_scan.total_cost, make)
 
@@ -483,24 +483,21 @@ def _search_cases():
 
 @pytest.mark.parametrize("catalog,query,params", _search_cases())
 def test_search_prices_every_goal_as_sort_does(catalog, query, params):
-    """Search prices its candidates inline, `_sort` prices the sorts of
-    refinement and the loader: on every memo plan the two agree.  A plan
-    whose root is a sort is what a fresh session's `_sort` prices over its
-    input, from the prefix it relies on, and `_sorted` rebuilds it; any other
-    plan delivers its goal's order itself."""
+    """Search, refinement and the loader price and place their sorts with
+    `_best`: a plan whose root is a sort is what a fresh session's `_best`
+    rebuilds over its input, from the prefix the sort relies on; any other
+    memo plan delivers its goal's order itself, and comes back as itself."""
     planner = Optimizer(catalog, params, query)
     planner.optimize()
     fresh = Optimizer(catalog, params, query)
     sorts = 0
     for (e, want), node in planner.memo.items():
         if node.op not in _SORTS:
-            assert planner._sort(node, want) is None
+            assert planner._best(e, want, [(node, node.produced_order)]) is node
             continue
         sorts += 1
-        child = node.children[0]
-        sort = fresh._sort(child, node.produced_order, node.input_order)
-        assert (node.produced_order, sort) == (want, (node.op, node.input_order, node.op_cost))
-        assert fresh._sorted(child, want, sort) == node
+        assert node.produced_order == want
+        assert fresh._best(e, want, [(node.children[0], node.input_order)]) == node
     assert sorts > 0
 
 
