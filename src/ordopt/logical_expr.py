@@ -193,22 +193,11 @@ def query_attrs(q: QuerySpec, catalog) -> AttrSet:
     the query when it contains all attributes of its relation that appear in
     this set.
     """
-    used: set[str] = set(q.required_output_order)
-    # One walk; `out` marks nodes whose output columns reach the root's
-    # schema: no project or group-by lies above them.
-    stack = [(q.root, True)]
-    while stack:
-        node, out = stack.pop()
-        kind = type(node)
-        if kind is Scan:
-            if out:
-                used |= catalog.relation(node.relation).columns
-        elif kind is Join:
-            used |= node.join_attrs
-            stack += ((node.left, out), (node.right, out))
-        else:
-            used |= node.touched if kind is Select else node.cols if kind is Project else node.keys
-            stack.append((node.input, out and kind is Select))
+    used = set(q.required_output_order)
+    used.update(cs.expr_stats(q.root, catalog).distinct)  # the root's output schema
+    for node in preorder(q.root):
+        if type(node) is not Scan:
+            used |= getattr(node, _ATTRS[type(node)])
     used.discard(AGG_ATTR)
     return frozenset(used)
 
