@@ -275,17 +275,15 @@ def _compute_stats(e: lx.LogicalExpr, catalog: Catalog) -> ExprStats:
         widths = {**rs.widths, **ls.widths}  # shared attributes keep the left width
         return _new(ExprStats, (rows, sum(widths.values()), *_by_name(distinct, widths)))
 
-    if kind is lx.GroupBy:
-        s = expr_stats(e.input, catalog)
-        rows = distinct_count(e.input, e.keys, catalog, s)
-        keys = e.keys
-        widths = {a: w for a, w in s.widths.items() if a in keys}
-        widths[lx.AGG_ATTR] = float(e.agg_width_bytes)
-        distinct = {a: rows if rows < d else d for a, d in s.distinct.items() if a in keys}
-        distinct[lx.AGG_ATTR] = rows
-        return _new(ExprStats, (rows, sum(widths.values()), *_by_name(distinct, widths)))
-
-    raise TypeError(f"not a logical expression: {e!r}")
+    # a group-by
+    s = expr_stats(e.input, catalog)
+    rows = distinct_count(e.input, e.keys, catalog, s)
+    keys = e.keys
+    widths = {a: w for a, w in s.widths.items() if a in keys}
+    widths[lx.AGG_ATTR] = float(e.agg_width_bytes)
+    distinct = {a: rows if rows < d else d for a, d in s.distinct.items() if a in keys}
+    distinct[lx.AGG_ATTR] = rows
+    return _new(ExprStats, (rows, sum(widths.values()), *_by_name(distinct, widths)))
 
 
 def _by_name(distinct: dict, widths: dict) -> tuple[dict, dict]:

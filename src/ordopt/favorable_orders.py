@@ -97,10 +97,8 @@ class FavorableOrderIndex:
                 got = cache[node.input]
             elif kind is lx.Project:
                 got = self.restricted(node.input, node.cols)
-            elif kind is lx.GroupBy:
+            else:  # a group-by
                 got = frozenset(_extensions(usable(node), node.keys))
-            else:
-                raise TypeError(f"not a logical expression: {node!r}")
             cache[node] = got
         return cache[e]
 

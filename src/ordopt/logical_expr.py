@@ -172,13 +172,16 @@ def preorder(e: LogicalExpr) -> list[LogicalExpr]:
 
 def postorder(e: LogicalExpr, done):
     """(node, lazy `_doc` path from `expr`) for e's subtree, inputs first, left first,
-    skipping each node in `done` with its subtree; the caller adds each node it gets."""
+    skipping each node in `done` with its subtree; the caller adds each node it gets.
+    A value met in the walk that is no expression raises TypeError."""
     stack = [(e, "expr", False)]  # (node, path, inputs pushed)
     while stack:
         node, path, up = stack.pop()
         if up:
             yield node, path
         elif node not in done:
+            if type(node) not in _OP_NAMES:
+                raise TypeError(f"not a logical expression: {node!r}")
             stack.append((node, path, True))
             if type(node) is Join:
                 stack += ((node.right, (path, "right"), False), (node.left, (path, "left"), False))

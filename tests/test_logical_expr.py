@@ -229,6 +229,23 @@ def test_checking_a_deep_query_built_in_code_does_not_recurse():
             assert expr_stats(e, catalog).rows == 0.0  # 0.5**5000 of lineitem's rows
 
 
+
+def test_a_value_that_is_no_expression_is_a_type_error():
+    """`postorder` rejects any node it meets that is not an expression, so
+    statistics, a planning session and the favorable-order index all do."""
+    from ordopt import CostParams, Optimizer, index_for_query
+
+    catalog, query = load_pair("tpch_catalog.json", "q3_query.json")
+    index = index_for_query(query, catalog)
+    for call in (
+        lambda: expr_stats("x", catalog),
+        lambda: expr_stats(lx.Select("x", 0.5, frozenset()), catalog),
+        lambda: Optimizer(catalog, CostParams(), lx.QuerySpec("x", EMPTY)),
+        lambda: index.orders_for("x"),
+    ):
+        with pytest.raises(TypeError, match=r"^not a logical expression: 'x'$"):
+            call()
+
 def test_two_parses_of_one_query_give_the_identical_root():
     for catalog_name, query_name in perfbench_workloads().FIXTURE_PAIRS:
         catalog, query = load_pair(catalog_name, query_name)
