@@ -180,12 +180,13 @@ def postorder(e: LogicalExpr, done):
         if up:
             yield node, path
         elif node not in done:
-            if type(node) not in _OP_NAMES:
+            kind = type(node)
+            if kind not in _OP_NAMES:
                 raise TypeError(f"not a logical expression: {node!r}")
             stack.append((node, path, True))
-            if type(node) is Join:
+            if kind is Join:
                 stack += ((node.right, (path, "right"), False), (node.left, (path, "left"), False))
-            elif type(node) is not Scan:
+            elif kind is not Scan:
                 stack.append((node.input, (path, "input"), False))
 
 
