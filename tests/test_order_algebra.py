@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from ordopt import (
     EMPTY,
     DuplicateAttribute,
+    LabeledTree,
     NotAPrefix,
+    ValidationError,
+    assignment_benefit,
     SortOrder,
     canonical_permutation,
     concat,
@@ -50,6 +53,21 @@ def test_subtract_examples():
     assert subtract(order("a", "b"), order("a", "b")) == EMPTY
     with pytest.raises(NotAPrefix):
         subtract(order("a", "b"), order("b"))
+
+
+def test_messages_print_orders_as_names_in_parentheses():
+    for o1, o2, text in (
+        (order("a", "b"), order("b"), "(b) is not a prefix of (a,b)"),
+        (EMPTY, order("a"), "(a) is not a prefix of eps"),
+    ):
+        with pytest.raises(NotAPrefix) as err:
+            subtract(o1, o2)
+        assert str(err.value) == text
+    tree = LabeledTree((frozenset("ab"),), ())
+    for o, text in ((order("a", "c"), "(a,c)"), (EMPTY, "eps")):
+        with pytest.raises(ValidationError) as err:
+            assignment_benefit(tree, [o])
+        assert str(err.value) == f"order {text} is not a permutation of ['a', 'b']"
 
 
 def test_lcp_with_set_examples():
