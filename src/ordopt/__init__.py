@@ -74,6 +74,7 @@ from .order_algebra import (
     lcp,
     lcp_with_set,
     order,
+    order_str,
     subtract,
 )
 from .order_refinement import (

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import _doc
 from . import logical_expr as lx
 from .errors import ConfigError, TooLarge, UnknownAttribute, UnknownRelation
-from .order_algebra import EMPTY, AttrSet, SortOrder, _derived, is_prefix
+from .order_algebra import EMPTY, AttrSet, SortOrder, is_prefix
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class IndexDef(NamedTuple):
     kind: str  # "clustering" or "secondary"
 
     def all_attrs(self) -> AttrSet:
-        return self.key_order.attr_set() | self.included_columns
+        return self.included_columns.union(self.key_order)
 
 
 @dataclass
@@ -130,7 +130,7 @@ def load_catalog(source) -> Catalog:
         columns = frozenset(_doc.attr_list(rdoc.get("columns", []), (path, "columns"), nonempty=True))
         if lx.AGG_ATTR in columns:
             raise _doc.fail((path, "columns"), f"{lx.AGG_ATTR!r} is reserved for the aggregate of a group-by")
-        clustering = _derived(_doc.attr_list(rdoc.get("clustering_order", []), (path, "clustering_order")))
+        clustering = _doc.attr_list(rdoc.get("clustering_order", []), (path, "clustering_order"))
         if not columns.issuperset(clustering):
             raise _doc.fail((path, "clustering_order"), "attributes outside the relation's columns")
         dpath = (path, "distincts")
@@ -148,9 +148,9 @@ def load_catalog(source) -> Catalog:
         if rel_name not in relations:
             raise UnknownRelation(f"{_doc.spell(path)}: unknown relation {rel_name!r}")
         rel = relations[rel_name]
-        key = _derived(_doc.attr_list(idoc.get("key_order", []), (path, "key_order"), nonempty=True))
+        key = _doc.attr_list(idoc.get("key_order", []), (path, "key_order"), nonempty=True)
         included = frozenset(_doc.attr_list(idoc.get("included_columns", []), (path, "included_columns")))
-        if not (key.attr_set() | included) <= rel.columns:
+        if not included.union(key) <= rel.columns:
             raise _doc.fail(path, "index attributes outside the relation's columns")
         kind = idoc.get("kind", "secondary")
         if kind not in ("clustering", "secondary"):

@@ -128,7 +128,7 @@ def enforce_cost(
     `have` already holds: only the common prefix of the two orders helps."""
     known = lcp(want, have)
     data_blocks = cs.expr_blocks(e, catalog, params.cfg)
-    return sort_cost(e, known.attr_set(), len(want) - len(known), params, catalog, data_blocks)
+    return sort_cost(e, frozenset(known), len(want) - len(known), params, catalog, data_blocks)
 
 
 def sort_cost(

@@ -18,25 +18,18 @@ from __future__ import annotations
 
 from . import catalog_stats as cs
 from . import logical_expr as lx
-from .order_algebra import (
-    EMPTY,
-    AttrSet,
-    SortOrder,
-    _derived,
-    extend_to,
-)
+from .order_algebra import EMPTY, AttrSet, SortOrder, extend_to
 
 #: A set larger than this is neither pruned nor reported by the pass;
 #: perfbench's `favorable_orders.sets_over_flag` counts them.
 SET_SIZE_FLAG = 64
 
-FavorableOrderSet = frozenset  # of SortOrder; the empty order is implicit
+FavorableOrderSet = frozenset  # of orders; the empty order is implicit
 
 
 def restrict_orders(orders, s: AttrSet) -> FavorableOrderSet:
-    """Restrict each order to its longest prefix within s, dropping empties:
-    the orders that do not start with an attribute of s are skipped.  One
-    loop step per order; only the distinct prefixes become SortOrders."""
+    """Each order's longest prefix within s, in one loop step per order; the
+    orders that do not start with an attribute of s are skipped."""
     prefixes = set()
     for o in orders:
         n = 0
@@ -46,7 +39,7 @@ def restrict_orders(orders, s: AttrSet) -> FavorableOrderSet:
             n += 1
         if n:
             prefixes.add(o[:n])
-    return frozenset(map(_derived, prefixes))
+    return frozenset(prefixes)
 
 
 def _extensions(heads, s: AttrSet) -> set[SortOrder]:

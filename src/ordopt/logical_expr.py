@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import _doc
 from . import catalog_stats as cs
 from .errors import TooLarge, UnknownRelation
-from .order_algebra import AttrSet, SortOrder, _derived
+from .order_algebra import AttrSet, SortOrder
 
 #: Name of the synthetic column holding aggregate results below a group-by.
 AGG_ATTR = "__agg__"
@@ -254,10 +254,14 @@ def check_node(e: LogicalExpr, path, catalog) -> None:
 
 
 def check_query(q: QuerySpec, catalog) -> None:
-    """Raise what `parse_query` raises on q's document.  `cs.expr_stats` checks
-    the nodes, once per catalog: a parsed query costs one lookup here."""
+    """Raise what `parse_query` raises on q's document, whose order_by is the
+    list of q's order, a tuple.  `cs.expr_stats` checks the nodes, once per
+    catalog: a parsed query costs one lookup here."""
     schema = cs.expr_stats(q.root, catalog).distinct.keys()
-    _doc.within(q.required_output_order.attr_set(), schema, "order_by", "output schema")
+    by = q.required_output_order
+    if type(by) is not tuple:
+        raise _doc.fail("order_by", f"expected a tuple of attribute names, got {by!r}")
+    _doc.within(frozenset(_doc.attr_list(list(by), "order_by")), schema, "order_by", "output schema")
 
 
 def parse_query(source, catalog) -> QuerySpec:
@@ -287,7 +291,7 @@ def parse_query(source, catalog) -> QuerySpec:
         exprs[start:] = [kind(*exprs[start:], *_read(kind, node.get, exprs, catalog, path))]
         if exprs[-1] not in catalog._stats_cache:
             catalog._stats_cache[exprs[-1]] = cs._compute_stats(exprs[-1], catalog)
-    query = QuerySpec(exprs[0], _derived(_doc.attr_list(doc.get("order_by", []), "order_by")))
+    query = QuerySpec(exprs[0], _doc.attr_list(doc.get("order_by", []), "order_by"))
     check_query(query, catalog)
     return query
 

@@ -54,12 +54,12 @@ from .order_algebra import (
     EMPTY,
     AttrSet,
     SortOrder,
-    _derived,
     canonical_permutation,
     concat,
     extend_to,
     is_prefix,
     lcp_with_set,
+    order_str,
 )
 
 HEURISTICS = ("favorable", "arbitrary", "postgres", "exhaustive")
@@ -297,12 +297,12 @@ class Optimizer:
 
         if is_sort:
             delivered = kids[0].produced_order
-            have = _derived(_doc.attr_list(get("input_order", []), (where, "input_order")))
+            have = _doc.attr_list(get("input_order", []), (where, "input_order"))
             if not is_prefix(have, delivered):
-                raise _doc.fail((where, "input_order"), f"the input delivers {delivered}")
-            want = _derived(_doc.attr_list(get("order", []), (where, "order")))
+                raise _doc.fail((where, "input_order"), f"the input delivers {order_str(delivered)}")
+            want = _doc.attr_list(get("order", []), (where, "order"))
             schema = cs.expr_stats(e, self.catalog).distinct.keys()  # keyed by e's output attributes
-            _doc.within(want.attr_set(), schema, (where, "order"), "the input's schema")
+            _doc.within(frozenset(want), schema, (where, "order"), "the input's schema")
             node = self._best(e, want, [(kids[0], have)])
         elif isinstance(e, lx.Scan):
             key = get("index_key")
@@ -313,8 +313,8 @@ class Optimizer:
             node = self._operator(op, e, (), found[0])
         elif op in ("merge_join", "sort_group_by"):
             attrs = lx.sort_attrs(e)
-            order = _derived(_doc.attr_list(get("order", []), (where, "order")))
-            if order.attr_set() != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
+            order = _doc.attr_list(get("order", []), (where, "order"))
+            if frozenset(order) != attrs or not all(is_prefix(order, k.produced_order) for k in kids):
                 raise _doc.fail((where, "order"), f"expected an order of {sorted(attrs)} every input delivers")
             node = self._operator(op, e, kids, order)
         else:  # the order of any other operator is derived, and checked below
@@ -391,7 +391,7 @@ class Optimizer:
                 best, base, known, sort_cost = key, node, n, cost
         if known is None:
             return base
-        return self._node("partial_sort" if known else "full_sort", e, want, sort_cost, (base,), _derived(want[:known]))
+        return self._node("partial_sort" if known else "full_sort", e, want, sort_cost, (base,), want[:known])
 
     def _choices(self, e: lx.LogicalExpr, want: SortOrder):
         """The (operator, order) pairs that may compute e, in ranking order: a
@@ -504,7 +504,7 @@ def read_plan_document(source) -> tuple[Optimizer, PhysicalPlan]:
     planner = Optimizer(catalog, params, query)
     plan = planner.load(doc.get("plan"), "plan", query.root, lx.preorder(query.root))
     if not is_prefix(query.required_output_order, plan.produced_order):
-        raise _doc.fail("plan", f"delivers {plan.produced_order}, not the query's order_by")
+        raise _doc.fail("plan", f"delivers {order_str(plan.produced_order)}, not the query's order_by")
     return planner, plan
 
 
@@ -524,10 +524,10 @@ def format_plan(p: PhysicalPlan) -> str:
         if not p.children:
             parts.append(p.expr.relation)
         if p.op == "covering_index_scan":
-            parts.append(f"key={p.produced_order}")
+            parts.append(f"key={order_str(p.produced_order)}")
         if p.op in _SORTS:
-            parts.append(f"{p.input_order}->{p.produced_order}")
-        parts.append(f"order={p.produced_order}")
+            parts.append(f"{order_str(p.input_order)}->{order_str(p.produced_order)}")
+        parts.append(f"order={order_str(p.produced_order)}")
         parts.append(f"rows={p.est_rows:.6g}")
         parts.append(f"blocks={p.est_blocks}")
         parts.append(f"cost={p.op_cost:.6g}")

@@ -22,14 +22,7 @@ from . import cost_model as cm
 from . import logical_expr as lx
 from .errors import ValidationError
 from .optimizer import _SORTS, Optimizer, PhysicalPlan
-from .order_algebra import (
-    AttrSet,
-    SortOrder,
-    canonical_permutation,
-    concat,
-    lcp,
-    subtract,
-)
+from .order_algebra import AttrSet, SortOrder, canonical_permutation, concat, lcp, order_str, subtract
 
 
 @dataclass(frozen=True)
@@ -74,8 +67,8 @@ def assignment_benefit(tree: LabeledTree, assignment) -> int:
     if len(assignment) != len(tree.node_sets):
         raise ValidationError(f"{len(assignment)} orders for {len(tree.node_sets)} nodes")
     for s, o in zip(tree.node_sets, assignment):
-        if o.attr_set() != frozenset(s):
-            raise ValidationError(f"order {o} is not a permutation of {sorted(s)}")
+        if frozenset(o) != frozenset(s):
+            raise ValidationError(f"order {order_str(o)} is not a permutation of {sorted(s)}")
     return sum(len(lcp(assignment[p], assignment[c])) for p, c in tree.edges)
 
 
@@ -227,13 +220,13 @@ def refine_with(planner: Optimizer, plan: PhysicalPlan) -> PhysicalPlan:
     # restriction to the attributes.
     def head(j: PhysicalPlan) -> SortOrder:
         usable = planner.index.usable(j.expr)
-        return j.produced_order.prefix(max((len(lcp(j.produced_order, q)) for q in usable), default=0))
+        return j.produced_order[: max((len(lcp(j.produced_order, q)) for q in usable), default=0)]
 
     # Each tree of adjacent joins is solved separately.
     new_orders: dict[int, SortOrder] = {}
     for joins, edges in trees:
         heads = [head(j) for j in joins]
-        free_sets = tuple(subtract(j.produced_order, h).attr_set() for j, h in zip(joins, heads))
+        free_sets = tuple(frozenset(subtract(j.produced_order, h)) for j, h in zip(joins, heads))
         for j, h, free in zip(joins, heads, tree_approx(LabeledTree(free_sets, tuple(edges)))):
             refined = concat(h, free)
             if refined != j.produced_order:

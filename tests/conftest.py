@@ -148,7 +148,7 @@ def assert_plan_sound(plan, query, catalog) -> None:
         e = p.expr
         assert e in nodes
         if p.op == "merge_join":
-            assert p.produced_order.attr_set() == e.join_attrs
+            assert frozenset(p.produced_order) == e.join_attrs
             for c in p.children:
                 assert is_prefix(p.produced_order, c.produced_order)
         elif p.op in ("full_sort", "partial_sort"):
@@ -161,10 +161,10 @@ def assert_plan_sound(plan, query, catalog) -> None:
         elif p.op == "select":
             assert p.produced_order == p.children[0].produced_order
         elif p.op == "project":
-            assert p.produced_order.attr_set() <= e.cols
+            assert frozenset(p.produced_order) <= e.cols
             assert is_prefix(p.produced_order, p.children[0].produced_order)
         elif p.op == "sort_group_by":
-            assert p.produced_order.attr_set() == e.keys
+            assert frozenset(p.produced_order) == e.keys
             assert is_prefix(p.produced_order, p.children[0].produced_order)
         elif p.op in ("hash_join", "hash_group_by"):
             assert p.produced_order == EMPTY

@@ -54,6 +54,8 @@ def test_full_sort_cost_cases():
 def test_block_config_guards():
     with pytest.raises(ConfigError):
         BlockConfig(4096, 1)
+    with pytest.raises(ConfigError, match=r"^block_bytes must be >= 1$"):
+        BlockConfig(0, 10)
     # fields are ints, not floats or bools
     for kwargs in ({"block_bytes": True}, {"memory_blocks": True}, {"block_bytes": 4096.0}, {"memory_blocks": 4.0}):
         with pytest.raises(ConfigError):
@@ -124,6 +126,10 @@ def test_partial_sort_cost_zero_cases():
     p = _params()
     assert partial_sort_cost(0, 0, 1, 2, p) == 0.0
     assert partial_sort_cost(100, 10, 5, 0, p) == 0.0
+    # the segment count is clamped to the rows, then to at least one
+    p = CostParams()
+    assert partial_sort_cost(0.5, 1, 3.0, 2, p) == 0.5 * full_sort_cost(1.0, 2.0, 2, p) == 1e-06
+    assert partial_sort_cost(10.0, 4, 0.25, 2, p) == full_sort_cost(10.0, 4, 2, p)
 
 
 def _random_order_pair(rng, attrs):
@@ -156,7 +162,7 @@ def test_longer_known_prefix_never_costs_more():
         want = SortOrder(tuple(rng.sample(attrs, rng.randint(1, len(attrs)))))
         cut1 = rng.randint(0, len(want))
         cut2 = rng.randint(cut1, len(want))
-        shorter, longer = want.prefix(cut1), want.prefix(cut2)
+        shorter, longer = want[:cut1], want[:cut2]
         assert enforce_cost(e, longer, want, params, catalog) <= (
             enforce_cost(e, shorter, want, params, catalog) + 1e-9
         )

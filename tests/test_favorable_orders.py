@@ -137,7 +137,7 @@ def test_restrict_orders_examples():
 def test_restrict_orders_is_the_set_of_nonempty_longest_prefixes(some_orders, s):
     got = restrict_orders(some_orders, s)
     assert got == {lcp_with_set(o, s) for o in some_orders} - {EMPTY}
-    assert all(type(o) is SortOrder for o in got)
+    assert all(type(o) is tuple for o in got)
 
 
 def test_join_set_size_bound_and_lcp_call_count(monkeypatch):
@@ -326,7 +326,7 @@ def _per_member_orders(index, e):
         out = set()
     for o in inputs | {EMPTY}:
         head = lcp_with_set(o, s)
-        out.add(SortOrder(head + tuple(sorted(s - head.attr_set()))))
+        out.add(SortOrder(head + tuple(sorted(s - frozenset(head)))))
     out.discard(EMPTY)
     return frozenset(out)
 

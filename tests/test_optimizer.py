@@ -230,14 +230,27 @@ def test_a_code_built_query_gets_the_error_of_its_document():
         # faults of form
         lx.Join(inner, root.right, frozenset()),
         lx.Join(inner, root.right, root.join_attrs, "x"),
-        lx.GroupBy(root, by.attr_set(), 8.5),
+        lx.GroupBy(root, frozenset(by), 8.5),
     ]
-    for q in [QuerySpec(r, by) for r in roots] + [QuerySpec(root, SortOrder(("zz",)))]:
+    cases = [(catalog, QuerySpec(r, by)) for r in roots] + [(catalog, QuerySpec(root, SortOrder(("zz",))))]
+    # q3's order as a plain tuple: a duplicate, an empty name, a name outside the output schema
+    q3_catalog, q3 = load_pair("tpch_catalog.json", "q3_query.json")
+    cases += [(q3_catalog, QuerySpec(q3.root, o)) for o in (("partkey", "partkey"), ("",), ("zz",))]
+    for cat, q in cases:
         with pytest.raises(OrdoptError) as parsed:
-            parse_query(query_to_dict(q), catalog)
+            parse_query(query_to_dict(q), cat)
         with pytest.raises(OrdoptError) as planned:
-            Optimizer(catalog, CostParams(), q)
+            Optimizer(cat, CostParams(), q)
         assert (type(planned.value), str(planned.value)) == (type(parsed.value), str(parsed.value))
+    # a tuple of names plans as the parsed order does; any other value is rejected, not coerced
+    params = CostParams()
+    built = QuerySpec(q3.root, ("partkey",))
+    assert plan_document(Optimizer(q3_catalog, params, built).optimize(), q3_catalog, params, built) == plan_document(
+        Optimizer(q3_catalog, params, q3).optimize(), q3_catalog, params, q3
+    )
+    for o in (["partkey"], "partkey"):
+        with pytest.raises(ValidationError, match="^order_by: "):
+            Optimizer(q3_catalog, params, QuerySpec(q3.root, o))
 
 
 def test_sessions_check_only_the_order_of_a_parsed_query(monkeypatch):
@@ -323,6 +336,20 @@ def test_plan_document_round_trip():
     assert [p.op for p in plan2.walk()] == [p.op for p in plan.walk()]
     assert query2 == query
     assert_plan_sound(plan2, query2, catalog2)
+
+
+@pytest.mark.parametrize("cat,qry", FIXTURE_PAIRS + [("bushy_catalog.json", "bushy_query.json")])
+def test_every_order_is_an_exact_tuple(cat, qry):
+    """An order is a plain tuple of names: the one a parsed query requires,
+    and those that search, refinement and the loader put on plan nodes."""
+    catalog, query, params, planner, plan = _optimize(cat, qry)
+    refined = refine_with(planner, plan)
+    _, _, query2, loaded = load_plan_document(plan_document(refined, catalog, params, query))
+    assert type(query.required_output_order) is tuple and type(query2.required_output_order) is tuple
+    for p in (plan, refined, loaded):
+        for n in p.walk():
+            assert type(n.produced_order) is tuple
+            assert n.input_order is None or type(n.input_order) is tuple
 
 
 def test_plan_document_writes_the_first_id_of_equal_subtrees():

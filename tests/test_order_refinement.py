@@ -18,6 +18,7 @@ from ordopt import (
     load_catalog,
     optimize_query,
     order,
+    order_str,
     path_order,
     refine_plan,
     tree_approx,
@@ -148,7 +149,7 @@ def test_tree_approx_output_bytes():
     digest = hashlib.sha256()
     for _ in range(500):
         for tree in (random_labeled_path(rng, 14, 4), random_labeled_tree(rng, 14, 4)):
-            digest.update(" ".join(map(str, tree_approx(tree))).encode() + b"\n")
+            digest.update(" ".join(map(order_str, tree_approx(tree))).encode() + b"\n")
     assert digest.hexdigest() == "f64629b401e8a64ab4196ddd85c4a0c84abb6b60e5cddc898e6aa9400f852b9f"
 
 
