@@ -56,6 +56,8 @@ def test_distinct_count_matches_enumeration():
     assert distinct_count(scan, frozenset("ab"), catalog) == exact == 70
     assert distinct_count(scan, frozenset(), catalog) == 1
     assert distinct_count(scan, frozenset("a"), catalog) == 10
+    # below one row (0.1 here) the count is still one
+    assert distinct_count(lx.Select(scan, 0.0001, frozenset()), frozenset("a"), catalog) == 1.0
 
 
 def test_distinct_count_unknown_attribute():

@@ -109,6 +109,17 @@ def test_brute_matches_exhaustive_with_hash_operators():
         plan = optimize_query(catalog, params, query, heuristic="exhaustive")
         brute = brute_best_plan(query.root, query.required_output_order, catalog, params)
         assert plan.total_cost == pytest.approx(brute, rel=1e-12)
+    # fixtures with group-bys, so the oracle prices hash group-bys too; q5's
+    # cheapest plan at the lowest hash rate has one
+    for cat, qry in (("tpch", "q2"), ("tpch", "q3"), ("q5", "q5")):
+        catalog, query = load_pair(f"{cat}_catalog.json", f"{qry}_query.json")
+        for rate in (0.001, 0.1, 1.0, 5.0):
+            params = dataclasses.replace(CostParams(), hashjoin_enabled=True, hash_per_block_io_equiv=rate)
+            plan = optimize_query(catalog, params, query, heuristic="exhaustive")
+            assert plan.total_cost == brute_best_plan(query.root, query.required_output_order, catalog, params)
+            if (qry, rate) == ("q5", 0.001):
+                assert "hash_group_by" in [p.op for p in plan.walk()]
+                assert round(plan.total_cost, 3) == 39078.233  # 39128.581 without hash operators
 
 
 def test_brute_covering_test_sees_selection_columns():
