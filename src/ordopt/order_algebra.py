@@ -3,8 +3,9 @@
 A sort order is a plain tuple of distinct, non-empty attribute names; sort
 direction is deliberately not represented.  An order hashes, compares,
 slices and sorts as a tuple does, and a slice of an order is an order.
-`SortOrder` and `order` check the names; `order_str` prints an order.
-Attribute sets are plain frozensets of names.  All operations here are pure.
+`SortOrder` and `order` check the names (annotations use `SortOrder` as the
+name of the type, too); `order_str` prints an order.  Attribute sets are
+plain frozensets of names.  All operations here are pure.
 """
 
 from __future__ import annotations
