@@ -77,7 +77,7 @@ def lcp_with_set(o: SortOrder, s: AttrSet) -> SortOrder:
 def extend_to(o: SortOrder, s: AttrSet) -> SortOrder:
     """o followed by the attributes of s it lacks, in ascending name order: a
     permutation of s when o lies within s.  Duplicate-free by construction,
-    so it is built without the check."""
+    so it needs no check."""
     return o + tuple(sorted(s.difference(o)))
 
 
