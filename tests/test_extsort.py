@@ -611,6 +611,104 @@ def test_merge_refreshes_a_reused_key_for_its_next_record():
     assert met.positions_inspected > met.comparisons
 
 
+# --- counters at the points a caller reads them -----------------------------
+
+
+def _tied_segments(sizes):
+    # 100-byte records whose second position takes few values, so keys tie there
+    return [Record((s, (j * 29) % 7, j), 100) for s, n in enumerate(sizes) for j in range(n)]
+
+
+@pytest.mark.parametrize("sizes", [(12, 12, 12), (12, 60), (12,)], ids=["next_fits", "next_spills", "alone"])
+def test_counters_after_the_first_output_are_those_of_the_first_segment(sizes):
+    # the first segment (12 records) fits in 15 records of memory; its first
+    # output follows its sort, before the next segment is read past its head
+    spec = SortSpec(3, 1, BlockConfig(512, 3))
+    out, met = sort_mrs(_tied_segments(sizes), spec)
+    next(out)
+    _, alone = _run(sort_mrs, _tied_segments(sizes[:1]), spec)
+    assert alone.positions_inspected > alone.comparisons > 0
+    assert met == alone
+    out.close()
+
+
+def _fails_in_run_formation():
+    records = [Record((0, (j * 17) % 41, j), 100) for j in range(10)]
+    records += [Record((1, (j * 29) % 97, j), 100) for j in range(60)]
+    records[50] = Record((1, 5), 100)  # too few key positions: read in run formation
+    return records
+
+
+@pytest.mark.parametrize(
+    "fn, prefix, expected",
+    [(sort_mrs, 1, (5, 0, 172, 172, 10, 1)), (sort_srs, 0, (7, 0, 213, 401, 0, 0))],
+    ids=["mrs", "srs"],
+)
+def test_counters_are_exact_after_a_sort_raises(fn, prefix, expected):
+    out, met = fn(_fails_in_run_formation(), SortSpec(3, prefix, BlockConfig(512, 3)))
+    with pytest.raises(ValidationError, match="fewer than the 3 positions"):
+        list(out)
+    assert dataclasses.astuple(met) == expected
+
+
+@pytest.mark.parametrize(
+    "fn, prefix, expected",
+    [(sort_mrs, 1, (54, 54, 656, 657, 100, 4)), (sort_srs, 0, (122, 122, 1342, 2536, 200, 8))],
+    ids=["mrs", "srs"],
+)
+def test_counters_are_exact_after_a_stream_is_closed(fn, prefix, expected):
+    records = [Record((j // 100, (j * 29) % 97, j), 100) for j in range(200)]
+    out, met = fn(records, SortSpec(3, prefix, BlockConfig(512, 3)))
+    next(out)
+    out.close()
+    assert dataclasses.astuple(met) == expected
+
+
+@st.composite
+def _tie_heavy_sorts(draw):
+    # values 0-2 on 1-4 positions; 100-byte records in 3-8 blocks of 512 bytes
+    # (15-40 records), so segments spill, form runs and merge in between
+    n = draw(st.integers(1, 4))
+    hi = draw(st.integers(1, n))
+    algo = draw(st.sampled_from(["srs", "mrs"]))
+    prefix = draw(st.integers(0, hi - 1)) if algo == "mrs" else 0
+    size = draw(st.integers(0, 200))
+    rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=size, max_size=size))
+    records = sorted((Record(tuple(r), 100) for r in rows), key=lambda r: r.keys[:prefix])
+    cfg = BlockConfig(512, draw(st.integers(3, 8)))
+    return algo, records, SortSpec(hi, prefix, cfg, file_backed=draw(st.booleans()))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_tie_heavy_sorts())
+def test_sort_counters_equal_a_count_of_every_comparison(case):
+    # each same-run or untagged comparison counts once, and inspects the
+    # positions of [lo, hi) up to and including the first that differs
+    algo, records, spec = case
+    tally = [0, 0]
+    counted_key = extsort._counted_key
+
+    def tallied(cls, lo, hi):
+        class Tallied(cls):
+            __slots__ = ()
+
+            def __lt__(self, other):
+                if not hasattr(self, "run") or self.run == other.run:
+                    a, b = self.keys, other.keys
+                    lcp = next((i for i in range(lo, hi) if a[i] != b[i]), hi) - lo
+                    tally[0] += 1
+                    tally[1] += min(lcp + 1, hi - lo)
+                return super().__lt__(other)
+
+        return Tallied
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(extsort, "_counted_key", lambda met, lo, hi: tuple(tallied(c, lo, hi) for c in counted_key(met, lo, hi)))
+        out, met = (sort_srs if algo == "srs" else sort_mrs)(records, spec)
+        assert [r.keys[: spec.target_order_len] for r in out] == sorted(r.keys[: spec.target_order_len] for r in records)
+    assert (met.comparisons, met.positions_inspected) == tuple(tally)
+
+
 @pytest.mark.parametrize(
     "records, mem",
     [
