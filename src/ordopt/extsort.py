@@ -23,7 +23,10 @@ exactly, by the key classes built per sort (``_counted_key``): every
 comparison that ``list.sort`` or ``heapq`` makes calls a key's ``__lt__``.  A
 key caches its record's key tuple and first sorted position, and settles keys
 that differ there on a short path.  Only the run-formation heap's keys carry
-run tags; the in-memory sort and the merges compare untagged keys.
+run tags; the in-memory sort and the merges compare untagged keys.  The keys
+tally into their closure, not into ``SortMetrics``; the sort adds the tallies
+to it before each segment's first output, when a merge runs dry, and when the
+stream ends, raises or is closed.
 
 Keys are refilled, not built per record.  Run formation refills the key it
 pops with the next incoming record; each in-memory sort refills the first
@@ -99,6 +102,18 @@ class SortSpec:
 
 @dataclass
 class SortMetrics:
+    """The exact counters of one sort, filled in as its output stream runs.
+
+    The I/O counters, ``runs_generated`` and ``tuples_in_before_first_out``
+    move as the sort does.  ``comparisons`` and ``positions_inspected`` are
+    tallied by the sort's keys and added here at set points: before each
+    segment's first output record, when a merge's last stream runs dry, and
+    when the stream ends, raises or is closed.  So all counters are current
+    at a segment's first output (as ``tuples_in_before_first_out`` reads)
+    and exact once the stream is finished; in between, the comparison
+    counters may lag the sort's work.
+    """
+
     run_blocks_written: int = 0
     run_blocks_read: int = 0
     comparisons: int = 0
@@ -110,16 +125,24 @@ class SortMetrics:
 def _counted_key(met: SortMetrics, lo: int, hi: int):
     """The key classes of one sort: ``Key``, and ``RunKey`` for run formation.
 
-    ``Key(a) < Key(b)`` orders records a and b by key positions [lo, hi); it
-    counts one in ``met.comparisons`` and each position it inspects in
-    ``met.positions_inspected``.  A key caches its record's key tuple
-    (``keys``) and position lo (``head``), so keys that differ at ``head`` are
-    settled with no tuple load.  Three sites refill a built key for another
-    record instead, setting ``rec``, ``keys`` and ``head`` together:
-    ``_merge_streams`` for a stream's next record (``src`` holds the stream),
-    and ``_replacement_selection`` for the record entering run formation (a
-    ``RunKey``, whose ``run`` it sets before comparing) and for the records of
-    each in-memory sort (its pool of ``Key``s).
+    ``Key(a) < Key(b)`` orders records a and b by key positions [lo, hi).  A
+    key caches its record's key tuple (``keys``) and position lo (``head``),
+    so keys that differ at ``head`` are settled with no tuple load.  Three
+    sites refill a built key for another record instead, setting ``rec``,
+    ``keys`` and ``head`` together: ``_merge_streams`` for a stream's next
+    record (``src`` holds the stream), and ``_replacement_selection`` for the
+    record entering run formation (a ``RunKey``, whose ``run`` it sets before
+    comparing) and for the records of each in-memory sort (its pool of
+    ``Key``s).
+
+    Comparisons are tallied in two ints of this closure, not in ``met``:
+    ``counts`` adds one per comparison, and ``extra`` the positions inspected
+    beyond the first, on the tie path only.  Every counted comparison inspects
+    position lo, so positions inspected are ``counts + extra``, and a
+    comparison settled at ``head`` costs one int increment and no attribute
+    write.  ``Key.sync()`` adds the tallies to ``met.comparisons`` and
+    ``met.positions_inspected`` and zeroes them; the sort calls it at the
+    points where ``met`` must be current (see ``SortMetrics``).
 
     ``RunKey(rec, run)`` orders by run tag first; a comparison across runs
     counts nothing.  Its ``__lt__`` repeats ``Key.__lt__`` instead of calling
@@ -130,6 +153,13 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
     test costs more than the ``__lt__`` call.  Keys define no ``__eq__``;
     nothing compares keys for equality.
     """
+    counts = extra = 0
+
+    def sync() -> None:
+        nonlocal counts, extra
+        met.comparisons += counts
+        met.positions_inspected += counts + extra
+        counts = extra = 0
 
     class Key:
         __slots__ = ("rec", "keys", "head", "src")
@@ -141,11 +171,11 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
             self.head = keys[lo]
 
         def __lt__(self, other: "Key") -> bool:
-            met.comparisons += 1
+            nonlocal counts, extra
+            counts += 1
             x = self.head
             y = other.head
             if x != y:
-                met.positions_inspected += 1
                 return x < y
             a = self.keys
             b = other.keys
@@ -154,11 +184,14 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
                 x = a[i]
                 y = b[i]
                 if x != y:
-                    met.positions_inspected += i - lo + 1
+                    extra += i - lo
                     return x < y
                 i += 1
-            met.positions_inspected += hi - lo
+            extra += hi - lo - 1
             return False
+
+    # set here, not in the class body, which cannot see this closure's sync
+    Key.sync = staticmethod(sync)
 
     class RunKey(Key):
         __slots__ = ("run",)
@@ -168,13 +201,13 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
             self.run = run
 
         def __lt__(self, other: "RunKey") -> bool:
+            nonlocal counts, extra
             if self.run != other.run:
                 return self.run < other.run
-            met.comparisons += 1
+            counts += 1
             x = self.head
             y = other.head
             if x != y:
-                met.positions_inspected += 1
                 return x < y
             a = self.keys
             b = other.keys
@@ -183,10 +216,10 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
                 x = a[i]
                 y = b[i]
                 if x != y:
-                    met.positions_inspected += i - lo + 1
+                    extra += i - lo
                     return x < y
                 i += 1
-            met.positions_inspected += hi - lo
+            extra += hi - lo - 1
             return False
 
     return Key, RunKey
@@ -274,7 +307,8 @@ class _Run:
 
 def _merge_streams(streams, key):
     """K-way merge of sorted record iterators, compared through the counted
-    key class ``key``; each stream's key is reused for its next record."""
+    key class ``key``; each stream's key is reused for its next record.  The
+    sort's counters are synced when the last stream runs dry."""
     lo = key.head_at
     heap = []
     for it in streams:
@@ -293,6 +327,7 @@ def _merge_streams(streams, key):
             top.keys = keys = nxt.keys
             top.head = keys[lo]
             heapq.heappush(heap, top)
+    key.sync()
 
 
 def _reduce_runs(runs: list[_Run], fanin: int, keep_slots: int, key, new_run) -> None:
@@ -314,7 +349,8 @@ def sort_srs(records, spec: SortSpec):
 
     This is the sort_mrs core with no known prefix, so the whole input is one
     segment; unlike sort_mrs, it drains the heap into written runs at end of
-    input.  Metrics are complete once the stream is exhausted.
+    input.  Metrics are current at the first output and exact once the
+    stream is exhausted, raises or is closed (see ``SortMetrics``).
     """
     met = SortMetrics()
     return _replacement_selection(records, spec, met, 0, drain=True), met
@@ -361,85 +397,92 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
             raise ValidationError(f"payload_bytes: {p!r} of keys {keys} is not an int >= 1")
         return keys[:k]
 
-    for prefix, segment in itertools.groupby(records, checked_prefix):
-        if prev_prefix is not None and not prev_prefix < prefix:
-            raise UnsortedPrefix(
-                f"prefix {prefix} arrived after {prev_prefix}; input is not "
-                f"sorted on the first {k} key positions"
-            )
-        prev_prefix = prefix
+    try:
+        for prefix, segment in itertools.groupby(records, checked_prefix):
+            if prev_prefix is not None and not prev_prefix < prefix:
+                raise UnsortedPrefix(
+                    f"prefix {prefix} arrived after {prev_prefix}; input is not "
+                    f"sorted on the first {k} key positions"
+                )
+            prev_prefix = prefix
 
-        # Fill memory; r is left as the first record that did not fit, if any.
-        memory, used = [], 0
-        for r in segment:
-            if memory and used + r.payload_bytes > capacity:
-                break
-            memory.append(r)
-            used += r.payload_bytes
-        else:
-            r = None
+            # Fill memory; r is left as the first record that did not fit, if any.
+            memory, used = [], 0
+            for r in segment:
+                if memory and used + r.payload_bytes > capacity:
+                    break
+                memory.append(r)
+                used += r.payload_bytes
+            else:
+                r = None
 
-        # A segment that overflows memory forms runs tagged by run number,
-        # file-backed in one temp file that closes when its output ends.
-        spills = r is not None and spec.file_backed
-        with tempfile.TemporaryFile() if spills else contextlib.nullcontext() as spill:
-            new_run = functools.partial(_Run, met, cfg.block_bytes, spill)
-            runs: list[_Run] = []
-            if r is not None:
-                heap = [run_key(m) for m in memory]
-                heapq.heapify(heap)
-                new = run_key(r)  # r's key; the key each pop frees is refilled for the next r
-                run = new_run()
-                current_run = 0
-                while r is not None or (drain and heap):
-                    top = heapq.heappop(heap)
-                    if top.run != current_run:
-                        runs.append(run.close())
-                        run = new_run()
-                        current_run = top.run
-                    run.add(top.rec)
-                    if r is not None:
-                        new.run = current_run
-                        if new < top:
-                            new.run = current_run + 1
-                        heapq.heappush(heap, new)
-                        r = next(segment, None)
+            # A segment that overflows memory forms runs tagged by run number,
+            # file-backed in one temp file that closes when its output ends.
+            spills = r is not None and spec.file_backed
+            with tempfile.TemporaryFile() if spills else contextlib.nullcontext() as spill:
+                new_run = functools.partial(_Run, met, cfg.block_bytes, spill)
+                runs: list[_Run] = []
+                if r is not None:
+                    heap = [run_key(m) for m in memory]
+                    heapq.heapify(heap)
+                    new = run_key(r)  # r's key; the key each pop frees is refilled for the next r
+                    run = new_run()
+                    current_run = 0
+                    while r is not None or (drain and heap):
+                        top = heapq.heappop(heap)
+                        if top.run != current_run:
+                            runs.append(run.close())
+                            run = new_run()
+                            current_run = top.run
+                        run.add(top.rec)
                         if r is not None:
-                            new = top
-                            new.rec = r
-                            new.keys = keys = r.keys
-                            new.head = keys[k]
-                runs.append(run.close())
-                memory = [h.rec for h in heap]
-            met.runs_generated += len(runs) or 1
+                            new.run = current_run
+                            if new < top:
+                                new.run = current_run + 1
+                            heapq.heappush(heap, new)
+                            r = next(segment, None)
+                            if r is not None:
+                                new = top
+                                new.rec = r
+                                new.keys = keys = r.keys
+                                new.head = keys[k]
+                    runs.append(run.close())
+                    memory = [h.rec for h in heap]
+                met.runs_generated += len(runs) or 1
 
-            # Whatever stays in memory (a segment that fit, or the residual heap)
-            # is sorted once and, next to any written runs, merged without a write.
-            # The pool's first keys are refilled in memory's order, so list.sort
-            # compares them exactly as sorted(memory, key=key) would (a whole
-            # pool is sorted in place, saving a copy when segments are equal);
-            # a lone record needs no sort and is not keyed.
-            in_memory = memory
-            if len(memory) > 1:
-                for pk, m in zip(pool, memory):
-                    pk.rec = m
-                    pk.keys = keys = m.keys
-                    pk.head = keys[k]
-                if len(memory) > len(pool):
-                    pool += map(key, memory[len(pool) :])
-                keyed = pool if len(memory) == len(pool) else pool[: len(memory)]
-                keyed.sort()
-                in_memory = [pk.rec for pk in keyed]
-            out = in_memory
-            if runs:
-                fanin = _fanin(cfg)
-                _reduce_runs(runs, fanin, fanin - (1 if in_memory else 0), key, new_run)
-                streams = [run.stream() for run in runs] + ([iter(in_memory)] if in_memory else [])
-                assert len(streams) <= fanin
-                out = _merge_streams(streams, key)
-            if not met.tuples_in_before_first_out:  # the first segment, read whole
-                met.tuples_in_before_first_out = len(in_memory) + sum(run.count for run in runs)
-            yield from out
+                # Whatever stays in memory (a segment that fit, or the residual heap)
+                # is sorted once and, next to any written runs, merged without a write.
+                # The pool's first keys are refilled in memory's order, so list.sort
+                # compares them exactly as sorted(memory, key=key) would (a whole
+                # pool is sorted in place, saving a copy when segments are equal);
+                # a lone record needs no sort and is not keyed.
+                in_memory = memory
+                if len(memory) > 1:
+                    for pk, m in zip(pool, memory):
+                        pk.rec = m
+                        pk.keys = keys = m.keys
+                        pk.head = keys[k]
+                    if len(memory) > len(pool):
+                        pool += map(key, memory[len(pool) :])
+                    keyed = pool if len(memory) == len(pool) else pool[: len(memory)]
+                    keyed.sort()
+                    in_memory = [pk.rec for pk in keyed]
+                out = in_memory
+                if runs:
+                    fanin = _fanin(cfg)
+                    _reduce_runs(runs, fanin, fanin - (1 if in_memory else 0), key, new_run)
+                    streams = [run.stream() for run in runs] + ([iter(in_memory)] if in_memory else [])
+                    assert len(streams) <= fanin
+                    out = _merge_streams(streams, key)
+                if not met.tuples_in_before_first_out:  # the first segment, read whole
+                    met.tuples_in_before_first_out = len(in_memory) + sum(run.count for run in runs)
+                out = iter(out)
+                first = next(out)  # a segment has at least one record
+                key.sync()
+                yield first
+                yield from out
+    finally:
+        key.sync()  # met is exact when the stream ends, raises or is closed
 
 
 def gen_segmented_input(rows: int, segment_rows: int, key_positions: int, payload_bytes: int, seed: int):

@@ -562,11 +562,15 @@ def test_golden_counters(case, file_backed, algo):
 
 
 def _less(met, lo, hi, a, b, runs=None):
-    # runs=None compares untagged keys, a pair of run numbers tagged ones
+    # runs=None compares untagged keys, a pair of run numbers tagged ones;
+    # the keys tally their counts until sync adds them to met
     key, run_key = extsort._counted_key(met, lo, hi)
     if runs is None:
-        return key(Record(a, 1)) < key(Record(b, 1))
-    return run_key(Record(a, 1), runs[0]) < run_key(Record(b, 1), runs[1])
+        less = key(Record(a, 1)) < key(Record(b, 1))
+    else:
+        less = run_key(Record(a, 1), runs[0]) < run_key(Record(b, 1), runs[1])
+    key.sync()
+    return less
 
 
 @st.composite
