@@ -155,7 +155,7 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
     """
     counts = extra = 0
 
-    def sync() -> None:
+    def _sync() -> None:
         nonlocal counts, extra
         met.comparisons += counts
         met.positions_inspected += counts + extra
@@ -164,6 +164,7 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
     class Key:
         __slots__ = ("rec", "keys", "head", "src")
         head_at = lo  # the position that head caches
+        sync = staticmethod(_sync)
 
         def __init__(self, rec: Record):
             self.rec = rec
@@ -189,9 +190,6 @@ def _counted_key(met: SortMetrics, lo: int, hi: int):
                 i += 1
             extra += hi - lo - 1
             return False
-
-    # set here, not in the class body, which cannot see this closure's sync
-    Key.sync = staticmethod(sync)
 
     class RunKey(Key):
         __slots__ = ("run",)
