@@ -8,10 +8,11 @@ goal's order; for joins and group-bys one merge join resp. sort-based group-by
 per candidate order, then the hash variant.  Both accept any order of their
 attributes (join attributes resp. grouping keys) that every input delivers,
 so one path makes both: the candidates are the usable prefixes of the inputs'
-favorable orders plus the downstream requirement, each extended to a full
-permutation of those attributes, or a heuristic's fixed orders.  `_OPS` names
-the operators that compute each kind of expression, for search and the plan
-loader alike.
+favorable orders plus the downstream requirement, or a fixed heuristic's
+prefixes, each extended to a full permutation of those attributes by
+`extend_to`.  `_OPS` names the operators that compute each kind of
+expression, for search and the plan loader alike; `_PASS_ORDER` those that
+pass a wanted order on to their input, for search's rebuild and refinement.
 
 A join's or group-by's pairs read the goal's required order only through
 its prefix on their attributes, so they are derived and sorted once per
@@ -54,8 +55,6 @@ from .order_algebra import (
     EMPTY,
     AttrSet,
     SortOrder,
-    canonical_permutation,
-    concat,
     extend_to,
     is_prefix,
     lcp_with_set,
@@ -68,6 +67,8 @@ HEURISTICS = ("favorable", "arbitrary", "postgres", "exhaustive")
 EXHAUSTIVE_MAX_ATTRS = 6
 
 _SORTS = ("full_sort", "partial_sort")
+#: The operators that pass the order wanted of them on to their input.
+_PASS_ORDER = ("select", "project")
 #: The operators that may compute each kind of expression; for joins and
 #: group-bys the order-based operator comes first, then the hash one.
 _OPS = {
@@ -134,22 +135,17 @@ def interesting_orders(
 
 
 def _heuristic_orders(e: lx.Join | lx.GroupBy, heuristic: str) -> set[SortOrder]:
+    """A fixed heuristic's heads, each extended to a full permutation as in
+    `interesting_orders`: `arbitrary` has none, `postgres` one per attribute."""
     attrs = lx.sort_attrs(e)
-    if heuristic == "arbitrary":
-        return {canonical_permutation(attrs)}
+    heads = {EMPTY}  # arbitrary's, and postgres's for a global aggregate (no attributes)
     if heuristic == "postgres":
-        # no attributes (a global aggregate): the one empty order, as for the others
-        return {
-            concat(SortOrder((a,)), canonical_permutation(attrs - {a}))
-            for a in sorted(attrs)
-        } or {EMPTY}
-    # exhaustive: Optimizer.__init__ admits no other heuristic
-    if len(attrs) > EXHAUSTIVE_MAX_ATTRS:
-        raise TooLarge(
-            f"exhaustive enumeration over {len(attrs)} attributes exceeds "
-            f"guard {EXHAUSTIVE_MAX_ATTRS}"
-        )
-    return {SortOrder(p) for p in itertools.permutations(sorted(attrs))}
+        heads = {(a,) for a in attrs} or heads
+    elif heuristic == "exhaustive":  # every permutation
+        if len(attrs) > EXHAUSTIVE_MAX_ATTRS:
+            raise TooLarge(f"exhaustive enumeration over {len(attrs)} attributes exceeds guard {EXHAUSTIVE_MAX_ATTRS}")
+        heads = itertools.permutations(sorted(attrs))
+    return {extend_to(h, attrs) for h in heads}
 
 
 _new_plan = tuple.__new__
@@ -259,7 +255,7 @@ class Optimizer:
         while p.op in _SORTS:
             p = p.children[0]
         if p.children:
-            io = want if p.op in ("select", "project") else orders.get(id(p), p.produced_order)
+            io = want if p.op in _PASS_ORDER else orders.get(id(p), p.produced_order)
             # map adds no interpreter frame per level, unlike a comprehension
             kids = tuple(map(self.rebuild, p.children, itertools.repeat(io), itertools.repeat(orders)))
             p = self._operator(p.op, p.expr, kids, io)
@@ -515,23 +511,23 @@ def load_plan_document(source):
 
 
 def format_plan(p: PhysicalPlan) -> str:
-    """Human-readable plan tree, one operator per line; no frame per level."""
+    """Human-readable plan tree, one operator per line from its `_node_fields`; no frame per level."""
     lines = []
     stack = [(p, 0)]
     while stack:
         p, indent = stack.pop()
-        parts = [p.op]
-        if not p.children:
-            parts.append(p.expr.relation)
-        if p.op == "covering_index_scan":
-            parts.append(f"key={order_str(p.produced_order)}")
-        if p.op in _SORTS:
-            parts.append(f"{order_str(p.input_order)}->{order_str(p.produced_order)}")
-        parts.append(f"order={order_str(p.produced_order)}")
-        parts.append(f"rows={p.est_rows:.6g}")
-        parts.append(f"blocks={p.est_blocks}")
-        parts.append(f"cost={p.op_cost:.6g}")
-        parts.append(f"total={p.total_cost:.6g}")
+        d = _node_fields(p, None)
+        parts = [d["op"]]
+        if "relation" in d:
+            parts.append(d["relation"])
+        if "index_key" in d:
+            parts.append(f"key={order_str(d['index_key'])}")
+        if "input_order" in d:
+            parts.append(f"{order_str(d['input_order'])}->{order_str(d['target_order'])}")
+        parts.append(
+            f"order={order_str(d['order'])} rows={d['rows']:.6g} blocks={d['blocks']} "
+            f"cost={d['op_cost']:.6g} total={d['total_cost']:.6g}"
+        )
         lines.append("  " * indent + " ".join(parts))
         stack.extend((c, indent + 1) for c in reversed(p.children))
     return "\n".join(lines)

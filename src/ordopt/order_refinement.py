@@ -21,7 +21,7 @@ from . import catalog_stats as cs
 from . import cost_model as cm
 from . import logical_expr as lx
 from .errors import ValidationError
-from .optimizer import _SORTS, Optimizer, PhysicalPlan
+from .optimizer import _PASS_ORDER, _SORTS, Optimizer, PhysicalPlan
 from .order_algebra import AttrSet, SortOrder, canonical_permutation, concat, lcp, order_str, subtract
 
 
@@ -165,7 +165,7 @@ def tree_approx(tree: LabeledTree) -> list[SortOrder]:
 
 # --- plan refinement ----------------------------------------------------------
 
-_TRANSPARENT = (*_SORTS, "select", "project")
+_TRANSPARENT = (*_SORTS, *_PASS_ORDER)
 
 
 def _join_trees(plan: PhysicalPlan) -> list[tuple[list[PhysicalPlan], list[tuple[int, int]]]]:
