@@ -68,7 +68,7 @@ class IndexDef(NamedTuple):
 class Catalog:
     relations: dict[str, CatalogRelation]
     indices: tuple[IndexDef, ...]
-    _stats_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _stats_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def relation(self, name: str) -> CatalogRelation:
         try:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -8,6 +9,7 @@ import ordopt.logical_expr as lx
 from ordopt import (
     BlockConfig,
     UnknownAttribute,
+    UnknownRelation,
     ValidationError,
     blocks,
     distinct_count,
@@ -69,6 +71,18 @@ def test_distinct_count_unknown_attribute():
     for e in (lx.Scan("r"), deep):
         with pytest.raises(UnknownAttribute, match=r"^attributes \['x'\] not in schema \['a', 'b'\]$"):
             distinct_count(e, frozenset("ax"), catalog)
+
+
+def test_a_replaced_catalog_derives_its_own_statistics():
+    # the statistics cache is not a constructor field, so a replaced catalog starts with an empty one
+    catalog = _one_relation_catalog()
+    scan = lx.Scan("r")
+    assert expr_stats(scan, catalog).rows == 1000.0
+    fewer = dataclasses.replace(catalog, relations={"r": catalog.relation("r")._replace(row_count=5)})
+    assert expr_stats(scan, fewer).rows == 5.0
+    with pytest.raises(UnknownRelation, match="'r'"):
+        expr_stats(scan, dataclasses.replace(catalog, relations={}))
+    assert expr_stats(scan, catalog).rows == 1000.0
 
 
 def test_distinct_count_monotone_and_capped():
