@@ -71,7 +71,8 @@ class Record:
     two plain slot stores; ordopt never mutates a Record once built.
     Sorts compare keys with `<`: lists mode takes any mutually comparable
     values (a `str` met by an `int` raises `TypeError`); a file-backed sort
-    that spills stores keys and payload_bytes as int64s and rejects others.
+    that spills stores keys and payload_bytes as int64s and rejects others,
+    a bool key too, which it would read back as 0 or 1.
     """
 
     keys: tuple[int, ...]
@@ -256,12 +257,15 @@ class _Run:
             self._start, self.add = spill.tell(), self._write
 
     def _write(self, r: Record) -> None:
-        n = len(r.keys)
+        keys = r.keys
+        n = len(keys)
         try:
-            packed = _record_layout(n).pack(n, *r.keys, r.payload_bytes)
+            packed = _record_layout(n).pack(n, *keys, r.payload_bytes)
         except struct.error:
+            packed = None
+        if packed is None or bool in map(type, keys):  # struct would store a bool as 0 or 1
             raise ValidationError(
-                f"keys: {r.keys}: file-backed runs store keys and payload_bytes as 64-bit integers"
+                f"keys: {keys}: file-backed runs store keys and payload_bytes as 64-bit integers"
             ) from None
         self._file.write(packed)
         self.count += 1
@@ -450,10 +454,9 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
 
                 # Whatever stays in memory (a segment that fit, or the residual heap)
                 # is sorted once and, next to any written runs, merged without a write.
-                # The pool's first keys are refilled in memory's order, so list.sort
-                # compares them exactly as sorted(memory, key=key) would (a whole
-                # pool is sorted in place, saving a copy when segments are equal);
-                # a lone record needs no sort and is not keyed.
+                # The pool's first keys are refilled in memory's order and a slice of
+                # them sorted, so list.sort compares them exactly as sorted(memory,
+                # key=key) would; a lone record needs no sort and is not keyed.
                 in_memory = memory
                 if len(memory) > 1:
                     for pk, m in zip(pool, memory):
@@ -462,7 +465,7 @@ def _replacement_selection(records, spec: SortSpec, met: SortMetrics, k: int, dr
                         pk.head = keys[k]
                     if len(memory) > len(pool):
                         pool += map(key, memory[len(pool) :])
-                    keyed = pool if len(memory) == len(pool) else pool[: len(memory)]
+                    keyed = pool[: len(memory)]
                     keyed.sort()
                     in_memory = [pk.rec for pk in keyed]
                 out = in_memory

@@ -406,6 +406,19 @@ def test_values_a_spill_file_cannot_store_are_rejected_when_file_backed(bad):
         list(out)
 
 
+def test_a_bool_key_is_kept_in_lists_and_rejected_when_file_backed():
+    # a spill file would store True and False as the ints 1 and 0
+    records = [Record((j % 2 == 0, j), 100) for j in range(40)]
+    cfg = BlockConfig(block_bytes=512, memory_blocks=3)
+    out, met = sort_srs(records, SortSpec(2, 0, cfg))
+    first = next(out)
+    assert first.keys == (False, 1) and type(first.keys[0]) is bool
+    assert [r.keys for r in out] == sorted(r.keys for r in records)[1:] and met.run_blocks_written > 0
+    out, _ = sort_srs(records, SortSpec(2, 0, cfg, file_backed=True))
+    with pytest.raises(ValidationError, match=r"^keys: \(False, 1\): file-backed runs store keys and payload_bytes"):
+        list(out)
+
+
 def test_empty_input():
     out, met = sort_srs([], _srs_spec())
     assert list(out) == []
