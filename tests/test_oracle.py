@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import ordopt.logical_expr as lx
 from ordopt import (
     CostParams,
     LabeledTree,
@@ -93,6 +94,10 @@ def test_brute_matches_exhaustive_optimizer(cat, qry):
     plan = optimize_query(catalog, params, query, heuristic="exhaustive")
     brute = brute_best_plan(query.root, query.required_output_order, catalog, params)
     assert plan.total_cost == pytest.approx(brute, rel=1e-12)
+    # a guard one below the widest join or group-by stops the oracle's enumeration
+    widest = max(len(lx.sort_attrs(e)) for e in lx.preorder(query.root) if isinstance(e, (lx.Join, lx.GroupBy)))
+    with pytest.raises(TooLarge, match=f"^{widest} attributes exceed guard {widest - 1}$"):
+        brute_best_plan(query.root, query.required_output_order, catalog, params, OracleGuard(max_attrs=widest - 1))
 
 
 def test_brute_matches_exhaustive_with_hash_operators():
@@ -224,6 +229,8 @@ def test_merge_cost_is_permutation_independent():
         )
         costs.add(round(pc, 9))
     assert len(costs) == 1
+    with pytest.raises(TypeError, match="^not a logical expression: 'm1'$"):
+        planner.cost("m1", EMPTY)
 
 
 def test_oracle_module_never_imports_heuristics():
